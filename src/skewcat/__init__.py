@@ -14,7 +14,7 @@ from .catoperad import (
 from .tmulticat import (
     MultiMap, TMulticategory, SkewMulticategory, make_multicat,
     terminal_multicat, check_tmulticat, underlying_category,
-    extend_hom_action, from_tight_subsets, all_tight, loose_part,
+    from_tight_subsets, all_tight, loose_part,
     MulticatMorphism, Multicat2Cell, check_morphism, check_2cell, iso_search,
 )
 from .representability import (

@@ -17,15 +17,13 @@ from .correspondence import (
     NotLeftRepresentable, monoidal_to_multicat, multicat_to_monoidal,
     roundtrip_monoidal, roundtrip_multicat,
 )
-from .fincat import StructureError, category_from_json, check_category, report_to_json
+from .fincat import _CAT_KEYS, StructureError, category_from_json, check_category, report_to_json
 from .representability import analyze
 from .search import enumerate_skew_structures
-from .skewmon import check_skew_monoidal, skewmon_from_json, skewmon_to_json
-from .tmulticat import check_tmulticat, multicat_from_json, multicat_to_json
-
-_CATEGORY_KEYS = {"objects", "morphisms", "identities", "compose"}
-_MONOIDAL_KEYS = {"category", "tensor", "unit", "alpha", "lambda", "rho"}
-_MULTICAT_KEYS = {"operad", "max_arity", "objects", "homs", "identities", "action", "subst"}
+from .skewmon import _SM_KEYS, check_skew_monoidal, skewmon_from_json, skewmon_to_json
+from .tmulticat import (
+    _MC_KEYS, arity_bound, check_tmulticat, multicat_from_json, multicat_to_json,
+)
 
 
 def _emit(data: dict | list, message: str) -> None:
@@ -45,18 +43,17 @@ def _load(path: str):
     if not isinstance(data, dict):
         raise StructureError("top-level JSON must be an object")
     keys = set(data)
-    if keys == _CATEGORY_KEYS:
+    if keys == _CAT_KEYS:
         return "category", category_from_json(data)
-    if keys == _MONOIDAL_KEYS:
+    if keys == _SM_KEYS:
         return "monoidal", skewmon_from_json(data)
-    if keys == _MULTICAT_KEYS:
+    if keys == _MC_KEYS:
         return "multicat", multicat_from_json(data)
     raise StructureError(f"unrecognized schema with keys {sorted(keys)}")
 
 
 def _arity(value: int) -> int:
-    if value > 6:
-        raise StructureError("--max-arity is capped at 6")
+    arity_bound(value, "--max-arity")
     if value >= 5:
         print(f"warning: --max-arity {value} is combinatorially expensive",
               file=sys.stderr)

@@ -16,9 +16,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .catoperad import LOOSE, TIGHT, CatOperad, dual_operad
-from .fincat import FinCategory, StructureError, Violation
-from .representability import ClassifierTable, build_inductive_classifiers, find_universal, is_weakly_representable
-from .tmulticat import MultiMap, SkewMulticategory, TMulticategory, extend_hom_action, make_multicat, underlying_with_maps
+from .fincat import FinCategory, Functor, StructureError, Violation, check_functor, preimage
+from .representability import (
+    ClassifierTable, build_inductive_classifiers, find_classifiers, is_weakly_representable,
+)
+from .tmulticat import (
+    MultiMap, SkewMulticategory, TMulticategory, make_multicat, signatures, underlying_with_maps,
+)
 
 InnerSpec = tuple[tuple[str, int], ...]  # ((x1, k1), ..., (xn, kn))
 
@@ -92,8 +96,9 @@ class NormalColaxAlgebra:
         return src, tgt
 
 
-def _tuples(items, n):
-    return itertools.product(items, repeat=n)
+def _blocks(items, ks):
+    """Tuples of blocks, block i being a tuple of ks[i] items."""
+    return itertools.product(*[list(itertools.product(items, repeat=k)) for k in ks])
 
 
 def _inner_specs(operad: CatOperad, n: int, budget: int):
@@ -122,24 +127,17 @@ def check_colax_algebra(alg: NormalColaxAlgebra) -> list[Violation]:
     out: list[Violation] = []
     objs = base.objects
     mors = [m for m, _, _ in base.morphisms]
-
-    def seq(*fs):
-        acc = fs[0]
-        for f in fs[1:]:
-            if acc is None or f is None:
-                return None
-            acc = base.compose.get((f, acc))
-        return acc
+    seq = base.comp_seq
 
     # functor laws for each m_x
     for n in range(alg.max_arity + 1):
         comp = alg.operad.component(n)
         for x in comp.objects:
-            for tup in _tuples(objs, n):
+            for tup in itertools.product(objs, repeat=n):
                 got = alg.m_mor(x, tuple(base.id_of(a) for a in tup))
                 if got != base.id_of(alg.m_obj(x, tup)):
                     out.append(Violation.of("functor-identity", x=x, objs=str(tup)))
-            for pair_tuple in _tuples(list(base.compose), n):
+            for pair_tuple in itertools.product(list(base.compose), repeat=n):
                 gs = tuple(p[0] for p in pair_tuple)
                 fs = tuple(p[1] for p in pair_tuple)
                 lhs = alg.m_mor(x, tuple(base.comp(g, f) for g, f in pair_tuple))
@@ -154,11 +152,11 @@ def check_colax_algebra(alg: NormalColaxAlgebra) -> list[Violation]:
         for phi, sx, tx in comp.morphisms:
             if comp.is_identity(phi):
                 continue
-            for tup in _tuples(objs, n):
+            for tup in itertools.product(objs, repeat=n):
                 c = alg.op_mor(phi, tup)
                 if base.src(c) != alg.m_obj(sx, tup) or base.tgt(c) != alg.m_obj(tx, tup):
                     out.append(Violation.of("op-mor-endpoints", phi=phi, objs=str(tup)))
-            for ms in _tuples(mors, n):
+            for ms in itertools.product(mors, repeat=n):
                 srcs = tuple(base.src(f) for f in ms)
                 tgts = tuple(base.tgt(f) for f in ms)
                 lhs = seq(alg.m_mor(sx, ms), alg.op_mor(phi, tgts))
@@ -170,13 +168,13 @@ def check_colax_algebra(alg: NormalColaxAlgebra) -> list[Violation]:
     for x, inner in _shapes(alg):
         ks = tuple(k for _, k in inner)
         comp_n = alg.operad.component(len(inner))
-        for blocks in itertools.product(*[list(_tuples(objs, k)) for k in ks]):
+        for blocks in _blocks(objs, ks):
             g = alg.gamma(x, inner, blocks)
             src, tgt = alg.gamma_endpoints(x, inner, blocks)
             if base.src(g) != src or base.tgt(g) != tgt:
                 out.append(Violation.of("gamma-endpoints", x=x, inner=str(inner),
                                         blocks=str(blocks)))
-        for mor_blocks in itertools.product(*[list(_tuples(mors, k)) for k in ks]):
+        for mor_blocks in _blocks(mors, ks):
             src_blocks = tuple(tuple(base.src(f) for f in blk) for blk in mor_blocks)
             tgt_blocks = tuple(tuple(base.tgt(f) for f in blk) for blk in mor_blocks)
             flat = tuple(f for blk in mor_blocks for f in blk)
@@ -189,7 +187,7 @@ def check_colax_algebra(alg: NormalColaxAlgebra) -> list[Violation]:
                 out.append(Violation.of("gamma-naturality", x=x, inner=str(inner),
                                         mors=str(mor_blocks)))
         # one operad-morphism step at a time: outer slot, then each inner slot
-        for blocks in itertools.product(*[list(_tuples(objs, k)) for k in ks]):
+        for blocks in _blocks(objs, ks):
             flat = tuple(a for blk in blocks for a in blk)
             for phi, sx, tx in comp_n.morphisms:
                 if comp_n.is_identity(phi) or sx != x:
@@ -233,11 +231,11 @@ def check_colax_algebra(alg: NormalColaxAlgebra) -> list[Violation]:
         comp = alg.operad.component(n)
         for x in comp.objects:
             inner = tuple(((e, 1),) * n)
-            for tup in _tuples(objs, n):
+            for tup in itertools.product(objs, repeat=n):
                 blocks = tuple((a,) for a in tup)
                 if alg.gamma(x, inner, blocks) != base.id_of(alg.m_obj(x, tup)):
                     out.append(Violation.of("counit-inner", x=x, objs=str(tup)))
-            for tup in _tuples(objs, n):
+            for tup in itertools.product(objs, repeat=n):
                 if alg.gamma(e, ((x, n),), (tup,)) != base.id_of(alg.m_obj(x, tup)):
                     out.append(Violation.of("counit-outer", x=x, objs=str(tup)))
 
@@ -256,8 +254,7 @@ def check_colax_algebra(alg: NormalColaxAlgebra) -> list[Violation]:
             collapsed = tuple(
                 (alg.composite_obj(xi, deep), sum(kk for _, kk in deep))
                 for (xi, _), deep in zip(inner, deeps))
-            leaf_opts = [list(_tuples(objs, kk)) for deep in deeps for _, kk in deep]
-            for flat_blocks in itertools.product(*leaf_opts):
+            for flat_blocks in _blocks(objs, [kk for deep in deeps for _, kk in deep]):
                 idx = 0
                 grouped = []
                 for deep in deeps:
@@ -300,7 +297,7 @@ def has_strict_left_bracketing(alg: NormalColaxAlgebra) -> bool:
         comp = alg.operad.component(n)
         for x in comp.objects:
             inner = ((x, n), (alg.operad.unit, 1))
-            for tup in _tuples(base.objects, n):
+            for tup in itertools.product(base.objects, repeat=n):
                 for b in base.objects:
                     g = alg.gamma(TIGHT, inner, (tup, (b,)))
                     if not base.is_identity(g):
@@ -310,31 +307,15 @@ def has_strict_left_bracketing(alg: NormalColaxAlgebra) -> bool:
 
 # -- translation with multicategories -----------------------------------------
 
-def _phi_inverse(m: TMulticategory, cat, to_mm, theta: MultiMap, classifier: str,
-                 b: str, target: MultiMap) -> str:
-    """The unique underlying-category morphism g: classifier -> b whose
-    substitution against theta is the given multimap."""
-    for g in cat.hom(classifier, b):
-        if m.substitute(to_mm[g], (theta,)) == target:
-            return g
-    raise StructureError(
-        f"no preimage under the representation bijection at {(theta.key, b)!r}")
-
-
 def left_bracketed_classifier_table(s: SkewMulticategory) -> ClassifierTable:
     """Classifier choice that makes the translated algebra satisfy the strict
     left-bracketing property: search only the nullary and binary classifiers,
     then generate the rest inductively."""
-    nullary = find_universal(s, LOOSE, ())
-    if nullary is None:
+    nullary, binary, missing = find_classifiers(s)
+    if missing == (LOOSE, ()):
         raise StructureError("no nullary classifier")
-    binary = {}
-    for a in s.objects:
-        for b in s.objects:
-            u = find_universal(s, TIGHT, (a, b))
-            if u is None:
-                raise StructureError(f"no tight binary classifier at {(a, b)!r}")
-            binary[(a, b)] = u
+    if missing is not None:
+        raise StructureError(f"no tight binary classifier at {missing[1]!r}")
     return build_inductive_classifiers(s, nullary, binary)
 
 
@@ -348,8 +329,16 @@ def multicat_to_colax(m: TMulticategory, table: ClassifierTable | None = None
             raise StructureError(f"not weakly representable at {weak.failure!r}")
         table = weak.table
     cat, to_mm = underlying_with_maps(m)
-    act = extend_hom_action(m)
     dual = dual_operad(m.operad)
+
+    def phi_inverse(theta: MultiMap, classifier: str, b: str, target: MultiMap) -> str:
+        """The unique underlying-category morphism g: classifier -> b whose
+        substitution against theta is the given multimap."""
+        g = preimage(cat.hom(classifier, b), lambda g: m.substitute(to_mm[g], (theta,)), target)
+        if g is None:
+            raise StructureError(
+                f"no preimage under the representation bijection at {(theta.key, b)!r}")
+        return g
 
     def entry(x, inputs) -> tuple[str, MultiMap]:
         u = table.get(x, inputs)
@@ -367,8 +356,8 @@ def multicat_to_colax(m: TMulticategory, table: ClassifierTable | None = None
         m_tgt, th_tgt = entry(x, tgt)
         moved = th_tgt
         for i, f in enumerate(mors):
-            moved = act.on_input(moved, i + 1, to_mm[f])
-        return _phi_inverse(m, cat, to_mm, th_src, m_src, m_tgt, moved)
+            moved = m.subst_after(moved, i + 1, to_mm[f])
+        return phi_inverse(th_src, m_src, m_tgt, moved)
 
     def op_mor_rule(phi, objs):
         n = len(objs)
@@ -377,7 +366,7 @@ def multicat_to_colax(m: TMulticategory, table: ClassifierTable | None = None
         m_t, th_t = entry(sx, objs)
         m_l, th_l = entry(tx, objs)
         moved = m.act(phi, th_t)
-        return _phi_inverse(m, cat, to_mm, th_l, m_l, m_t, moved)
+        return phi_inverse(th_l, m_l, m_t, moved)
 
     def gamma_rule(x, inner, blocks):
         thetas = tuple(entry(xi, blk)[1] for (xi, _), blk in zip(inner, blocks))
@@ -388,7 +377,7 @@ def multicat_to_colax(m: TMulticategory, table: ClassifierTable | None = None
                             tuple(k for _, k in inner))
         flat = tuple(a for blk in blocks for a in blk)
         m_cx, th_cx = entry(cx, flat)
-        return _phi_inverse(m, cat, to_mm, th_cx, m_cx, m_out, big)
+        return phi_inverse(th_cx, m_cx, m_out, big)
 
     return NormalColaxAlgebra(cat, dual, m.max_arity,
                               m_obj_rule, m_mor_rule, op_mor_rule, gamma_rule)
@@ -399,20 +388,8 @@ def colax_to_multicat(alg: NormalColaxAlgebra) -> TMulticategory:
     substitution post-composes the functor image and the comparison map."""
     base = alg.base
     op = dual_operad(alg.operad)
-    homs = {}
-
-    def m_obj(x, objs):
-        return alg.m_obj(x, objs)
-
-    sigs = []
-    for n in range(alg.max_arity + 1):
-        comp = op.component(n)
-        for x in comp.objects:
-            for inputs in itertools.product(base.objects, repeat=n):
-                sigs.append((x, inputs))
-    for x, inputs in sigs:
-        for b in base.objects:
-            homs[(x, inputs, b)] = base.hom(m_obj(x, inputs), b)
+    homs = {(x, inputs, b): base.hom(alg.m_obj(x, inputs), b)
+            for x, inputs, b in signatures(op, base.objects, alg.max_arity)}
     identities = {a: base.id_of(a) for a in base.objects}
 
     def action_rule(phi, mm_):
@@ -442,19 +419,11 @@ class LaxAlgMorphism:
 
 def check_lax_alg_morphism(f: LaxAlgMorphism) -> list[Violation]:
     src, tgt = f.source, f.target
-    from .fincat import Functor, check_functor
     out = list(check_functor(Functor(src.base, tgt.base, f.obj_map, f.mor_map)))
     if out:
         return out
     base = tgt.base
-
-    def seq(*fs):
-        acc = fs[0]
-        for g in fs[1:]:
-            if acc is None or g is None:
-                return None
-            acc = base.compose.get((g, acc))
-        return acc
+    seq = base.comp_seq
 
     def fo(objs):
         return tuple(f.obj_map[a] for a in objs)
@@ -462,7 +431,7 @@ def check_lax_alg_morphism(f: LaxAlgMorphism) -> list[Violation]:
     for n in range(src.max_arity + 1):
         comp = src.operad.component(n)
         for x in comp.objects:
-            for tup in _tuples(src.base.objects, n):
+            for tup in itertools.product(src.base.objects, repeat=n):
                 c = f.comparison.get((x, tup))
                 if c is None:
                     raise StructureError(f"missing comparison at {(x, tup)!r}")
@@ -476,7 +445,7 @@ def check_lax_alg_morphism(f: LaxAlgMorphism) -> list[Violation]:
             for phi, sx, tx in comp.morphisms:
                 if comp.is_identity(phi):
                     continue
-                for tup in _tuples(src.base.objects, n):
+                for tup in itertools.product(src.base.objects, repeat=n):
                     lhs = seq(tgt.op_mor(phi, fo(tup)), f.comparison[(tx, tup)])
                     rhs = seq(f.comparison[(sx, tup)], f.mor_map[src.op_mor(phi, tup)])
                     if lhs != rhs:
@@ -484,7 +453,7 @@ def check_lax_alg_morphism(f: LaxAlgMorphism) -> list[Violation]:
     for x, inner in _shapes(src):
         ks = tuple(k for _, k in inner)
         cx = src.composite_obj(x, inner)
-        for blocks in itertools.product(*[list(_tuples(src.base.objects, k)) for k in ks]):
+        for blocks in _blocks(src.base.objects, ks):
             flat = tuple(a for blk in blocks for a in blk)
             f_blocks = tuple(fo(blk) for blk in blocks)
             mids = tuple(src.m_obj(xi, blk) for (xi, _), blk in zip(inner, blocks))
@@ -505,23 +474,25 @@ def debug_dump(alg: NormalColaxAlgebra) -> dict:
     data: dict = {"objects": list(base.objects), "operad": alg.operad.name,
                   "max_arity": alg.max_arity, "functors": {}, "op_mors": {},
                   "gamma": {}}
+    mors = [m for m, _, _ in base.morphisms]
     for n in range(alg.max_arity + 1):
         comp = alg.operad.component(n)
         for x in comp.objects:
             data["functors"][f"{x}@{n}"] = {
                 "objects": {",".join(t): alg.m_obj(x, t)
-                            for t in _tuples(base.objects, n)},
+                            for t in itertools.product(base.objects, repeat=n)},
                 "morphisms": {",".join(t): alg.m_mor(x, t)
-                              for t in _tuples([m for m, _, _ in base.morphisms], n)},
+                              for t in itertools.product(mors, repeat=n)},
             }
         for phi, sx, tx in comp.morphisms:
             if comp.is_identity(phi):
                 continue
             data["op_mors"][f"{phi}@{n}"] = {
-                ",".join(t): alg.op_mor(phi, t) for t in _tuples(base.objects, n)}
+                ",".join(t): alg.op_mor(phi, t)
+                for t in itertools.product(base.objects, repeat=n)}
     for x, inner in _shapes(alg):
         ks = tuple(k for _, k in inner)
-        for blocks in itertools.product(*[list(_tuples(base.objects, k)) for k in ks]):
+        for blocks in _blocks(base.objects, ks):
             key = f"{x}{list(inner)}@{list(blocks)}"
             data["gamma"][key] = alg.gamma(x, inner, blocks)
     return data

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from .catoperad import LAM, LOOSE, TIGHT, make_L_operad
 from .colaxalg import InnerSpec, NormalColaxAlgebra, colax_to_multicat
-from .fincat import StructureError, Violation, is_epimorphism
+from .fincat import StructureError, Violation, is_bijection_onto, is_epimorphism, preimage
 from .representability import (
-    find_closed_structure, find_universal, is_left_representable,
+    find_classifiers, find_closed_structure, find_universal, is_left_representable,
 )
 from .skewmon import (
     SkewMonoidalCategory, is_closed_skew_monoidal, is_left_normal,
@@ -147,16 +147,9 @@ def multicat_to_monoidal(s: SkewMulticategory) -> MonoidalConversion:
     bijections, which are materialized into the returned witness."""
     if s.max_arity < 3:
         raise StructureError("need ternary homs to extract the associator")
-    nullary = find_universal(s, LOOSE, ())
-    if nullary is None:
-        raise NotLeftRepresentable((LOOSE, ()))
-    binary: dict[tuple[str, str], object] = {}
-    for a in s.objects:
-        for b in s.objects:
-            u = find_universal(s, TIGHT, (a, b))
-            if u is None:
-                raise NotLeftRepresentable((TIGHT, (a, b)))
-            binary[(a, b)] = u
+    nullary, binary, missing = find_classifiers(s)
+    if missing is not None:
+        raise NotLeftRepresentable(missing)
     if not is_left_representable(s):
         raise NotLeftRepresentable("single-input extension fails")
 
@@ -176,8 +169,12 @@ def multicat_to_monoidal(s: SkewMulticategory) -> MonoidalConversion:
     for f, a1, a2 in cat.morphisms:
         for g, b1, b2 in cat.morphisms:
             moved = s.substitute(th(a2, b2), (to_mm[f], to_mm[g]))
-            tensor_mor[(f, g)] = _preimage(s, cat, to_mm, th(a1, b1),
-                                           m(a1, b1), m(a2, b2), moved)
+            theta = th(a1, b1)
+            fg = preimage(cat.hom(m(a1, b1), m(a2, b2)),
+                          lambda h: s.substitute(to_mm[h], (theta,)), moved)
+            if fg is None:
+                raise NotLeftRepresentable((theta.key, m(a2, b2)))
+            tensor_mor[(f, g)] = fg
 
     witness: dict = {"unit": unit, "nullary_theta": theta0.mid,
                      "binary": {f"{a},{b}": {"object": m(a, b), "theta": th(a, b).mid}
@@ -186,17 +183,14 @@ def multicat_to_monoidal(s: SkewMulticategory) -> MonoidalConversion:
 
     rho = {}
     for a in s.objects:
-        rho[a] = from_mm[s.substitute(th(a, unit), (s.identity(a), theta0))]
+        rho[a] = from_mm[s.subst_after(th(a, unit), 2, theta0)]
 
     lam = {}
     for a in s.objects:
-        target = s.j(s.identity(a))
-        lam[a] = None
-        for h in cat.hom(m(unit, a), a):
-            via = s.substitute(to_mm[h], (th(unit, a),))
-            if s.substitute(via, (theta0, s.identity(a))) == target:
-                lam[a] = h
-                break
+        lam[a] = preimage(
+            cat.hom(m(unit, a), a),
+            lambda h: s.subst_after(s.substitute(to_mm[h], (th(unit, a),)), 1, theta0),
+            s.j(s.identity(a)))
         if lam[a] is None:
             raise NotLeftRepresentable(("left-unit", a))
 
@@ -204,13 +198,13 @@ def multicat_to_monoidal(s: SkewMulticategory) -> MonoidalConversion:
     for a in s.objects:
         for b in s.objects:
             for d in s.objects:
-                xi = s.substitute(th(a, m(b, d)), (s.identity(a), th(b, d)))
+                xi = s.subst_after(th(a, m(b, d)), 2, th(b, d))
                 first, second = {}, {}
                 alpha[(a, b, d)] = None
                 for h in cat.hom(m(m(a, b), d), m(a, m(b, d))):
                     k = s.substitute(to_mm[h], (th(m(a, b), d),))
                     first[h] = k.mid
-                    full = s.substitute(k, (th(a, b), s.identity(d)))
+                    full = s.subst_after(k, 1, th(a, b))
                     second[h] = full.mid
                     if full == xi and alpha[(a, b, d)] is None:
                         alpha[(a, b, d)] = h
@@ -222,13 +216,6 @@ def multicat_to_monoidal(s: SkewMulticategory) -> MonoidalConversion:
     monoidal = make_skew_monoidal(cat, tensor_obj, tensor_mor, unit,
                                   alpha, lam, rho)
     return MonoidalConversion(monoidal, witness)
-
-
-def _preimage(s, cat, to_mm, theta, classifier, b, target) -> str:
-    for g in cat.hom(classifier, b):
-        if s.substitute(to_mm[g], (theta,)) == target:
-            return g
-    raise NotLeftRepresentable((theta.key, b))
 
 
 # -- round trips ----------------------------------------------------------------
@@ -290,24 +277,17 @@ def check_loose_classifier_adjunction(s: SkewMulticategory) -> list[Violation]:
     cat, to_mm = underlying_with_maps(s)
     nullary = find_universal(s, LOOSE, ())
     theta0 = nullary.theta
-    e = s.operad.unit
     for a in s.objects:
         ub = find_universal(s, TIGHT, (nullary.classifier, a))
-        eta = s.substitute(ub.theta, (theta0, s.identity(a)))
+        eta = s.subst_after(ub.theta, 1, theta0)
         ia = ub.classifier
-        counit = None
         for b in s.objects:
-            source = list(s.maps((e, (ia,), b)))
             images = [s.substitute(to_mm[cat_mor], (eta,)).mid
                       for cat_mor in cat.hom(ia, b)]
-            target = s.hom(LOOSE, (a,), b)
-            if not (len(images) == len(set(images)) == len(target)
-                    and set(images) == set(target)):
+            if not is_bijection_onto(images, s.hom(LOOSE, (a,), b)):
                 out.append(Violation.of("adjunction-bijection", a=a, b=b))
-        for h in cat.hom(ia, a):
-            if s.substitute(to_mm[h], (eta,)) == s.j(s.identity(a)):
-                counit = h
-                break
+        counit = preimage(cat.hom(ia, a), lambda h: s.substitute(to_mm[h], (eta,)),
+                          s.j(s.identity(a)))
         if counit is None:
             out.append(Violation.of("adjunction-counit-missing", a=a))
         elif counit != c.lambda_[a]:
@@ -363,13 +343,10 @@ def _multicat_flags(s: SkewMulticategory) -> dict:
     for n in range(1, s.max_arity + 1):
         for inputs in itertools.product(sorted(s.objects), repeat=n):
             for b in s.objects:
-                tight = list(s.maps((TIGHT, inputs, b)))
-                images = [s.j(t).mid for t in tight]
-                loose = s.hom(LOOSE, inputs, b)
+                images = [s.j(t).mid for t in s.maps((TIGHT, inputs, b))]
                 if len(set(images)) != len(images):
                     inj = False
-                if not (len(set(images)) == len(images) and
-                        set(images) == set(loose)):
+                if not is_bijection_onto(images, s.hom(LOOSE, inputs, b)):
                     bij = False
     return {
         "left_normal": bij,

@@ -7,7 +7,6 @@ operation here is a pure function, so values can be shared freely.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 
@@ -78,12 +77,14 @@ class FinCategory:
         """g after f."""
         return self.compose[(g, f)]
 
-    def comp_seq(self, *ms: str) -> str:
-        """Composite of a path listed source-to-target: comp_seq(f, g) = g after f."""
-        it = iter(ms)
-        acc = next(it)
-        for m in it:
-            acc = self.comp(m, acc)
+    def comp_seq(self, *ms: str | None) -> str | None:
+        """Composite of a path listed source-to-target: comp_seq(f, g) = g after f.
+        None when a step is None or a pair has no composition entry."""
+        acc = ms[0]
+        for m in ms[1:]:
+            if acc is None or m is None:
+                return None
+            acc = self.compose.get((m, acc))
         return acc
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
@@ -180,18 +181,6 @@ class Functor:
     target: FinCategory
     obj_map: dict[str, str]
     mor_map: dict[str, str]
-
-    def on_obj(self, a: str) -> str:
-        return self.obj_map[a]
-
-    def on_mor(self, f: str) -> str:
-        return self.mor_map[f]
-
-
-def identity_functor(cat: FinCategory) -> Functor:
-    return Functor(cat, cat,
-                   {a: a for a in cat.objects},
-                   {m: m for m, _, _ in cat.morphisms})
 
 
 def check_functor(fun: Functor) -> list[Violation]:
@@ -300,6 +289,22 @@ def opposite_category(c: FinCategory) -> FinCategory:
     return FinCategory(c.objects, morphisms, dict(c.identity), compose)
 
 
+def is_bijection_onto(images: list, target: tuple) -> bool:
+    """The listed images are distinct and are exactly the members of target."""
+    return (len(images) == len(target)
+            and len(set(images)) == len(images)
+            and set(images) == set(target))
+
+
+def preimage(candidates, image, target):
+    """The first candidate that image sends to target, or None: one value of
+    the inverse of a bijection given by its forward map."""
+    for c in candidates:
+        if image(c) == target:
+            return c
+    return None
+
+
 def is_epimorphism(cat: FinCategory, f: str) -> bool:
     """Right-cancellable: g∘f = h∘f forces g = h, over all parallel pairs."""
     if not cat.has_morphism(f):
@@ -349,8 +354,3 @@ def category_from_json(data: dict) -> FinCategory:
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed category JSON: {exc}") from exc
     return FinCategory(objects, morphisms, identity, compose)
-
-
-def category_from_path(path: str) -> FinCategory:
-    with open(path, encoding="utf-8") as fh:
-        return category_from_json(json.load(fh))

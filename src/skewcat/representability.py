@@ -10,13 +10,16 @@ order with hom elements in stored order, so witnesses are deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .catoperad import LOOSE, TIGHT
-from .fincat import Functor, StructureError, Violation, opposite_category, pair_id, product_category
+from .fincat import (
+    Functor, StructureError, Violation, is_bijection_onto, opposite_category, pair_id,
+    preimage, product_category,
+)
 from .tmulticat import (
-    MultiMap, SkewMulticategory, TMulticategory,
-    extend_hom_action, underlying_with_maps,
+    MultiMap, SkewMulticategory, TMulticategory, underlying_category, underlying_with_maps,
 )
 
 
@@ -46,12 +49,6 @@ class ClassifierTable:
         return self.entries.get((TIGHT, (a, b)))
 
 
-def _bijective(images: list, target: tuple) -> bool:
-    return (len(images) == len(target)
-            and len(set(images)) == len(images)
-            and set(images) == set(target))
-
-
 def _universal_ok(s: TMulticategory, theta: MultiMap, m: str) -> bool:
     """Substitution with theta carries unit-typed unary maps out of the
     candidate classifier bijectively onto the hom being represented."""
@@ -59,7 +56,7 @@ def _universal_ok(s: TMulticategory, theta: MultiMap, m: str) -> bool:
     for b in s.objects:
         source = list(s.maps((e, (m,), b)))
         images = [s.substitute(g, (theta,)).mid for g in source]
-        if not _bijective(images, s.hom(theta.x, theta.inputs, b)):
+        if not is_bijection_onto(images, s.hom(theta.x, theta.inputs, b)):
             return False
     return True
 
@@ -68,28 +65,16 @@ def _left_universal_ok(s: SkewMulticategory, theta: MultiMap, m: str) -> bool:
     """As above but with trailing inputs, up to the truncation bound."""
     max_extra = min(s.max_arity - 1, s.max_arity - theta.arity)
     for extra in range(max_extra + 1):
-        for tail in _tuples(s.objects, extra):
+        for tail in itertools.product(sorted(s.objects), repeat=extra):
             ks = (theta.arity,) + (1,) * extra
             xs = (theta.x,) + (TIGHT,) * extra
             rx = s.operad.subst_obj(TIGHT, xs, ks)
             for c in s.objects:
-                source = list(s.maps((TIGHT, (m,) + tail, c)))
-                images = []
-                for h in source:
-                    fs = (theta,) + tuple(s.identity(a) for a in tail)
-                    images.append(s.substitute(h, fs).mid)
-                if not _bijective(images, s.hom(rx, theta.inputs + tail, c)):
+                images = [s.subst_after(h, 1, theta).mid
+                          for h in s.maps((TIGHT, (m,) + tail, c))]
+                if not is_bijection_onto(images, s.hom(rx, theta.inputs + tail, c)):
                     return False
     return True
-
-
-def _tuples(objects, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _tuples(objects, n - 1):
-        for a in sorted(objects):
-            yield rest + (a,)
 
 
 def find_universal(s: SkewMulticategory, x: str, inputs: tuple[str, ...]
@@ -128,7 +113,7 @@ def is_weakly_representable(s: SkewMulticategory) -> WeakRepResult:
     for n in range(s.max_arity + 1):
         comp = s.operad.component(n)
         for x in comp.objects:
-            for inputs in _tuples(s.objects, n):
+            for inputs in itertools.product(sorted(s.objects), repeat=n):
                 u = find_universal(s, x, inputs)
                 if u is None:
                     return WeakRepResult(False, None, (x, inputs))
@@ -162,29 +147,34 @@ def build_inductive_classifiers(s: SkewMulticategory,
         for a in s.objects:
             prev = nullary
             pair = binary[(prev.classifier, a)]
-            theta = s.substitute(pair.theta, (prev.theta, s.identity(a)))
+            theta = s.subst_after(pair.theta, 1, prev.theta)
             entries[(LOOSE, (a,))] = recheck(LOOSE, (a,), pair.classifier, theta)
     for n in range(2, s.max_arity + 1):
         for x in (TIGHT, LOOSE):
-            for inputs in _tuples(s.objects, n):
+            for inputs in itertools.product(sorted(s.objects), repeat=n):
                 prev = entries[(x, inputs[:-1])]
-                b = inputs[-1]
-                pair = binary[(prev.classifier, b)]
-                theta = s.substitute(pair.theta, (prev.theta, s.identity(b)))
+                pair = binary[(prev.classifier, inputs[-1])]
+                theta = s.subst_after(pair.theta, 1, prev.theta)
                 entries[(x, inputs)] = recheck(x, inputs, pair.classifier, theta)
     return ClassifierTable(entries, s.max_arity)
 
 
-def _searched_binary(s: SkewMulticategory):
+def find_classifiers(s: SkewMulticategory):
+    """(nullary, binary, None): the nullary classifier, then the tight binary
+    ones keyed by input pair.  The search stops at the first signature with
+    no classifier and returns it third, with binary None (and nullary None
+    when the nullary one is missing)."""
     nullary = find_universal(s, LOOSE, ())
+    if nullary is None:
+        return None, None, (LOOSE, ())
     binary = {}
     for a in s.objects:
         for b in s.objects:
             u = find_universal(s, TIGHT, (a, b))
             if u is None:
-                return nullary, None
+                return nullary, None, (TIGHT, (a, b))
             binary[(a, b)] = u
-    return nullary, binary
+    return nullary, binary, None
 
 
 def _single_extension_ok(s: SkewMulticategory, u: UniversalMultimap) -> bool:
@@ -195,9 +185,9 @@ def _single_extension_ok(s: SkewMulticategory, u: UniversalMultimap) -> bool:
     rx = s.operad.subst_obj(TIGHT, (u.theta.x, TIGHT), (u.theta.arity, 1))
     for b in s.objects:
         for c in s.objects:
-            source = list(s.maps((TIGHT, (u.classifier, b), c)))
-            images = [s.substitute(h, (u.theta, s.identity(b))).mid for h in source]
-            if not _bijective(images, s.hom(rx, u.inputs + (b,), c)):
+            images = [s.subst_after(h, 1, u.theta).mid
+                      for h in s.maps((TIGHT, (u.classifier, b), c))]
+            if not is_bijection_onto(images, s.hom(rx, u.inputs + (b,), c)):
                 return False
     return True
 
@@ -229,9 +219,8 @@ def check_left_representability_equivalences(s: SkewMulticategory) -> Equivalenc
     cond = {}
     cond["all_universals_left_universal"] = weak.ok and all(
         u.left_universal for u in weak.table.entries.values())
-    nullary, binary = _searched_binary(s)
-    have_cls = nullary is not None and binary is not None
-    if have_cls:
+    nullary, binary, missing = find_classifiers(s)
+    if missing is None:
         table = build_inductive_classifiers(s, nullary, binary)
         cond["inductive_classifiers_universal"] = all(
             u.universal for u in table.entries.values())
@@ -264,10 +253,9 @@ def _closed_pair_ok(s: SkewMulticategory, h: str, b: str, c: str, e: MultiMap) -
         comp = s.operad.component(n)
         for x in comp.objects:
             rx = s.operad.subst_obj(TIGHT, (x, TIGHT), (n, 1))
-            for inputs in _tuples(s.objects, n):
-                source = list(s.maps((x, inputs, h)))
-                images = [s.substitute(e, (f, s.identity(b))).mid for f in source]
-                if not _bijective(images, s.hom(rx, inputs + (b,), c)):
+            for inputs in itertools.product(sorted(s.objects), repeat=n):
+                images = [s.subst_after(e, 1, f).mid for f in s.maps((x, inputs, h))]
+                if not is_bijection_onto(images, s.hom(rx, inputs + (b,), c)):
                     return False
     return True
 
@@ -294,8 +282,6 @@ def find_closed_structure(s: SkewMulticategory) -> ClosedStructure | None:
             evaluation[(b, c)] = found[1]
 
     cat, to_mm = underlying_with_maps(s)
-    from_mm = {mm: mor for mor, mm in to_mm.items()}
-    act = extend_hom_action(s)
     op = opposite_category(cat)
     prod = product_category(op, cat)
     obj_map = {pair_id(b, c): hom_obj[(b, c)] for b in cat.objects for c in cat.objects}
@@ -305,26 +291,21 @@ def find_closed_structure(s: SkewMulticategory) -> ClosedStructure | None:
         for v in (m for m, _, _ in cat.morphisms):
             vc1, vc2 = cat.src(v), cat.tgt(v)
             e_src = evaluation[(ub2, vc1)]
-            target = s.substitute(to_mm[v], (act.on_input(e_src, 2, to_mm[u]),))
+            target = s.substitute(to_mm[v], (s.subst_after(e_src, 2, to_mm[u]),))
+            # the unique w: [ub2, vc1] -> [ub1, vc2] with e(w, 1_ub1) equal to target
             e_tgt = evaluation[(ub1, vc2)]
-            w = _invert_eval(s, e_tgt, hom_obj[(ub2, vc1)], ub1, vc2, target)
-            mor_map[pair_id(u, v)] = from_mm[w]
+            w = preimage(cat.hom(e_src.inputs[0], e_tgt.inputs[0]),
+                         lambda w: s.subst_after(e_tgt, 1, to_mm[w]), target)
+            if w is None:
+                raise StructureError("evaluation bijection has no preimage; structure is not closed")
+            mor_map[pair_id(u, v)] = w
     functor = Functor(prod, cat, obj_map, mor_map)
     return ClosedStructure(hom_obj, evaluation, functor, to_mm)
 
 
-def _invert_eval(s, e: MultiMap, a: str, b: str, c: str, target: MultiMap) -> MultiMap:
-    """The unique tight unary w: a -> [b,c] with e(w, 1_b) equal to target."""
-    for w in s.maps((TIGHT, (a,), e.inputs[0])):
-        if s.substitute(e, (w, s.identity(b))) == target:
-            return w
-    raise StructureError("evaluation bijection has no preimage; structure is not closed")
-
-
 def _left_adjoint_ok(s: SkewMulticategory, closed: ClosedStructure) -> bool:
     """Pointwise representability of c -> A(a, [b, c]) for every a and b."""
-    cat, to_mm = underlying_with_maps(s)
-    from_mm = {mm: mor for mor, mm in to_mm.items()}
+    cat = underlying_category(s)
     for b in s.objects:
         for a in s.objects:
             if not any(_represents(s, closed, cat, p, a, b) for p in sorted(s.objects)):
@@ -340,7 +321,7 @@ def _represents(s, closed, cat, p, a, b) -> bool:
             for g in cat.hom(p, c):
                 w = closed.hom_functor.mor_map[pair_id(cat.id_of(b), g)]
                 images.append(cat.compose.get((w, u)))
-            if None in images or not _bijective(images, cat.hom(a, closed.hom_obj[(b, c)])):
+            if not is_bijection_onto(images, cat.hom(a, closed.hom_obj[(b, c)])):
                 ok = False
                 break
         if ok:
@@ -358,8 +339,8 @@ def check_closed_representability_equivalences(s: SkewMulticategory) -> Equivale
         "left_representable": is_left_representable(s),
         "weakly_representable": is_weakly_representable(s).ok,
     }
-    nullary, binary = _searched_binary(s)
-    cond["nullary_and_binary_classifiers"] = nullary is not None and binary is not None
+    nullary, _, missing = find_classifiers(s)
+    cond["nullary_and_binary_classifiers"] = missing is None
     cond["nullary_classifier_and_left_adjoints"] = (
         nullary is not None and _left_adjoint_ok(s, closed))
     violations = []

@@ -18,13 +18,12 @@ an axiom failure.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .fincat import (
     FinCategory, Functor, StructureError, Violation,
     category_from_json, category_to_json, check_category, check_functor,
-    is_epimorphism, pair_id, product_category,
+    is_bijection_onto, is_epimorphism, pair_id, product_category,
 )
 
 
@@ -94,14 +93,7 @@ def check_skew_monoidal(c: SkewMonoidalCategory) -> list[Violation]:
     def o(a, b):
         return c.t_obj(a, b)
 
-    def seq(*fs):
-        acc = fs[0]
-        for f in fs[1:]:
-            if acc is None or f is None:
-                return None
-            acc = base.compose.get((f, acc))
-        return acc
-
+    seq = base.comp_seq
     ident = base.id_of
     i = c.unit
     for a in base.objects:
@@ -232,9 +224,7 @@ def is_closed_skew_monoidal(c: SkewMonoidalCategory) -> ClosedMonoidalStructure 
 def _closed_bijection(c, h, b, d, e, a):
     base = c.base
     image = [base.compose.get((e, c.t_mor_left(f, b))) for f in base.hom(a, h)]
-    target = base.hom(c.t_obj(a, b), d)
-    return None not in image and len(set(image)) == len(image) == len(target) \
-        and set(image) == set(target)
+    return is_bijection_onto(image, base.hom(c.t_obj(a, b), d))
 
 
 # -- lax monoidal functors ----------------------------------------------------
@@ -255,14 +245,7 @@ def check_lax_monoidal(f: LaxMonoidalFunctor) -> list[Violation]:
         return out
     base = tgt.base
     fo, fm = f.functor.obj_map, f.functor.mor_map
-
-    def seq(*fs):
-        acc = fs[0]
-        for g in fs[1:]:
-            if acc is None or g is None:
-                return None
-            acc = base.compose.get((g, acc))
-        return acc
+    seq = base.comp_seq
 
     for a in src.base.objects:
         for b in src.base.objects:
@@ -429,8 +412,3 @@ def skewmon_from_json(data: dict) -> SkewMonoidalCategory:
             if (f, g) not in tensor_mor:
                 raise StructureError(f"tensor morphism table misses {(f, g)!r}")
     return make_skew_monoidal(base, tensor_obj, tensor_mor, unit, alpha, lambda_, rho)
-
-
-def skewmon_from_path(path: str) -> SkewMonoidalCategory:
-    with open(path, encoding="utf-8") as fh:
-        return skewmon_from_json(json.load(fh))

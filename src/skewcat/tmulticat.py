@@ -13,7 +13,7 @@ evaluated on demand and cached; the logical content is the same.
 
 from __future__ import annotations
 
-import json
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -65,14 +65,6 @@ class TMulticategory:
             raise StructureError("need a substitution table or rule")
 
     # -- signatures ------------------------------------------------------
-
-    def signatures(self) -> Iterator[HomKey]:
-        for n in range(self.max_arity + 1):
-            comp = self.operad.component(n)
-            for x in comp.objects:
-                for inputs in _tuples(self.objects, n):
-                    for output in self.objects:
-                        yield (x, inputs, output)
 
     def hom(self, x: str, inputs: tuple[str, ...], output: str) -> tuple[str, ...]:
         return self.homs.get((x, inputs, output), ())
@@ -146,7 +138,8 @@ class TMulticategory:
         return result
 
     def subst_after(self, g: MultiMap, i: int, f: MultiMap) -> MultiMap:
-        """Substitute f into position i (1-based), identities elsewhere."""
+        """The partial composition g ∘ᵢ f: substitute f into position i
+        (1-based), identities elsewhere."""
         fs = tuple(f if j == i - 1 else self.identity(b)
                    for j, b in enumerate(g.inputs))
         return self.substitute(g, fs)
@@ -183,17 +176,8 @@ class TMulticategory:
 
     def materialize(self) -> "TMulticategory":
         """Copy with fully populated action and substitution tables."""
-        action = {}
-        for n in range(self.max_arity + 1):
-            comp = self.operad.component(n)
-            for fmor, _, _ in comp.morphisms:
-                if comp.is_identity(fmor):
-                    continue
-                for key in sorted(self.homs):
-                    if len(key[1]) != n or key[0] != comp.src(fmor):
-                        continue
-                    action[(fmor, key)] = {m.mid: self.act(fmor, m).mid
-                                           for m in self.maps(key)}
+        action = {(fmor, key): {m.mid: self.act(fmor, m).mid for m in self.maps(key)}
+                  for fmor, key in _action_sites(self, sorted(self.homs))}
         subst = {}
         for g, fs in self.subst_keys():
             key = (g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs))
@@ -211,26 +195,39 @@ class TMulticategory:
                 and a.subst_table == b.subst_table)
 
 
-def _tuples(objects, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _tuples(objects, n - 1):
-        for a in objects:
-            yield rest + (a,)
+def signatures(operad: CatOperad, objects: tuple[str, ...], max_arity: int
+               ) -> Iterator[HomKey]:
+    """Every hom key up to the bound: arity, then operad object, then the
+    input tuple, then the output."""
+    for n in range(max_arity + 1):
+        for x in operad.component(n).objects:
+            for inputs in itertools.product(objects, repeat=n):
+                for output in objects:
+                    yield (x, inputs, output)
+
+
+def _action_sites(m: TMulticategory, keys) -> Iterator[tuple[str, HomKey]]:
+    """(phi, key) for each non-identity operad morphism phi, arity by arity,
+    and each hom key among keys at the source of phi."""
+    for n in range(m.max_arity + 1):
+        comp = m.operad.component(n)
+        for phi, s, _ in comp.morphisms:
+            if comp.is_identity(phi):
+                continue
+            for key in keys:
+                if len(key[1]) == n and key[0] == s:
+                    yield phi, key
+
+
+def arity_bound(value, name: str) -> int:
+    """A truncation bound given from outside: an integer from 1 to 6."""
+    if type(value) is not int or not 1 <= value <= 6:
+        raise StructureError(f"{name} must be an integer from 1 to 6, got {value!r}")
+    return value
 
 
 class SkewMulticategory(TMulticategory):
-    """Multicategory typed over the tight/loose operad, with the derived views."""
-
-    def tight(self, inputs: tuple[str, ...], output: str) -> tuple[str, ...]:
-        return self.hom(TIGHT, inputs, output)
-
-    def loose(self, inputs: tuple[str, ...], output: str) -> tuple[str, ...]:
-        return self.hom(LOOSE, inputs, output)
-
-    def nullary(self, output: str) -> tuple[str, ...]:
-        return self.hom(LOOSE, (), output)
+    """Multicategory typed over the tight/loose operad, with the comparison j."""
 
     def j(self, m: MultiMap) -> MultiMap:
         """View a tight multimap as a loose one."""
@@ -240,11 +237,8 @@ class SkewMulticategory(TMulticategory):
 def make_multicat(operad, objects, max_arity, homs, identities, **kw) -> TMulticategory:
     """Pick the skew subclass when the operad is the tight/loose one."""
     cls = SkewMulticategory if operad.name == "R" else TMulticategory
-    full_homs = {}
-    m = TMulticategory.__new__(TMulticategory)
-    m.operad, m.objects, m.max_arity = operad, tuple(objects), max_arity
-    for key in m.signatures():
-        full_homs[key] = tuple(homs.get(key, ()))
+    full_homs = {key: tuple(homs.get(key, ()))
+                 for key in signatures(operad, tuple(objects), max_arity)}
     for key in homs:
         if key not in full_homs:
             raise StructureError(f"hom signature {key!r} out of range")
@@ -259,11 +253,7 @@ def make_multicat(operad, objects, max_arity, homs, identities, **kw) -> TMultic
 def terminal_multicat(operad: CatOperad, max_arity: int = 4,
                       objects: tuple[str, ...] = ("*",)) -> TMulticategory:
     """Singleton hom at every signature; all structure is forced."""
-    homs = {}
-    probe = TMulticategory.__new__(TMulticategory)
-    probe.operad, probe.objects, probe.max_arity = operad, tuple(objects), max_arity
-    for key in probe.signatures():
-        homs[key] = ("m",)
+    homs = {key: ("m",) for key in signatures(operad, tuple(objects), max_arity)}
     return make_multicat(operad, objects, max_arity, homs,
                          {a: "m" for a in objects},
                          action_rule=lambda fmor, m: "m",
@@ -386,9 +376,7 @@ def _validate_structure(m: TMulticategory) -> list:
         if check_category(comp):
             raise StructureError(f"operad component {n} is not a category")
         comp_objs[n] = set(comp.objects)
-    expected = set()
-    for key in m.signatures():
-        expected.add(key)
+    for key in signatures(m.operad, m.objects, m.max_arity):
         if key not in m.homs:
             raise StructureError(f"missing hom table entry for {key!r}")
     for (x, inputs, output), mids in m.homs.items():
@@ -418,14 +406,9 @@ def _validate_structure(m: TMulticategory) -> list:
                 raise StructureError(f"action domain mismatch at {key!r}")
             if not set(table.values()) <= set(m.homs.get(tgt_key, ())):
                 raise StructureError(f"action image escapes {tgt_key!r}")
-        for n in range(m.max_arity + 1):
-            comp = m.operad.component(n)
-            for fmor, s, _ in comp.morphisms:
-                if comp.is_identity(fmor):
-                    continue
-                for key in m.homs:
-                    if len(key[1]) == n and key[0] == s and (fmor, key) not in m.action_table:
-                        raise StructureError(f"missing action entry {fmor!r} at {key!r}")
+        for fmor, key in _action_sites(m, m.homs):
+            if (fmor, key) not in m.action_table:
+                raise StructureError(f"missing action entry {fmor!r} at {key!r}")
     keys = list(m.subst_keys())
     if m.subst_table is not None:
         expected_keys = {(g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs))
@@ -479,39 +462,18 @@ def underlying_category(m: TMulticategory) -> FinCategory:
     return underlying_with_maps(m)[0]
 
 
-@dataclass
-class HomAction:
-    """Unary actions on every hom set: covariant in the output, contravariant
-    in each input slot, induced by substitution."""
-
-    multicat: TMulticategory
-
-    def on_output(self, u: MultiMap, m: MultiMap) -> MultiMap:
-        """Post-compose with a unit-typed unary u: output(m) -> b."""
-        return self.multicat.substitute(u, (m,))
-
-    def on_input(self, m: MultiMap, i: int, u: MultiMap) -> MultiMap:
-        """Pre-compose slot i (1-based) with a unit-typed unary u: a' -> inputs[i-1]."""
-        mc = self.multicat
-        fs = tuple(u if j == i - 1 else mc.identity(b) for j, b in enumerate(m.inputs))
-        return mc.substitute(m, fs)
-
-
-def extend_hom_action(m: TMulticategory) -> HomAction:
-    return HomAction(m)
-
-
 def check_hom_action(m: TMulticategory) -> list[Violation]:
-    """Functor laws and bifunctoriality of the derived unary actions."""
-    act = extend_hom_action(m)
+    """Functor laws and bifunctoriality of the unary actions on every hom set:
+    covariant in the output (u ∘ m, a unary substitution), contravariant in
+    each input slot (m ∘ᵢ u)."""
     out = []
     e = m.operad.unit
     unary = [u for u in m.all_maps() if u.arity == 1 and u.x == e]
     for mm_ in m.all_maps():
-        if act.on_output(m.identity(mm_.output), mm_) != mm_:
+        if m.substitute(m.identity(mm_.output), (mm_,)) != mm_:
             out.append(Violation.of("hom-action-identity", m=mm_.mid, slot="out"))
         for i in range(1, mm_.arity + 1):
-            if act.on_input(mm_, i, m.identity(mm_.inputs[i - 1])) != mm_:
+            if m.subst_after(mm_, i, m.identity(mm_.inputs[i - 1])) != mm_:
                 out.append(Violation.of("hom-action-identity", m=mm_.mid, slot=str(i)))
     for mm_ in m.all_maps():
         for u in unary:
@@ -520,8 +482,8 @@ def check_hom_action(m: TMulticategory) -> list[Violation]:
             for v in unary:
                 if v.inputs[0] != u.output:
                     continue
-                if act.on_output(v, act.on_output(u, mm_)) != \
-                   act.on_output(m.substitute(v, (u,)), mm_):
+                if m.substitute(v, (m.substitute(u, (mm_,)),)) != \
+                   m.substitute(m.substitute(v, (u,)), (mm_,)):
                     out.append(Violation.of("hom-action-composition", m=mm_.mid,
                                             u=u.mid, v=v.mid))
         for i in range(1, mm_.arity + 1):
@@ -531,8 +493,8 @@ def check_hom_action(m: TMulticategory) -> list[Violation]:
                 for v in unary:
                     if v.output != u.inputs[0]:
                         continue
-                    if act.on_input(act.on_input(mm_, i, u), i, v) != \
-                       act.on_input(mm_, i, m.substitute(u, (v,))):
+                    if m.subst_after(m.subst_after(mm_, i, u), i, v) != \
+                       m.subst_after(mm_, i, m.substitute(u, (v,))):
                         out.append(Violation.of("hom-action-composition", m=mm_.mid,
                                                 slot=str(i)))
         for u in unary:
@@ -542,8 +504,8 @@ def check_hom_action(m: TMulticategory) -> list[Violation]:
                 for w in unary:
                     if w.output != mm_.inputs[i - 1]:
                         continue
-                    if act.on_input(act.on_output(u, mm_), i, w) != \
-                       act.on_output(u, act.on_input(mm_, i, w)):
+                    if m.subst_after(m.substitute(u, (mm_,)), i, w) != \
+                       m.substitute(u, (m.subst_after(mm_, i, w),)):
                         out.append(Violation.of("hom-action-bifunctor", m=mm_.mid))
     return out
 
@@ -640,9 +602,6 @@ class MulticatMorphism:
     obj_map: dict[str, str]
     hom_maps: dict[HomKey, dict[str, str]]  # source hom key -> per-id assignment
 
-    def on_obj(self, a: str) -> str:
-        return self.obj_map[a]
-
     def on_map(self, m: MultiMap) -> MultiMap:
         mid = self.hom_maps[m.key][m.mid]
         return self.target.mm(m.x, tuple(self.obj_map[a] for a in m.inputs),
@@ -674,17 +633,10 @@ def check_morphism(f: MulticatMorphism) -> list[Violation]:
     for a in src.objects:
         if f.on_map(src.identity(a)) != tgt.identity(f.obj_map[a]):
             out.append(Violation.of("morphism-identity", obj=a))
-    for n in range(src.max_arity + 1):
-        comp = src.operad.component(n)
-        for fmor, s, _ in comp.morphisms:
-            if comp.is_identity(fmor):
-                continue
-            for key in src.homs:
-                if len(key[1]) != n or key[0] != s:
-                    continue
-                for mm_ in src.maps(key):
-                    if f.on_map(src.act(fmor, mm_)) != tgt.act(fmor, f.on_map(mm_)):
-                        out.append(Violation.of("morphism-action", phi=fmor, m=mm_.mid))
+    for fmor, key in _action_sites(src, src.homs):
+        for mm_ in src.maps(key):
+            if f.on_map(src.act(fmor, mm_)) != tgt.act(fmor, f.on_map(mm_)):
+                out.append(Violation.of("morphism-action", phi=fmor, m=mm_.mid))
     for g, fs in src.subst_keys():
         lhs = f.on_map(src.substitute(g, fs))
         rhs = tgt.substitute(f.on_map(g), tuple(f.on_map(x) for x in fs))
@@ -769,19 +721,12 @@ def iso_search(m: TMulticategory, n: TMulticategory
     sub_constraints: list[list] = [[] for _ in hom_keys]
     if not thin:
         # constraints indexed by the last hom (in assignment order) they mention
-        for arity in range(m.max_arity + 1):
-            comp = m.operad.component(arity)
-            for fmor, s, t in comp.morphisms:
-                if comp.is_identity(fmor):
-                    continue
-                for key in hom_keys:
-                    if len(key[1]) != arity or key[0] != s:
-                        continue
-                    okey = (t, key[1], key[2])
-                    involved = [key_index[key]]
-                    if okey in key_index:
-                        involved.append(key_index[okey])
-                    act_constraints[max(involved)].append((fmor, key))
+        for fmor, key in _action_sites(m, hom_keys):
+            okey = (m.operad.component(len(key[1])).tgt(fmor), key[1], key[2])
+            involved = [key_index[key]]
+            if okey in key_index:
+                involved.append(key_index[okey])
+            act_constraints[max(involved)].append((fmor, key))
         for g, fs in m.generator_subst_keys():
             r = m.substitute(g, fs)
             involved = {key_index[g.key], key_index[r.key],
@@ -900,8 +845,8 @@ def multicat_from_json(data: dict) -> TMulticategory:
     if data["operad"] not in ("R", "N"):
         raise StructureError("operad must be \"R\" or \"N\"")
     op = operad_by_name(data["operad"])
+    max_arity = arity_bound(data["max_arity"], "max_arity")
     try:
-        max_arity = int(data["max_arity"])
         objects = tuple(str(x) for x in data["objects"])
         homs: dict[HomKey, tuple[str, ...]] = {}
         for h in data["homs"]:
@@ -933,8 +878,3 @@ def multicat_from_json(data: dict) -> TMulticategory:
         raise StructureError("terminal-operad multicategories carry no actions")
     return make_multicat(op, objects, max_arity, homs, identities,
                          action_table=action, subst_table=subst)
-
-
-def multicat_from_path(path: str) -> TMulticategory:
-    with open(path, encoding="utf-8") as fh:
-        return multicat_from_json(json.load(fh))

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from skewcat.cli import main
 from skewcat.fincat import category_to_json
@@ -198,3 +201,108 @@ def test_search_rejects_invalid_category(tmp_path, capsys):
     code, out, _ = run(capsys, "search", "--objects", path, "--emit", str(tmp_path / "x"))
     assert code == 1
     assert out["violations"]
+
+
+@pytest.mark.parametrize("flag, file_value", [("0", 2), ("-1", 2), ("3", "abc"), ("3", 7)])
+def test_max_arity_bound_for_flag_and_file(tmp_path, capsys, flag, file_value):
+    data = multicat_to_json(monoidal_to_multicat(two_chain_fst(), 2))
+    data["max_arity"] = file_value
+    path = write(tmp_path, "mc.json", data)
+    code, out, _ = run(capsys, "analyze", path, "--max-arity", flag)
+    assert code == 2
+    assert "from 1 to 6" in out["error"]
+
+
+# sha256 of "<exit code>\n<stdout>" for each command of _golden_digests.  They
+# pin the output bytes: a refactor leaves them as they are, and an intended
+# change of output updates them and says so in CHANGES.md.
+GOLDEN = {
+    "search 2-chain":
+        "873dbcff3fc3708ca399dcd60c64a8d5ac1d3af7fc4dc974afd7a63cfdbc7a42",
+    "check structure_000.json":
+        "00098728eb5a97ebe07b59e6e4fadc635414d342bb6cebd25991e83d83ebaa83",
+    "analyze structure_000.json":
+        "0ed07571d3200f81c9dcad3b2df067741b65f032f1e1beee676dd3fbefb93666",
+    "roundtrip structure_000.json":
+        "09bae4d637b94dd314d20c8cb95d90463dc724ed202488066a6a81ab7a9f70a0",
+    "check structure_001.json":
+        "00098728eb5a97ebe07b59e6e4fadc635414d342bb6cebd25991e83d83ebaa83",
+    "analyze structure_001.json":
+        "3a67752b87d152e94664f5f60555ccb998b9dba923fa593bef43a9b958182c41",
+    "roundtrip structure_001.json":
+        "b9d611916301c749b007d12502d8805da6e49cb4d2d25540bbfef01f6c1fe4f2",
+    "check structure_002.json":
+        "00098728eb5a97ebe07b59e6e4fadc635414d342bb6cebd25991e83d83ebaa83",
+    "analyze structure_002.json":
+        "f30f307e0e02d65198b2ff5274e11de8c287dd584d1a19ce09f08e6c40e1bc3c",
+    "roundtrip structure_002.json":
+        "d9457e45cce69378da799b0e9a1cbe2075b6e3192992050117cb1082b83f326d",
+    "check structure_003.json":
+        "00098728eb5a97ebe07b59e6e4fadc635414d342bb6cebd25991e83d83ebaa83",
+    "analyze structure_003.json":
+        "50db6d5084f6cbb2b5d4daab66805da49266bc877ac4b89a2ce3720ae39e6a9d",
+    "roundtrip structure_003.json":
+        "4293139d760350fd06147d0d46b6608e90d561e7bb24bfb37cb6ab9124233410",
+    "convert z2 --to multicat @3":
+        "75edb37e864eed9af3b7c64a9c70a2e18ed1371dfad3df20ee2eaa0f1400ace7",
+    "convert z2 --to multicat @2":
+        "fc765d81f7947028bdf3329c860b84b9f41ef26ff6963b788ed1cb503ddf51c9",
+    "convert z2@3 --to monoidal":
+        "704b419d484fa3266b8b2a76844fefcd39769bebacd2f685699e6fde7baeda72",
+    "roundtrip z2@3":
+        "468ac7993cad84b9da4f3f58637862e745e6e5281819d4e9f97e1afe7ccb0191",
+    "check z2@2":
+        "17f9c8e3c76dcba62dd1b3a9ee88b57c13bbf985642ce938a8ec814b3d7e4ca2",
+    "analyze z2@2":
+        "461aeec4d809d3bc6e840a10ecf3906cfccfa8afffc24892784441113d0b1ff1",
+    "convert fst --to multicat @3":
+        "035978be008d0f58bbbbbd776c0a1fc37fb4223889147afcb225505212ec90bf",
+    "convert fst --to multicat @2":
+        "6b7131771fc69d8b7f2c8cd53f84ab1d5b45578ee1f66d60d6b601fb19afe289",
+    "convert fst@3 --to monoidal":
+        "02d20ce0b717d50b804f8c808949050f79f9508ac81b33aeef0c6af94c5358ea",
+    "roundtrip fst@3":
+        "52601bd151bece4d1ac9736bb9af671d01449a159d6be5c9556f27a687592a3c",
+    "check fst@2":
+        "17f9c8e3c76dcba62dd1b3a9ee88b57c13bbf985642ce938a8ec814b3d7e4ca2",
+    "analyze fst@2":
+        "e00713251620d13275d7ec7e1ca7360f9d8343ae6ed33d0dcbe4b995c12da15f",
+}
+
+
+def _golden_digests(tmp_path, capsys) -> dict[str, str]:
+    digests = {}
+
+    def go(label, *argv):
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        digests[label] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+        return out
+
+    def save(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    base = write(tmp_path, "chain2.json", category_to_json(chain_category(2)))
+    emit = tmp_path / "found"
+    found = json.loads(go("search 2-chain", "search", "--objects", base, "--emit", str(emit)))
+    for name in found["files"]:
+        path = str(emit / name)
+        go(f"check {name}", "check", path)
+        go(f"analyze {name}", "analyze", path, "--max-arity", "3")
+        go(f"roundtrip {name}", "roundtrip", path, "--max-arity", "3")
+    for label, structure in (("z2", z2_monoidal()), ("fst", two_chain_fst())):
+        src = write(tmp_path, f"{label}.json", skewmon_to_json(structure))
+        mc3 = save(f"{label}3.json", go(f"convert {label} --to multicat @3", "convert", src,
+                                        "--to", "multicat", "--max-arity", "3"))
+        mc2 = save(f"{label}2.json", go(f"convert {label} --to multicat @2", "convert", src,
+                                        "--to", "multicat", "--max-arity", "2"))
+        go(f"convert {label}@3 --to monoidal", "convert", mc3, "--to", "monoidal")
+        go(f"roundtrip {label}@3", "roundtrip", mc3)
+        go(f"check {label}@2", "check", mc2)
+        go(f"analyze {label}@2", "analyze", mc2)
+    return digests
+
+
+def test_outputs_match_golden_digests(tmp_path, capsys):
+    assert _golden_digests(tmp_path, capsys) == GOLDEN

@@ -4,7 +4,7 @@ from skewcat.catoperad import make_R_operad, make_terminal_operad
 from skewcat.fincat import StructureError, check_category
 from skewcat.tmulticat import (
     all_tight, check_2cell, check_hom_action, check_morphism, check_tmulticat,
-    extend_hom_action, from_tight_subsets, identity_multicat_morphism,
+    from_tight_subsets, identity_multicat_morphism,
     iso_search, loose_part, make_multicat, multicat_from_json,
     multicat_to_json, terminal_multicat, tight_subsets, underlying_category,
     Multicat2Cell,
@@ -117,10 +117,9 @@ def test_hom_action_laws(fst3, z2m):
 def test_hom_action_example(fst3):
     # post-composing a loose binary map with the chain step lands in the
     # loose homs at the larger output
-    act = extend_hom_action(fst3)
     f = next(fst3.maps(("l", ("0", "1"), "0")))
     step = fst3.mm("t", ("0",), "1", "m01")
-    out = act.on_output(step, f)
+    out = fst3.substitute(step, (f,))
     assert out.key == ("l", ("0", "1"), "1")
 
 
