@@ -60,6 +60,14 @@ def _arity(value: int) -> int:
     return value
 
 
+def _fails_own_laws(kind: str, report: list, verb: str) -> bool:
+    """Emit the violations of an input that fails its own laws, if any."""
+    if report:
+        _emit({"kind": kind, "violations": report_to_json(report)},
+              f"input fails its own laws; fix before {verb}")
+    return bool(report)
+
+
 def cmd_check(path: str) -> int:
     try:
         kind, value = _load(path)
@@ -80,20 +88,13 @@ def cmd_analyze(path: str, max_arity: int) -> int:
         if kind == "category":
             raise StructureError("analyze expects a skew multicategory or skew monoidal category")
         if kind == "monoidal":
-            report = check_skew_monoidal(value)
-            if report:
-                _emit({"kind": kind, "violations": report_to_json(report)},
-                      "input fails its own laws; fix before analyzing")
+            if _fails_own_laws(kind, check_skew_monoidal(value), "analyzing"):
                 return 1
             value = monoidal_to_multicat(value, max_arity)
         elif value.operad.name != "R":
             raise StructureError("analyze requires tight/loose typing (operad R)")
-        else:
-            report = check_tmulticat(value)
-            if report:
-                _emit({"kind": kind, "violations": report_to_json(report)},
-                      "input fails its own laws; fix before analyzing")
-                return 1
+        elif _fails_own_laws(kind, check_tmulticat(value), "analyzing"):
+            return 1
     except (OSError, json.JSONDecodeError, StructureError) as exc:
         return _fail_input(str(exc))
     result = analyze(value)
@@ -109,6 +110,8 @@ def cmd_convert(path: str, to: str, max_arity: int) -> int:
         if to == "multicat":
             if kind != "monoidal":
                 raise StructureError("convert --to multicat expects a skew monoidal input")
+            if _fails_own_laws(kind, check_skew_monoidal(value), "converting"):
+                return 1
             out = multicat_to_json(monoidal_to_multicat(value, max_arity))
             _emit(out, f"converted to a skew multicategory at arity {max_arity}")
             return 0
@@ -135,6 +138,8 @@ def cmd_roundtrip(path: str, max_arity: int) -> int:
         max_arity = _arity(max_arity)
         kind, value = _load(path)
         if kind == "monoidal":
+            if _fails_own_laws(kind, check_skew_monoidal(value), "converting"):
+                return 1
             verdict = roundtrip_monoidal(value, max_arity)
         elif kind == "multicat" and value.operad.name == "R":
             verdict = roundtrip_multicat(value)

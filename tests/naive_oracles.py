@@ -197,3 +197,62 @@ def naive_skew_monoidal_ok(c) -> bool:
     if cmp(c.rho[i], c.lambda_[i]) != ident[i]:
         return False
     return True
+
+
+def naive_check_tmulticat(m) -> bool:
+    """Identity laws, naturality of every stored substitution in each operad
+    variable, and full associativity of every nested substitution whose
+    stages stay within the bound, by direct loops over the stored homs."""
+    op = m.operad
+    maps = [m.mm(x, inputs, output, mid)
+            for (x, inputs, output), mids in m.homs.items() for mid in mids]
+
+    def ident(a):
+        return m.mm(op.unit, (a,), a, m.identities[a])
+
+    def choices(slots, budget):
+        """Tuples of multimaps into the slots with total arity <= budget."""
+        if not slots:
+            yield ()
+            return
+        for f in maps:
+            if f.output == slots[0] and f.arity <= budget:
+                for rest in choices(slots[1:], budget - f.arity):
+                    yield (f,) + rest
+
+    for g in maps:
+        if m.substitute(ident(g.output), (g,)) != g:
+            return False
+        if g.arity and m.substitute(g, tuple(ident(a) for a in g.inputs)) != g:
+            return False
+    stored = [(g, fs) for g in maps if g.arity for fs in choices(g.inputs, m.max_arity)]
+
+    def sources(k, x):
+        comp = op.component(k)
+        return [phi for phi, s, _ in comp.morphisms if s == x and not comp.is_identity(phi)]
+
+    for g, fs in stored:
+        r = m.substitute(g, fs)
+        ks = tuple(f.arity for f in fs)
+        inner_ids = tuple(op.component(f.arity).id_of(f.x) for f in fs)
+        for phi in sources(g.arity, g.x):
+            if m.act(op.subst_mor(phi, inner_ids, ks), r) != m.substitute(m.act(phi, g), fs):
+                return False
+        outer_id = op.component(g.arity).id_of(g.x)
+        for i, f in enumerate(fs):
+            for phi in sources(f.arity, f.x):
+                fmors = inner_ids[:i] + (phi,) + inner_ids[i + 1:]
+                moved = fs[:i] + (m.act(phi, f),) + fs[i + 1:]
+                if m.act(op.subst_mor(outer_id, fmors, ks), r) != m.substitute(g, moved):
+                    return False
+    for g, fs in stored:
+        r = m.substitute(g, fs)
+        for flat in choices(r.inputs, m.max_arity):
+            hss, idx = [], 0
+            for f in fs:
+                hss.append(flat[idx:idx + f.arity])
+                idx += f.arity
+            if m.substitute(r, flat) != \
+               m.substitute(g, tuple(m.substitute(f, hs) for f, hs in zip(fs, hss))):
+                return False
+    return True

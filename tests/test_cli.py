@@ -51,6 +51,37 @@ def test_check_multicat(tmp_path, capsys):
     assert code == 0 and out["kind"] == "multicat"
 
 
+def test_check_multicat_at_the_default_arity(tmp_path, capsys):
+    src = write(tmp_path, "z2.json", skewmon_to_json(z2_monoidal()))
+    code, out, _ = run(capsys, "convert", src, "--to", "multicat")
+    assert code == 0 and out["max_arity"] == 4
+    code, out, _ = run(capsys, "check", write(tmp_path, "z2_4.json", out))
+    assert code == 0 and out == {"kind": "multicat", "violations": []}
+
+
+def test_check_swapped_multicat_names_associativity(tmp_path, capsys):
+    # the tight binary generator of Z/2 with the generator in both slots gets
+    # the other member of its two-element hom as its result
+    data = multicat_to_json(monoidal_to_multicat(z2_monoidal(), 3))
+    row = next(r for r in data["subst"]
+               if (r["outer"]["x"], r["outer"]["id"], len(r["outer"]["inputs"])) == ("t", "e1", 2)
+               and all((f["x"], f["id"], len(f["inputs"])) == ("t", "e1", 1)
+                       for f in r["inners"]))
+    row["result"] = "e0" if row["result"] == "e1" else "e1"
+    code, out, _ = run(capsys, "check", write(tmp_path, "swapped.json", data))
+    assert code == 1
+    assert [(v["law"], v["details"]["family"]) for v in out["violations"]] == \
+        [("subst-associativity", "fold")]
+
+
+def test_translations_reject_pentagon_mutant(tmp_path, capsys):
+    path = write(tmp_path, "bad.json", skewmon_to_json(z2_monoidal(alpha=1)))
+    for argv in (["convert", path, "--to", "multicat"], ["roundtrip", path]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and out["kind"] == "monoidal"
+        assert "A1" in {v["law"] for v in out["violations"]}
+
+
 def test_malformed_json_is_exit_2(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text("{nope")

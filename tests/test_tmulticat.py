@@ -6,12 +6,12 @@ from skewcat.tmulticat import (
     all_tight, check_2cell, check_hom_action, check_morphism, check_tmulticat,
     from_tight_subsets, identity_multicat_morphism,
     iso_search, loose_part, make_multicat, multicat_from_json,
-    multicat_to_json, terminal_multicat, tight_subsets, underlying_category,
+    multicat_to_json, signatures, terminal_multicat, tight_subsets, underlying_category,
     Multicat2Cell,
 )
 from skewcat.correspondence import monoidal_to_multicat
 from conftest import chain_category, two_chain_fst, z2_monoidal
-from naive_oracles import naive_check_multicat_over_n
+from naive_oracles import naive_check_multicat_over_n, naive_check_tmulticat
 
 
 @pytest.fixture(scope="module")
@@ -43,25 +43,48 @@ def test_z2_derived_passes(z2m):
     assert check_tmulticat(z2m) == []
 
 
+def _subst_sites(mat):
+    """(table key, stored result, result hom) of each substitution entry of a
+    materialized instance."""
+    for (gkey, gid, inner), rid in sorted(mat.subst_table.items()):
+        g = mat.mm(*gkey, gid)
+        fs = tuple(mat.mm(fx, fi, gkey[1][i], fid)
+                   for i, (fx, fi, fid) in enumerate(inner))
+        yield (gkey, gid, inner), rid, mat.homs[mat.substitute(g, fs).key]
+
+
+def _with_tables(mat, action, subst):
+    return make_multicat(mat.operad, mat.objects, mat.max_arity, mat.homs,
+                         mat.identities, action_table=action, subst_table=subst)
+
+
 def _mutate_subst(m, pick):
     """Materialize, then redirect one substitution entry to a different member
     of the same hom set; pick(key, current, hom) chooses the new value."""
     mat = m.materialize()
-    table = dict(mat.subst_table)
-    for (gkey, gid, inner), rid in sorted(table.items()):
-        g = mat.mm(*gkey, gid)
-        fs = tuple(mat.mm(fx, fi, gkey[1][i], fid)
-                   for i, (fx, fi, fid) in enumerate(inner))
-        r = mat.substitute(g, fs)
-        hom = mat.homs[r.key]
-        new = pick((gkey, gid, inner), rid, hom)
+    for key, rid, hom in _subst_sites(mat):
+        new = pick(key, rid, hom)
         if new is not None:
-            table[(gkey, gid, inner)] = new
-            return make_multicat(mat.operad, mat.objects, mat.max_arity,
-                                 mat.homs, mat.identities,
-                                 action_table=mat.action_table,
-                                 subst_table=table), (gkey, gid, inner)
+            return _with_tables(mat, mat.action_table,
+                                {**mat.subst_table, key: new}), key
     raise AssertionError("no mutable entry found")
+
+
+def _one_entry_mutants(m):
+    """Every copy of m with one substitution or action entry redirected to
+    another member of the same hom set."""
+    mat = m.materialize()
+    for key, rid, hom in _subst_sites(mat):
+        for other in hom:
+            if other != rid:
+                yield _with_tables(mat, mat.action_table, {**mat.subst_table, key: other})
+    for (fmor, key), table in sorted(mat.action_table.items()):
+        tgt = mat.operad.component(len(key[1])).tgt(fmor)
+        for mid, image in sorted(table.items()):
+            for other in mat.homs[(tgt, key[1], key[2])]:
+                if other != image:
+                    action = {**mat.action_table, (fmor, key): {**table, mid: other}}
+                    yield _with_tables(mat, action, mat.subst_table)
 
 
 def test_identity_law_mutant_names_the_multimap(z2m):
@@ -265,3 +288,69 @@ def test_checker_agrees_with_naive_oracle_over_n():
     mutant, _ = _mutate_subst(z2lp, pick)
     assert check_tmulticat(mutant) != []
     assert not naive_check_multicat_over_n(mutant)
+
+
+@pytest.mark.parametrize("variant", ["typed", "loose_part"])
+def test_checker_agrees_with_full_quantification_on_every_mutant(variant):
+    # the checker quantifies over the ∘ᵢ fragment; the oracle over every
+    # nested full substitution, as the laws are stated
+    m = monoidal_to_multicat(z2_monoidal(), 2)
+    if variant == "loose_part":
+        m = loose_part(m)
+    assert check_tmulticat(m) == [] and naive_check_tmulticat(m)
+    count = 0
+    for mutant in _one_entry_mutants(m):
+        assert (check_tmulticat(mutant) == []) == naive_check_tmulticat(mutant)
+        count += 1
+    # typed: 248 substitution and 4 action mutants; loose part: 60 substitution
+    assert count == {"typed": 252, "loose_part": 60}[variant]
+
+
+@pytest.mark.parametrize("kind", ["homs", "action", "subst"])
+def test_json_rejects_duplicate_rows(kind):
+    data = multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2))
+    data[kind].append(dict(data[kind][-1]))  # the last row, once more
+    with pytest.raises(StructureError, match="duplicate"):
+        multicat_from_json(data)
+
+
+def _folded(bound, values, unit, circ):
+    """One object over the terminal operad, hom ``values`` at every arity, and
+    full substitution defined as the ∘ᵢ fold of ``circ(g id, g arity, i, f)``
+    (nullary inners first, then the rest, each group right to left)."""
+    def subst_rule(g, fs):
+        mid, arity = g.mid, g.arity
+        for i in sorted(range(len(fs)), key=lambda i: (fs[i].arity > 0, -i)):
+            shift = sum(1 for f in fs[:i] if f.arity == 0) if fs[i].arity else 0
+            mid = circ(mid, arity, i + 1 - shift, fs[i])
+            arity += fs[i].arity - 1
+        return mid
+
+    op = make_terminal_operad()
+    homs = {key: values for key in signatures(op, ("*",), bound)}
+    return make_multicat(op, ("*",), bound, homs, {"*": unit},
+                         action_rule=lambda phi, m: m.mid, subst_rule=subst_rule)
+
+
+def _families(m):
+    return {(v.law, dict(v.details).get("family")) for v in check_tmulticat(m)}
+
+
+def test_parallel_family_alone_catches_a_noncommuting_composition():
+    # ∘ᵢ multiplies ids in the monoid {1, a, b} with xy = y for x, y != 1:
+    # associative, so sequential instances and folds hold, but composing in
+    # two different slots does not commute
+    m = _folded(2, ("1", "a", "b"), "1", lambda g, n, i, f: g if f.mid == "1" else f.mid)
+    assert _families(m) == {("subst-associativity", "parallel")}
+    assert not naive_check_tmulticat(m)
+
+
+def test_sequential_family_alone_catches_a_nonassociative_composition():
+    # ∘ᵢ adds ids mod 2, plus their product when a ternary map goes into a
+    # unary one: unital, and only sequential instances can tell
+    def circ(g, n, i, f):
+        return str((int(g) + int(f.mid) + (n == 1 and f.arity == 3) * int(g) * int(f.mid)) % 2)
+
+    m = _folded(3, ("0", "1"), "0", circ)
+    assert _families(m) == {("subst-associativity", "sequential")}
+    assert not naive_check_tmulticat(m)
