@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .correspondence import (
     NotLeftRepresentable, monoidal_to_multicat, multicat_to_monoidal,
@@ -36,10 +37,23 @@ def _fail_input(message: str) -> int:
     return 2
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise StructureError(f"repeated key {repeated!r} in a JSON object")
+    return obj
+
+
+def _read_json(path: str):
+    """Parse a JSON file, rejecting any object that repeats a key."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, object_pairs_hook=_unique_keys)
+
+
 def _load(path: str):
     """Returns ("category" | "monoidal" | "multicat", parsed structure)."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise StructureError("top-level JSON must be an object")
     keys = set(data)
@@ -69,34 +83,28 @@ def _fails_own_laws(kind: str, report: list, verb: str) -> bool:
 
 
 def cmd_check(path: str) -> int:
-    try:
-        kind, value = _load(path)
-        checker = {"category": check_category, "monoidal": check_skew_monoidal,
-                   "multicat": check_tmulticat}[kind]
-        report = checker(value)
-    except (OSError, json.JSONDecodeError, StructureError) as exc:
-        return _fail_input(str(exc))
+    kind, value = _load(path)
+    checker = {"category": check_category, "monoidal": check_skew_monoidal,
+               "multicat": check_tmulticat}[kind]
+    report = checker(value)
     _emit({"kind": kind, "violations": report_to_json(report)},
           f"{kind}: {'all laws hold' if not report else f'{len(report)} violations'}")
     return 0 if not report else 1
 
 
 def cmd_analyze(path: str, max_arity: int) -> int:
-    try:
-        max_arity = _arity(max_arity)
-        kind, value = _load(path)
-        if kind == "category":
-            raise StructureError("analyze expects a skew multicategory or skew monoidal category")
-        if kind == "monoidal":
-            if _fails_own_laws(kind, check_skew_monoidal(value), "analyzing"):
-                return 1
-            value = monoidal_to_multicat(value, max_arity)
-        elif value.operad.name != "R":
-            raise StructureError("analyze requires tight/loose typing (operad R)")
-        elif _fails_own_laws(kind, check_tmulticat(value), "analyzing"):
+    max_arity = _arity(max_arity)
+    kind, value = _load(path)
+    if kind == "category":
+        raise StructureError("analyze expects a skew multicategory or skew monoidal category")
+    if kind == "monoidal":
+        if _fails_own_laws(kind, check_skew_monoidal(value), "analyzing"):
             return 1
-    except (OSError, json.JSONDecodeError, StructureError) as exc:
-        return _fail_input(str(exc))
+        value = monoidal_to_multicat(value, max_arity)
+    elif value.operad.name != "R":
+        raise StructureError("analyze requires tight/loose typing (operad R)")
+    elif _fails_own_laws(kind, check_tmulticat(value), "analyzing"):
+        return 1
     result = analyze(value)
     _emit(result, "analyzed up to arity "
           f"{result['checked_up_to_arity']}: left_representable={result['left_representable']}")
@@ -104,65 +112,53 @@ def cmd_analyze(path: str, max_arity: int) -> int:
 
 
 def cmd_convert(path: str, to: str, max_arity: int) -> int:
-    try:
-        max_arity = _arity(max_arity)
-        kind, value = _load(path)
-        if to == "multicat":
-            if kind != "monoidal":
-                raise StructureError("convert --to multicat expects a skew monoidal input")
-            if _fails_own_laws(kind, check_skew_monoidal(value), "converting"):
-                return 1
-            out = multicat_to_json(monoidal_to_multicat(value, max_arity))
-            _emit(out, f"converted to a skew multicategory at arity {max_arity}")
-            return 0
-        if kind != "multicat":
-            raise StructureError("convert --to monoidal expects a skew multicategory input")
-        if value.operad.name != "R":
-            raise StructureError("convert --to monoidal requires tight/loose typing")
-    except (OSError, json.JSONDecodeError, StructureError) as exc:
-        return _fail_input(str(exc))
+    max_arity = _arity(max_arity)
+    kind, value = _load(path)
+    if to == "multicat":
+        if kind != "monoidal":
+            raise StructureError("convert --to multicat expects a skew monoidal input")
+        if _fails_own_laws(kind, check_skew_monoidal(value), "converting"):
+            return 1
+        out = multicat_to_json(monoidal_to_multicat(value, max_arity))
+        _emit(out, f"converted to a skew multicategory at arity {max_arity}")
+        return 0
+    if kind != "multicat":
+        raise StructureError("convert --to monoidal expects a skew multicategory input")
+    if value.operad.name != "R":
+        raise StructureError("convert --to monoidal requires tight/loose typing")
     try:
         conv = multicat_to_monoidal(value)
     except NotLeftRepresentable as exc:
         _emit({"error": "not left representable", "missing": str(exc.missing)},
               f"cannot convert: {exc}")
         return 1
-    except StructureError as exc:
-        return _fail_input(str(exc))
     _emit(skewmon_to_json(conv.monoidal), "converted to a skew monoidal category")
     return 0
 
 
 def cmd_roundtrip(path: str, max_arity: int) -> int:
-    try:
-        max_arity = _arity(max_arity)
-        kind, value = _load(path)
-        if kind == "monoidal":
-            if _fails_own_laws(kind, check_skew_monoidal(value), "converting"):
-                return 1
-            verdict = roundtrip_monoidal(value, max_arity)
-        elif kind == "multicat" and value.operad.name == "R":
-            verdict = roundtrip_multicat(value)
-        else:
-            raise StructureError("roundtrip expects a skew monoidal category or skew multicategory")
-    except (OSError, json.JSONDecodeError, StructureError) as exc:
-        return _fail_input(str(exc))
+    max_arity = _arity(max_arity)
+    kind, value = _load(path)
+    if kind == "monoidal":
+        if _fails_own_laws(kind, check_skew_monoidal(value), "converting"):
+            return 1
+        verdict = roundtrip_monoidal(value, max_arity)
+    elif kind == "multicat" and value.operad.name == "R":
+        verdict = roundtrip_multicat(value)
+    else:
+        raise StructureError("roundtrip expects a skew monoidal category or skew multicategory")
     _emit(verdict.to_json(),
           "round trip " + ("isomorphic" if verdict.isomorphic else "FAILED"))
     return 0 if verdict.isomorphic else 1
 
 
 def cmd_search(objects_path: str, emit_dir: str) -> int:
-    try:
-        with open(objects_path, encoding="utf-8") as fh:
-            base = category_from_json(json.load(fh))
-        report = check_category(base)
-        if report:
-            _emit({"kind": "category", "violations": report_to_json(report)},
-                  "search base category fails its laws")
-            return 1
-    except (OSError, json.JSONDecodeError, StructureError) as exc:
-        return _fail_input(str(exc))
+    base = category_from_json(_read_json(objects_path))
+    report = check_category(base)
+    if report:
+        _emit({"kind": "category", "violations": report_to_json(report)},
+              "search base category fails its laws")
+        return 1
     os.makedirs(emit_dir, exist_ok=True)
     found = enumerate_skew_structures(base)
     files = []
@@ -205,15 +201,18 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--emit", required=True, metavar="DIR")
 
     args = parser.parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args.path)
-    if args.command == "analyze":
-        return cmd_analyze(args.path, args.max_arity)
-    if args.command == "convert":
-        return cmd_convert(args.path, args.to, args.max_arity)
-    if args.command == "roundtrip":
-        return cmd_roundtrip(args.path, args.max_arity)
-    return cmd_search(args.objects, args.emit)
+    try:
+        if args.command == "check":
+            return cmd_check(args.path)
+        if args.command == "analyze":
+            return cmd_analyze(args.path, args.max_arity)
+        if args.command == "convert":
+            return cmd_convert(args.path, args.to, args.max_arity)
+        if args.command == "roundtrip":
+            return cmd_roundtrip(args.path, args.max_arity)
+        return cmd_search(args.objects, args.emit)
+    except (OSError, json.JSONDecodeError, StructureError) as exc:
+        return _fail_input(str(exc))
 
 
 if __name__ == "__main__":

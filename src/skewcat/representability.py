@@ -29,49 +29,34 @@ class UniversalMultimap:
     inputs: tuple[str, ...]
     classifier: str
     theta: MultiMap
-    universal: bool
-    left_universal: bool
-    checked_up_to_arity: int
 
 
 @dataclass
 class ClassifierTable:
     entries: dict[tuple[str, tuple[str, ...]], UniversalMultimap]
-    checked_up_to_arity: int
 
     def get(self, x: str, inputs: tuple[str, ...]) -> UniversalMultimap | None:
         return self.entries.get((x, tuple(inputs)))
 
-    def nullary(self) -> UniversalMultimap | None:
-        return self.entries.get((LOOSE, ()))
 
-    def binary(self, a: str, b: str) -> UniversalMultimap | None:
-        return self.entries.get((TIGHT, (a, b)))
+def _tails_bijective(s: TMulticategory, theta: MultiMap, m: str,
+                     ks: range | tuple[int, ...]) -> bool:
+    """Substituting theta at the first position carries the unit-typed
+    multimaps out of (m, *tail) bijectively onto the hom theta represents with
+    the tail appended, for every output and every tail of each length k in ks.
+    Lengths that would leave the truncation bound hold vacuously.
 
-
-def _universal_ok(s: TMulticategory, theta: MultiMap, m: str) -> bool:
-    """Substitution with theta carries unit-typed unary maps out of the
-    candidate classifier bijectively onto the hom being represented."""
+    theta is universal when this holds for k = 0, extends by one input for
+    k = 1, and is left universal for every k up to the bound.
+    """
     e = s.operad.unit
-    for b in s.objects:
-        source = list(s.maps((e, (m,), b)))
-        images = [s.substitute(g, (theta,)).mid for g in source]
-        if not is_bijection_onto(images, s.hom(theta.x, theta.inputs, b)):
-            return False
-    return True
-
-
-def _left_universal_ok(s: SkewMulticategory, theta: MultiMap, m: str) -> bool:
-    """As above but with trailing inputs, up to the truncation bound."""
-    max_extra = min(s.max_arity - 1, s.max_arity - theta.arity)
-    for extra in range(max_extra + 1):
-        for tail in itertools.product(sorted(s.objects), repeat=extra):
-            ks = (theta.arity,) + (1,) * extra
-            xs = (theta.x,) + (TIGHT,) * extra
-            rx = s.operad.subst_obj(TIGHT, xs, ks)
+    for k in ks:
+        if k > s.max_arity - max(1, theta.arity):
+            continue
+        rx = s.operad.subst_obj(e, (theta.x,) + (e,) * k, (theta.arity,) + (1,) * k)
+        for tail in itertools.product(sorted(s.objects), repeat=k):
             for c in s.objects:
-                images = [s.subst_after(h, 1, theta).mid
-                          for h in s.maps((TIGHT, (m,) + tail, c))]
+                images = [s.subst_after(h, 1, theta).mid for h in s.maps((e, (m,) + tail, c))]
                 if not is_bijection_onto(images, s.hom(rx, theta.inputs + tail, c)):
                     return False
     return True
@@ -88,16 +73,11 @@ def find_universal(s: SkewMulticategory, x: str, inputs: tuple[str, ...]
     if len(inputs) > s.max_arity:
         raise StructureError("input tuple exceeds the truncation bound")
     if x == s.operad.unit and len(inputs) == 1:
-        theta = s.identity(inputs[0])
-        return UniversalMultimap(x, inputs, inputs[0], theta, True,
-                                 _left_universal_ok(s, theta, inputs[0]),
-                                 s.max_arity)
+        return UniversalMultimap(x, inputs, inputs[0], s.identity(inputs[0]))
     for m in sorted(s.objects):
         for theta in s.maps((x, inputs, m)):
-            if _universal_ok(s, theta, m):
-                return UniversalMultimap(x, inputs, m, theta, True,
-                                         _left_universal_ok(s, theta, m),
-                                         s.max_arity)
+            if _tails_bijective(s, theta, m, (0,)):
+                return UniversalMultimap(x, inputs, m, theta)
     return None
 
 
@@ -118,7 +98,7 @@ def is_weakly_representable(s: SkewMulticategory) -> WeakRepResult:
                 if u is None:
                     return WeakRepResult(False, None, (x, inputs))
                 entries[(x, inputs)] = u
-    return WeakRepResult(True, ClassifierTable(entries, s.max_arity), None)
+    return WeakRepResult(True, ClassifierTable(entries), None)
 
 
 def build_inductive_classifiers(s: SkewMulticategory,
@@ -128,35 +108,29 @@ def build_inductive_classifiers(s: SkewMulticategory,
     """Extend nullary and tight-binary classifiers to all arities: the unary
     tight classifier of an object is the object itself, and each higher
     classifier tensors one more input onto its predecessor by substituting
-    into the binary universal map at the first position."""
+    into the binary universal map at the first position.  The entries are
+    not checked to be universal here."""
     for a in s.objects:
         for b in s.objects:
             if (a, b) not in binary:
                 raise StructureError(f"missing tight binary classifier at {(a, b)!r}")
-    entries: dict[tuple[str, tuple[str, ...]], UniversalMultimap] = {}
-
-    def recheck(x, inputs, m, theta):
-        return UniversalMultimap(
-            x, inputs, m, theta, _universal_ok(s, theta, m),
-            _left_universal_ok(s, theta, m), s.max_arity)
-
-    entries[(LOOSE, ())] = nullary
+    entries: dict[tuple[str, tuple[str, ...]], UniversalMultimap] = {(LOOSE, ()): nullary}
     for a in s.objects:
-        entries[(TIGHT, (a,))] = recheck(TIGHT, (a,), a, s.identity(a))
+        entries[(TIGHT, (a,))] = UniversalMultimap(TIGHT, (a,), a, s.identity(a))
     if s.max_arity >= 1:
         for a in s.objects:
             prev = nullary
             pair = binary[(prev.classifier, a)]
             theta = s.subst_after(pair.theta, 1, prev.theta)
-            entries[(LOOSE, (a,))] = recheck(LOOSE, (a,), pair.classifier, theta)
+            entries[(LOOSE, (a,))] = UniversalMultimap(LOOSE, (a,), pair.classifier, theta)
     for n in range(2, s.max_arity + 1):
         for x in (TIGHT, LOOSE):
             for inputs in itertools.product(sorted(s.objects), repeat=n):
                 prev = entries[(x, inputs[:-1])]
                 pair = binary[(prev.classifier, inputs[-1])]
                 theta = s.subst_after(pair.theta, 1, prev.theta)
-                entries[(x, inputs)] = recheck(x, inputs, pair.classifier, theta)
-    return ClassifierTable(entries, s.max_arity)
+                entries[(x, inputs)] = UniversalMultimap(x, inputs, pair.classifier, theta)
+    return ClassifierTable(entries)
 
 
 def find_classifiers(s: SkewMulticategory):
@@ -177,29 +151,22 @@ def find_classifiers(s: SkewMulticategory):
     return nullary, binary, None
 
 
-def _single_extension_ok(s: SkewMulticategory, u: UniversalMultimap) -> bool:
-    """Substitution with the universal map stays bijective after appending one
-    input."""
-    if u.theta.arity + 1 > s.max_arity:
-        return True
-    rx = s.operad.subst_obj(TIGHT, (u.theta.x, TIGHT), (u.theta.arity, 1))
-    for b in s.objects:
-        for c in s.objects:
-            images = [s.subst_after(h, 1, u.theta).mid
-                      for h in s.maps((TIGHT, (u.classifier, b), c))]
-            if not is_bijection_onto(images, s.hom(rx, u.inputs + (b,), c)):
-                return False
-    return True
+def _left_universal(s: SkewMulticategory, u: UniversalMultimap) -> bool:
+    return _tails_bijective(s, u.theta, u.classifier, range(s.max_arity))
+
+
+def _left_representable(s: SkewMulticategory, weak: WeakRepResult) -> bool:
+    """is_left_representable, read off a weak search that has already run."""
+    return weak.ok and all(_tails_bijective(s, u.theta, u.classifier, (1,))
+                           for u in weak.table.entries.values())
 
 
 def is_left_representable(s: SkewMulticategory) -> bool:
     """Weak representability plus single-input extension of every universal
     multimap; equivalent to full left representability on the stored
-    fragment."""
-    weak = is_weakly_representable(s)
-    if not weak.ok:
-        return False
-    return all(_single_extension_ok(s, u) for u in weak.table.entries.values())
+    fragment.  At arity 1 no input can be appended, so it is weak
+    representability alone."""
+    return _left_representable(s, is_weakly_representable(s))
 
 
 @dataclass(frozen=True)
@@ -218,19 +185,18 @@ def check_left_representability_equivalences(s: SkewMulticategory) -> Equivalenc
     weak = is_weakly_representable(s)
     cond = {}
     cond["all_universals_left_universal"] = weak.ok and all(
-        u.left_universal for u in weak.table.entries.values())
+        _left_universal(s, u) for u in weak.table.entries.values())
     nullary, binary, missing = find_classifiers(s)
     if missing is None:
         table = build_inductive_classifiers(s, nullary, binary)
         cond["inductive_classifiers_universal"] = all(
-            u.universal for u in table.entries.values())
-        cond["classifiers_left_universal"] = nullary.left_universal and all(
-            u.left_universal for u in binary.values())
+            _tails_bijective(s, u.theta, u.classifier, (0,)) for u in table.entries.values())
+        cond["classifiers_left_universal"] = all(
+            _left_universal(s, u) for u in (nullary, *binary.values()))
     else:
         cond["inductive_classifiers_universal"] = False
         cond["classifiers_left_universal"] = False
-    cond["weak_plus_single_extension"] = weak.ok and all(
-        _single_extension_ok(s, u) for u in weak.table.entries.values())
+    cond["weak_plus_single_extension"] = _left_representable(s, weak)
     violations = []
     if len(set(cond.values())) > 1:
         violations.append(Violation.of("equivalence-disagreement",
@@ -335,9 +301,10 @@ def check_closed_representability_equivalences(s: SkewMulticategory) -> Equivale
     closed = find_closed_structure(s)
     if closed is None:
         return EquivalenceReport({}, [Violation.of("not-closed")])
+    weak = is_weakly_representable(s)
     cond = {
-        "left_representable": is_left_representable(s),
-        "weakly_representable": is_weakly_representable(s).ok,
+        "left_representable": _left_representable(s, weak),
+        "weakly_representable": weak.ok,
     }
     nullary, _, missing = find_classifiers(s)
     cond["nullary_and_binary_classifiers"] = missing is None
@@ -352,7 +319,11 @@ def check_closed_representability_equivalences(s: SkewMulticategory) -> Equivale
 
 def analyze(s: SkewMulticategory) -> dict:
     """The analyzer record: representability and closedness flags with their
-    witnesses, tagged with the truncation bound they were checked at."""
+    witnesses, tagged with the truncation bound they were checked at.  Below
+    arity 2 the binary homs that the tensor and the internal homs represent
+    are not stored, so the flags would be vacuous or wrong."""
+    if s.max_arity < 2:
+        raise StructureError(f"analyze needs max_arity at least 2, got {s.max_arity}")
     weak = is_weakly_representable(s)
     closed = find_closed_structure(s)
     nullary = find_universal(s, LOOSE, ())
@@ -369,7 +340,7 @@ def analyze(s: SkewMulticategory) -> dict:
             for (b, c), h in sorted(closed.hom_obj.items())}
     return {
         "weakly_representable": weak.ok,
-        "left_representable": is_left_representable(s),
+        "left_representable": _left_representable(s, weak),
         "closed": closed is not None,
         "closed_with_unit": closed is not None and nullary is not None,
         "witnesses": witnesses,

@@ -8,7 +8,7 @@ from skewcat.fincat import category_to_json
 from skewcat.skewmon import skewmon_from_json, skewmon_to_json
 from skewcat.tmulticat import multicat_to_json
 from skewcat.correspondence import monoidal_to_multicat
-from conftest import chain_category, two_chain_fst, z2_monoidal
+from conftest import chain_category, two_chain_fst, two_chain_snd, z2_monoidal
 
 
 def write(tmp_path, name, data):
@@ -108,6 +108,45 @@ def test_analyze_rejects_plain_category(tmp_path, capsys):
     path = write(tmp_path, "cat.json", category_to_json(chain_category(2)))
     code, out, _ = run(capsys, "analyze", path)
     assert code == 2
+
+
+@pytest.mark.parametrize("structure, as_multicat", [
+    (z2_monoidal, False), (two_chain_fst, False), (two_chain_snd, False), (z2_monoidal, True)])
+def test_analyze_needs_binary_homs(tmp_path, capsys, structure, as_multicat):
+    # at arity 1 the tensor's binary homs are not stored, so analyze cannot
+    # decide representability or closedness
+    if as_multicat:
+        data = multicat_to_json(monoidal_to_multicat(structure(), 1))
+        assert data["max_arity"] == 1
+    else:
+        data = skewmon_to_json(structure())
+    code, out, _ = run(capsys, "analyze", write(tmp_path, "in.json", data), "--max-arity", "1")
+    assert code == 2
+    assert "at least 2" in out["error"]
+
+
+def test_repeated_json_key_is_exit_2(tmp_path, capsys):
+    data = multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2))
+    text = json.dumps(data).replace('"identities": {"x": "e0"}',
+                                    '"identities": {"x": "e1", "x": "e0"}')
+    assert text.count('"x": "e1", "x": "e0"') == 1
+    path = tmp_path / "mc.json"
+    path.write_text(text)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 2
+    assert "repeated key 'x'" in out["error"]
+
+
+def test_search_rejects_repeated_json_key(tmp_path, capsys):
+    text = json.dumps(category_to_json(chain_category(2))).replace(
+        '"identities": {"0": "m00"', '"identities": {"0": "m00", "0": "m00"')
+    assert text.count('"0": "m00", "0": "m00"') == 1
+    path = tmp_path / "cat.json"
+    path.write_text(text)
+    code, out, _ = run(capsys, "search", "--objects", str(path), "--emit", str(tmp_path / "x"))
+    assert code == 2
+    assert "repeated key '0'" in out["error"]
+    assert not (tmp_path / "x").exists()
 
 
 def test_analyze_rejects_lawless_input(tmp_path, capsys):
@@ -256,11 +295,19 @@ GOLDEN = {
         "0ed07571d3200f81c9dcad3b2df067741b65f032f1e1beee676dd3fbefb93666",
     "roundtrip structure_000.json":
         "09bae4d637b94dd314d20c8cb95d90463dc724ed202488066a6a81ab7a9f70a0",
+    "analyze structure_000.json @4":
+        "8990595f7fabd2af694410fdcca10e3c46416e87330bb2484f7d7d26ada1fcb7",
+    "roundtrip structure_000.json @4":
+        "09bae4d637b94dd314d20c8cb95d90463dc724ed202488066a6a81ab7a9f70a0",
     "check structure_001.json":
         "00098728eb5a97ebe07b59e6e4fadc635414d342bb6cebd25991e83d83ebaa83",
     "analyze structure_001.json":
         "3a67752b87d152e94664f5f60555ccb998b9dba923fa593bef43a9b958182c41",
     "roundtrip structure_001.json":
+        "b9d611916301c749b007d12502d8805da6e49cb4d2d25540bbfef01f6c1fe4f2",
+    "analyze structure_001.json @4":
+        "f2bd398193c8eeaa6eacf5c61b2cb30e8d6f498619d51b5bb9d4a50ef0d3ab1d",
+    "roundtrip structure_001.json @4":
         "b9d611916301c749b007d12502d8805da6e49cb4d2d25540bbfef01f6c1fe4f2",
     "check structure_002.json":
         "00098728eb5a97ebe07b59e6e4fadc635414d342bb6cebd25991e83d83ebaa83",
@@ -268,11 +315,19 @@ GOLDEN = {
         "f30f307e0e02d65198b2ff5274e11de8c287dd584d1a19ce09f08e6c40e1bc3c",
     "roundtrip structure_002.json":
         "d9457e45cce69378da799b0e9a1cbe2075b6e3192992050117cb1082b83f326d",
+    "analyze structure_002.json @4":
+        "4a3068d720a0586569dc8bb999716ad296f1cc85665f0f977f99f3726dab1054",
+    "roundtrip structure_002.json @4":
+        "d9457e45cce69378da799b0e9a1cbe2075b6e3192992050117cb1082b83f326d",
     "check structure_003.json":
         "00098728eb5a97ebe07b59e6e4fadc635414d342bb6cebd25991e83d83ebaa83",
     "analyze structure_003.json":
         "50db6d5084f6cbb2b5d4daab66805da49266bc877ac4b89a2ce3720ae39e6a9d",
     "roundtrip structure_003.json":
+        "4293139d760350fd06147d0d46b6608e90d561e7bb24bfb37cb6ab9124233410",
+    "analyze structure_003.json @4":
+        "9128c4d6ccdb029ad8a2966e6eb31746e41bd91329ee274791becea5197dead5",
+    "roundtrip structure_003.json @4":
         "4293139d760350fd06147d0d46b6608e90d561e7bb24bfb37cb6ab9124233410",
     "convert z2 --to multicat @3":
         "75edb37e864eed9af3b7c64a9c70a2e18ed1371dfad3df20ee2eaa0f1400ace7",
@@ -322,6 +377,8 @@ def _golden_digests(tmp_path, capsys) -> dict[str, str]:
         go(f"check {name}", "check", path)
         go(f"analyze {name}", "analyze", path, "--max-arity", "3")
         go(f"roundtrip {name}", "roundtrip", path, "--max-arity", "3")
+        go(f"analyze {name} @4", "analyze", path)
+        go(f"roundtrip {name} @4", "roundtrip", path)
     for label, structure in (("z2", z2_monoidal()), ("fst", two_chain_fst())):
         src = write(tmp_path, f"{label}.json", skewmon_to_json(structure))
         mc3 = save(f"{label}3.json", go(f"convert {label} --to multicat @3", "convert", src,

@@ -9,7 +9,7 @@ from skewcat.colaxalg import (
 from skewcat.correspondence import monoidal_to_multicat
 from skewcat.fincat import FinCategory, StructureError
 from skewcat.representability import (
-    UniversalMultimap, _left_universal_ok, _universal_ok,
+    UniversalMultimap, _tails_bijective,
     is_left_representable, is_weakly_representable,
 )
 from skewcat.skewmon import make_skew_monoidal
@@ -91,10 +91,9 @@ def test_transported_classifiers_break_strict_bracketing():
     weak = is_weakly_representable(sc)
     table = weak.table
     for theta in sc.maps((TIGHT, ("a", "a", "a"), "b")):
-        if _universal_ok(sc, theta, "b"):
+        if _tails_bijective(sc, theta, "b", (0,)):
             table.entries[(TIGHT, ("a", "a", "a"))] = UniversalMultimap(
-                TIGHT, ("a", "a", "a"), "b", theta, True,
-                _left_universal_ok(sc, theta, "b"), sc.max_arity)
+                TIGHT, ("a", "a", "a"), "b", theta)
             break
     else:
         raise AssertionError("no alternative classifier found")

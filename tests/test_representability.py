@@ -6,7 +6,8 @@ from skewcat.representability import (
     analyze, build_inductive_classifiers,
     check_closed_representability_equivalences,
     check_left_representability_equivalences, find_closed_structure,
-    find_universal, is_left_representable, is_weakly_representable,
+    _left_universal, _tails_bijective, find_universal, is_left_representable,
+    is_weakly_representable,
 )
 from skewcat.correspondence import monoidal_to_multicat
 from skewcat.tmulticat import (
@@ -64,13 +65,13 @@ def test_unary_tight_classifier_is_the_object(fst):
         u = find_universal(fst, TIGHT, (a,))
         assert u.classifier == a
         assert u.theta == fst.identity(a)
-        assert u.universal and u.left_universal
+        assert _tails_bijective(fst, u.theta, u.classifier, (0,)) and _left_universal(fst, u)
 
 
 def test_nullary_classifier_is_the_bottom(fst):
     u = find_universal(fst, LOOSE, ())
     assert u.classifier == "0"
-    assert u.universal
+    assert _tails_bijective(fst, u.theta, u.classifier, (0,))
 
 
 def test_binary_classifier_is_the_first_input(fst):
@@ -116,7 +117,7 @@ def test_inductive_classifiers(fst):
     for tup in _tuples(fst.objects, 3):
         assert table.get(TIGHT, tup).classifier == tup[0]
         assert table.get(LOOSE, tup).classifier == "0"
-    assert all(u.universal for u in table.entries.values())
+    assert all(_tails_bijective(fst, u.theta, u.classifier, (0,)) for u in table.entries.values())
 
 
 def test_inductive_classifiers_on_terminal(terminal):
@@ -141,7 +142,7 @@ def test_left_universal_composition(fst):
     binary = {(a, b): find_universal(fst, TIGHT, (a, b))
               for a in fst.objects for b in fst.objects}
     table = build_inductive_classifiers(fst, nullary, binary)
-    assert all(u.left_universal for u in table.entries.values())
+    assert all(_left_universal(fst, u) for u in table.entries.values())
 
 
 def test_closed_structure(fst):
@@ -161,7 +162,7 @@ def test_universal_implies_left_universal_when_closed(fst, terminal):
     for s in (fst, terminal):
         assert find_closed_structure(s) is not None
         weak = is_weakly_representable(s)
-        assert all(u.left_universal for u in weak.table.entries.values())
+        assert all(_left_universal(s, u) for u in weak.table.entries.values())
 
 
 def test_not_closed_when_tight_homs_vanish(only_identities_tight):
@@ -211,9 +212,8 @@ def test_classifier_uniqueness_up_to_isomorphism():
     cat = underlying_category(s)
     other = "b"
     # the other candidate also classifies, and the two objects are isomorphic
-    from skewcat.representability import _universal_ok
     for theta in s.maps((TIGHT, ("b", "a"), other)):
-        if _universal_ok(s, theta, other):
+        if _tails_bijective(s, theta, other, (0,)):
             break
     else:
         raise AssertionError("expected a second universal candidate")
