@@ -3,8 +3,7 @@ correspondence between them, with exhaustive axiom checkers for desk-scale
 structures."""
 
 from .fincat import (
-    FinCategory, Functor, NatTrans, StructureError, Violation,
-    check_category, check_functor, check_nat_trans,
+    FinCategory, Functor, StructureError, Violation, check_category, check_functor,
     product_category, opposite_category, is_epimorphism,
 )
 from .catoperad import (
@@ -15,7 +14,7 @@ from .tmulticat import (
     MultiMap, TMulticategory, SkewMulticategory, make_multicat,
     terminal_multicat, check_tmulticat, underlying_category,
     from_tight_subsets, all_tight, loose_part,
-    MulticatMorphism, Multicat2Cell, check_morphism, check_2cell, iso_search,
+    MulticatMorphism, check_morphism, iso_search,
 )
 from .representability import (
     UniversalMultimap, ClassifierTable, ClosedStructure,

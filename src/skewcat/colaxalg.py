@@ -12,11 +12,10 @@ construction, which is what "normal" means here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable
 
 from .catoperad import LOOSE, TIGHT, CatOperad, dual_operad
-from .fincat import FinCategory, Functor, StructureError, Violation, check_functor, preimage
+from .fincat import FinCategory, StructureError, Violation, preimage
 from .representability import (
     ClassifierTable, build_inductive_classifiers, find_classifiers, is_weakly_representable,
 )
@@ -405,94 +404,3 @@ def colax_to_multicat(alg: NormalColaxAlgebra) -> TMulticategory:
     return make_multicat(op, base.objects, alg.max_arity, homs, identities,
                          action_rule=action_rule, subst_rule=subst_rule)
 
-
-# -- lax morphisms of algebras -------------------------------------------------
-
-@dataclass
-class LaxAlgMorphism:
-    source: NormalColaxAlgebra
-    target: NormalColaxAlgebra
-    obj_map: dict[str, str]
-    mor_map: dict[str, str]
-    comparison: dict[tuple[str, tuple[str, ...]], str]  # (x, objs) -> m_x(F objs) -> F m_x(objs)
-
-
-def check_lax_alg_morphism(f: LaxAlgMorphism) -> list[Violation]:
-    src, tgt = f.source, f.target
-    out = list(check_functor(Functor(src.base, tgt.base, f.obj_map, f.mor_map)))
-    if out:
-        return out
-    base = tgt.base
-    seq = base.comp_seq
-
-    def fo(objs):
-        return tuple(f.obj_map[a] for a in objs)
-
-    for n in range(src.max_arity + 1):
-        comp = src.operad.component(n)
-        for x in comp.objects:
-            for tup in itertools.product(src.base.objects, repeat=n):
-                c = f.comparison.get((x, tup))
-                if c is None:
-                    raise StructureError(f"missing comparison at {(x, tup)!r}")
-                if base.src(c) != tgt.m_obj(x, fo(tup)) or \
-                   base.tgt(c) != f.obj_map[src.m_obj(x, tup)]:
-                    out.append(Violation.of("comparison-endpoints", x=x, objs=str(tup)))
-            if x == src.operad.unit and n == 1:
-                for a in src.base.objects:
-                    if f.comparison[(x, (a,))] != base.id_of(f.obj_map[a]):
-                        out.append(Violation.of("comparison-unit", obj=a))
-            for phi, sx, tx in comp.morphisms:
-                if comp.is_identity(phi):
-                    continue
-                for tup in itertools.product(src.base.objects, repeat=n):
-                    lhs = seq(tgt.op_mor(phi, fo(tup)), f.comparison[(tx, tup)])
-                    rhs = seq(f.comparison[(sx, tup)], f.mor_map[src.op_mor(phi, tup)])
-                    if lhs != rhs:
-                        out.append(Violation.of("comparison-op-mor", phi=phi, objs=str(tup)))
-    for x, inner in _shapes(src):
-        ks = tuple(k for _, k in inner)
-        cx = src.composite_obj(x, inner)
-        for blocks in _blocks(src.base.objects, ks):
-            flat = tuple(a for blk in blocks for a in blk)
-            f_blocks = tuple(fo(blk) for blk in blocks)
-            mids = tuple(src.m_obj(xi, blk) for (xi, _), blk in zip(inner, blocks))
-            lhs = seq(f.comparison[(cx, flat)], f.mor_map[src.gamma(x, inner, blocks)])
-            whisker = tuple(f.comparison[(xi, blk)]
-                            for (xi, _), blk in zip(inner, blocks))
-            rhs = seq(tgt.gamma(x, inner, f_blocks), tgt.m_mor(x, whisker),
-                      f.comparison[(x, mids)])
-            if lhs != rhs:
-                out.append(Violation.of("comparison-gamma", x=x, inner=str(inner),
-                                        blocks=str(blocks)))
-    return out
-
-
-def debug_dump(alg: NormalColaxAlgebra) -> dict:
-    """Materialize every table for inspection."""
-    base = alg.base
-    data: dict = {"objects": list(base.objects), "operad": alg.operad.name,
-                  "max_arity": alg.max_arity, "functors": {}, "op_mors": {},
-                  "gamma": {}}
-    mors = [m for m, _, _ in base.morphisms]
-    for n in range(alg.max_arity + 1):
-        comp = alg.operad.component(n)
-        for x in comp.objects:
-            data["functors"][f"{x}@{n}"] = {
-                "objects": {",".join(t): alg.m_obj(x, t)
-                            for t in itertools.product(base.objects, repeat=n)},
-                "morphisms": {",".join(t): alg.m_mor(x, t)
-                              for t in itertools.product(mors, repeat=n)},
-            }
-        for phi, sx, tx in comp.morphisms:
-            if comp.is_identity(phi):
-                continue
-            data["op_mors"][f"{phi}@{n}"] = {
-                ",".join(t): alg.op_mor(phi, t)
-                for t in itertools.product(base.objects, repeat=n)}
-    for x, inner in _shapes(alg):
-        ks = tuple(k for _, k in inner)
-        for blocks in _blocks(base.objects, ks):
-            key = f"{x}{list(inner)}@{list(blocks)}"
-            data["gamma"][key] = alg.gamma(x, inner, blocks)
-    return data

@@ -233,10 +233,10 @@ class RoundtripVerdict:
 
 
 def roundtrip_monoidal(c: SkewMonoidalCategory, max_arity: int = 4) -> RoundtripVerdict:
-    s = monoidal_to_multicat(c, max_arity)
-    if not is_left_representable(s):
+    try:
+        back = multicat_to_monoidal(monoidal_to_multicat(c, max_arity)).monoidal
+    except NotLeftRepresentable:
         return RoundtripVerdict(False, False, None)
-    back = multicat_to_monoidal(s).monoidal
     pair = monoidal_iso_search(c, back)
     if pair is None:
         return RoundtripVerdict(False, True, None)
@@ -249,9 +249,10 @@ def roundtrip_monoidal(c: SkewMonoidalCategory, max_arity: int = 4) -> Roundtrip
 
 
 def roundtrip_multicat(s: SkewMulticategory) -> RoundtripVerdict:
-    if not is_left_representable(s):
+    try:
+        c = multicat_to_monoidal(s).monoidal
+    except NotLeftRepresentable:
         return RoundtripVerdict(False, False, None)
-    c = multicat_to_monoidal(s).monoidal
     again = monoidal_to_multicat(c, s.max_arity)
     pair = iso_search(s, again)
     if pair is None:

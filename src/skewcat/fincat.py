@@ -214,44 +214,6 @@ def check_functor(fun: Functor) -> list[Violation]:
     return out
 
 
-@dataclass(frozen=True)
-class NatTrans:
-    source: Functor
-    target: Functor
-    components: dict[str, str]  # object of the common domain -> morphism of the codomain
-
-    def at(self, a: str) -> str:
-        return self.components[a]
-
-
-def check_nat_trans(nt: NatTrans) -> list[Violation]:
-    fun, gun = nt.source, nt.target
-    if fun.source is not gun.source and fun.source.canonical() != gun.source.canonical():
-        raise StructureError("functors do not share a domain")
-    if fun.target is not gun.target and fun.target.canonical() != gun.target.canonical():
-        raise StructureError("functors do not share a codomain")
-    cod = fun.target
-    for a in fun.source.objects:
-        if a not in nt.components:
-            raise StructureError(f"no component at {a!r}")
-        if not cod.has_morphism(nt.components[a]):
-            raise StructureError(f"component at {a!r} is not a morphism")
-
-    out: list[Violation] = []
-    for a in fun.source.objects:
-        c = nt.components[a]
-        if cod.src(c) != fun.obj_map[a] or cod.tgt(c) != gun.obj_map[a]:
-            out.append(Violation.of("component-endpoints", obj=a, component=c))
-            continue
-    for m, a, b in fun.source.morphisms:
-        ca, cb = nt.components[a], nt.components[b]
-        left = cod.compose.get((cb, fun.mor_map[m]))
-        right = cod.compose.get((gun.mor_map[m], ca))
-        if left != right or left is None:
-            out.append(Violation.of("naturality", f=m, left=str(left), right=str(right)))
-    return out
-
-
 # -- product / opposite ----------------------------------------------------
 
 def pair_id(x: str, y: str) -> str:
@@ -268,6 +230,10 @@ def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
                  *(m for m, _, _ in c.morphisms), *(m for m, _, _ in d.morphisms)):
         if any(ch in name for ch in "(),"):
             raise StructureError(f"id {name!r} cannot be used in a product")
+    for cat in (c, d):
+        for obj in cat.objects:
+            if obj not in cat.identity:
+                raise StructureError(f"object {obj!r} has no identity")
     objects = tuple(pair_id(a, b) for a in c.objects for b in d.objects)
     morphisms = tuple(
         (pair_id(f, g), pair_id(fs, gs), pair_id(ft, gt))
@@ -335,22 +301,49 @@ def category_to_json(cat: FinCategory) -> dict:
     }
 
 
+def _no_repeat(rows: dict, key, kind: str) -> None:
+    if key in rows:
+        raise StructureError(f"duplicate {kind} row for {key!r}")
+
+
+def _json_array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise StructureError(f"{what} must be a JSON array")
+    return value
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise StructureError(f"{what} must be a JSON object")
+    return value
+
+
+def _str_id(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise StructureError(f"{what} must be a string id, got {value!r}")
+    return value
+
+
+def _entry(row, keys: tuple[str, ...], kind: str) -> tuple[str, ...]:
+    """The string ids of a JSON object row with exactly the given keys."""
+    if not isinstance(row, dict) or set(row) != set(keys):
+        raise StructureError(f"{kind} entries must have keys {'/'.join(keys)}")
+    return tuple(_str_id(row[k], f"{kind} {k}") for k in keys)
+
+
 def category_from_json(data: dict) -> FinCategory:
+    """Read a category, requiring string ids and at most one row per
+    composable pair."""
     if not isinstance(data, dict) or set(data) != _CAT_KEYS:
         raise StructureError(f"category object must have exactly the keys {sorted(_CAT_KEYS)}")
-    try:
-        objects = tuple(str(x) for x in data["objects"])
-        morphisms = tuple((str(m["id"]), str(m["src"]), str(m["tgt"]))
-                          for m in data["morphisms"])
-        for m in data["morphisms"]:
-            if set(m) != {"id", "src", "tgt"}:
-                raise StructureError("morphism entries must have keys id/src/tgt")
-        identity = {str(k): str(v) for k, v in data["identities"].items()}
-        compose = {}
-        for e in data["compose"]:
-            if set(e) != {"g", "f", "gf"}:
-                raise StructureError("compose entries must have keys g/f/gf")
-            compose[(str(e["g"]), str(e["f"]))] = str(e["gf"])
-    except (KeyError, TypeError) as exc:
-        raise StructureError(f"malformed category JSON: {exc}") from exc
+    objects = tuple(_str_id(x, "object") for x in _json_array(data["objects"], "objects"))
+    morphisms = tuple(_entry(m, ("id", "src", "tgt"), "morphism")
+                      for m in _json_array(data["morphisms"], "morphisms"))
+    identity = {k: _str_id(v, f"identity of {k!r}")
+                for k, v in _json_object(data["identities"], "identities").items()}
+    compose = {}
+    for e in _json_array(data["compose"], "compose"):
+        g, f, gf = _entry(e, ("g", "f", "gf"), "compose")
+        _no_repeat(compose, (g, f), "compose")
+        compose[(g, f)] = gf
     return FinCategory(objects, morphisms, identity, compose)

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .fincat import (
-    FinCategory, Functor, StructureError, Violation,
+    FinCategory, Functor, StructureError, Violation, _json_array, _no_repeat, _str_id,
     category_from_json, category_to_json, check_category, check_functor,
     is_bijection_onto, is_epimorphism, pair_id, product_category,
 )
@@ -87,6 +87,15 @@ def check_skew_monoidal(c: SkewMonoidalCategory) -> list[Violation]:
             for d in base.objects:
                 if (a, b, d) not in c.alpha:
                     raise StructureError(f"missing associativity component at {(a, b, d)!r}")
+    for name, table in (("associativity", c.alpha), ("left unit", c.lambda_),
+                        ("right unit", c.rho)):
+        for key, m in table.items():
+            if not base.has_morphism(m):
+                raise StructureError(f"{name} component {m!r} at {key!r} is not a morphism")
+    objset = set(base.objects)
+    for key in c.alpha:
+        if not set(key) <= objset:
+            raise StructureError(f"associativity component at {key!r} names an unknown object")
     if out:
         return out
 
@@ -357,14 +366,6 @@ def _invert_lax(lax: LaxMonoidalFunctor) -> LaxMonoidalFunctor:
     return LaxMonoidalFunctor(d, c, gun, binary, unit)
 
 
-def identity_lax(c: SkewMonoidalCategory) -> LaxMonoidalFunctor:
-    fun = Functor(c.base, c.base, {a: a for a in c.base.objects},
-                  {m: m for m, _, _ in c.base.morphisms})
-    binary = {(a, b): c.base.id_of(c.t_obj(a, b))
-              for a in c.base.objects for b in c.base.objects}
-    return LaxMonoidalFunctor(c, c, fun, binary, c.base.id_of(c.unit))
-
-
 # -- JSON --------------------------------------------------------------------
 
 _SM_KEYS = {"category", "tensor", "unit", "alpha", "lambda", "rho"}
@@ -387,22 +388,33 @@ def skewmon_to_json(c: SkewMonoidalCategory) -> dict:
     }
 
 
+def _table(rows, width: int, kind: str) -> dict[tuple[str, ...], str]:
+    """Rows of width string ids, keyed by all but the last, each key once."""
+    out: dict[tuple[str, ...], str] = {}
+    for row in _json_array(rows, kind):
+        if not isinstance(row, list) or len(row) != width:
+            raise StructureError(f"{kind} rows must have {width} entries, got {row!r}")
+        *key, value = (_str_id(v, f"{kind} entry") for v in row)
+        _no_repeat(out, tuple(key), kind)
+        out[tuple(key)] = value
+    return out
+
+
 def skewmon_from_json(data: dict) -> SkewMonoidalCategory:
+    """Read a skew monoidal category, requiring string ids and at most one
+    row per key in every table."""
     if not isinstance(data, dict) or set(data) != _SM_KEYS:
         raise StructureError(f"skew monoidal object must have exactly the keys {sorted(_SM_KEYS)}")
     base = category_from_json(data["category"])
-    try:
-        tensor = data["tensor"]
-        if set(tensor) != {"objects", "morphisms"}:
-            raise StructureError("tensor must have keys objects/morphisms")
-        tensor_obj = {(str(a), str(b)): str(v) for a, b, v in tensor["objects"]}
-        tensor_mor = {(str(f), str(g)): str(v) for f, g, v in tensor["morphisms"]}
-        alpha = {(str(a), str(b), str(d)): str(m) for a, b, d, m in data["alpha"]}
-        lambda_ = {str(a): str(m) for a, m in data["lambda"]}
-        rho = {str(a): str(m) for a, m in data["rho"]}
-        unit = str(data["unit"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"malformed skew monoidal JSON: {exc}") from exc
+    tensor = data["tensor"]
+    if not isinstance(tensor, dict) or set(tensor) != {"objects", "morphisms"}:
+        raise StructureError("tensor must have keys objects/morphisms")
+    tensor_obj = _table(tensor["objects"], 3, "tensor objects")
+    tensor_mor = _table(tensor["morphisms"], 3, "tensor morphisms")
+    alpha = _table(data["alpha"], 4, "alpha")
+    lambda_ = {a: m for (a,), m in _table(data["lambda"], 2, "lambda").items()}
+    rho = {a: m for (a,), m in _table(data["rho"], 2, "rho").items()}
+    unit = _str_id(data["unit"], "unit")
     for a in base.objects:
         for b in base.objects:
             if (a, b) not in tensor_obj:

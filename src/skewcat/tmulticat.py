@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .catoperad import LAM, LOOSE, TIGHT, CatOperad, operad_by_name
-from .fincat import FinCategory, StructureError, Violation, check_category
+from .fincat import (
+    FinCategory, StructureError, Violation, _json_object, _no_repeat, check_category,
+)
 
 HomKey = tuple[str, tuple[str, ...], str]  # (x, inputs, output)
 
@@ -483,7 +485,7 @@ def _validate_structure(m: TMulticategory) -> list:
     return keys
 
 
-# -- underlying category and hom actions -------------------------------------
+# -- underlying category -----------------------------------------------------
 
 def underlying_with_maps(m: TMulticategory):
     """The category of unit-typed unary multimaps, plus id translations."""
@@ -519,54 +521,6 @@ def underlying_with_maps(m: TMulticategory):
 
 def underlying_category(m: TMulticategory) -> FinCategory:
     return underlying_with_maps(m)[0]
-
-
-def check_hom_action(m: TMulticategory) -> list[Violation]:
-    """Functor laws and bifunctoriality of the unary actions on every hom set:
-    covariant in the output (u ∘ m, a unary substitution), contravariant in
-    each input slot (m ∘ᵢ u)."""
-    out = []
-    e = m.operad.unit
-    unary = [u for u in m.all_maps() if u.arity == 1 and u.x == e]
-    for mm_ in m.all_maps():
-        if m.substitute(m.identity(mm_.output), (mm_,)) != mm_:
-            out.append(Violation.of("hom-action-identity", m=mm_.mid, slot="out"))
-        for i in range(1, mm_.arity + 1):
-            if m.subst_after(mm_, i, m.identity(mm_.inputs[i - 1])) != mm_:
-                out.append(Violation.of("hom-action-identity", m=mm_.mid, slot=str(i)))
-    for mm_ in m.all_maps():
-        for u in unary:
-            if u.inputs[0] != mm_.output:
-                continue
-            for v in unary:
-                if v.inputs[0] != u.output:
-                    continue
-                if m.substitute(v, (m.substitute(u, (mm_,)),)) != \
-                   m.substitute(m.substitute(v, (u,)), (mm_,)):
-                    out.append(Violation.of("hom-action-composition", m=mm_.mid,
-                                            u=u.mid, v=v.mid))
-        for i in range(1, mm_.arity + 1):
-            for u in unary:
-                if u.output != mm_.inputs[i - 1]:
-                    continue
-                for v in unary:
-                    if v.output != u.inputs[0]:
-                        continue
-                    if m.subst_after(m.subst_after(mm_, i, u), i, v) != \
-                       m.subst_after(mm_, i, m.substitute(u, (v,))):
-                        out.append(Violation.of("hom-action-composition", m=mm_.mid,
-                                                slot=str(i)))
-        for u in unary:
-            if u.inputs[0] != mm_.output:
-                continue
-            for i in range(1, mm_.arity + 1):
-                for w in unary:
-                    if w.output != mm_.inputs[i - 1]:
-                        continue
-                    if m.subst_after(m.substitute(u, (mm_,)), i, w) != \
-                       m.substitute(u, (m.subst_after(mm_, i, w),)):
-                        out.append(Violation.of("hom-action-bifunctor", m=mm_.mid))
-    return out
 
 
 # -- tight subsets ------------------------------------------------------------
@@ -617,15 +571,6 @@ def from_tight_subsets(m: TMulticategory, tight: dict[tuple[tuple[str, ...], str
                          action_rule=action_rule, subst_rule=subst_rule)
 
 
-def tight_subsets(s: SkewMulticategory) -> dict[tuple[tuple[str, ...], str], frozenset]:
-    """Extract the tight classes; meaningful when every comparison is injective."""
-    out = {}
-    for (x, inputs, output), mids in s.homs.items():
-        if x == TIGHT and inputs and mids:
-            out[(inputs, output)] = frozenset(s.j(mm_).mid for mm_ in s.maps((x, inputs, output)))
-    return out
-
-
 def all_tight(m: TMulticategory) -> SkewMulticategory:
     tight = {}
     for (x, inputs, output), mids in m.homs.items():
@@ -652,7 +597,7 @@ def loose_part(s: SkewMulticategory) -> TMulticategory:
                          action_rule=lambda fmor, m: m.mid, subst_rule=subst_rule)
 
 
-# -- morphisms, 2-cells, isomorphism search -----------------------------------
+# -- morphisms and isomorphism search -----------------------------------------
 
 @dataclass
 class MulticatMorphism:
@@ -665,12 +610,6 @@ class MulticatMorphism:
         mid = self.hom_maps[m.key][m.mid]
         return self.target.mm(m.x, tuple(self.obj_map[a] for a in m.inputs),
                               self.obj_map[m.output], mid)
-
-
-def identity_multicat_morphism(m: TMulticategory) -> MulticatMorphism:
-    return MulticatMorphism(m, m, {a: a for a in m.objects},
-                            {key: {mid: mid for mid in mids}
-                             for key, mids in m.homs.items()})
 
 
 def check_morphism(f: MulticatMorphism) -> list[Violation]:
@@ -702,40 +641,6 @@ def check_morphism(f: MulticatMorphism) -> list[Violation]:
         if lhs != rhs:
             out.append(Violation.of("morphism-substitution", g=g.mid,
                                     fs=str([x.mid for x in fs])))
-    return out
-
-
-@dataclass
-class Multicat2Cell:
-    source: MulticatMorphism
-    target: MulticatMorphism
-    components: dict[str, str]  # object -> unit-typed unary multimap id in the target
-
-    def at(self, a: str) -> MultiMap:
-        tgt = self.source.target
-        return tgt.mm(tgt.operad.unit, (self.source.obj_map[a],),
-                      (self.target.obj_map[a]), self.components[a])
-
-
-def check_2cell(cell: Multicat2Cell) -> list[Violation]:
-    f, g = cell.source, cell.target
-    if f.source is not g.source or f.target is not g.target:
-        raise StructureError("2-cell endpoints must be parallel")
-    tgt = f.target
-    for a in f.source.objects:
-        if a not in cell.components:
-            raise StructureError(f"no component at {a!r}")
-        cell.at(a)  # validates membership
-    out = []
-    for key in sorted(f.source.homs):
-        for mm_ in f.source.maps(key):
-            phi_b = cell.at(mm_.output)
-            lhs = tgt.substitute(phi_b, (f.on_map(mm_),))
-            gm = g.on_map(mm_)
-            fs = tuple(cell.at(a) for a in mm_.inputs)
-            rhs = tgt.substitute(gm, fs)
-            if lhs != rhs:
-                out.append(Violation.of("2cell-naturality", m=mm_.mid, key=str(key)))
     return out
 
 
@@ -898,11 +803,6 @@ def multicat_to_json(m: TMulticategory) -> dict:
     }
 
 
-def _no_repeat(rows: dict, key, kind: str) -> None:
-    if key in rows:
-        raise StructureError(f"duplicate {kind} row for {key!r}")
-
-
 def multicat_from_json(data: dict) -> TMulticategory:
     if not isinstance(data, dict) or set(data) != _MC_KEYS:
         raise StructureError(f"multicategory object must have exactly the keys {sorted(_MC_KEYS)}")
@@ -919,7 +819,8 @@ def multicat_from_json(data: dict) -> TMulticategory:
             hkey = (str(h["x"]), tuple(str(a) for a in h["inputs"]), str(h["output"]))
             _no_repeat(homs, hkey, "hom")
             homs[hkey] = tuple(str(i) for i in h["maps"])
-        identities = {str(k): str(v) for k, v in data["identities"].items()}
+        identities = {str(k): str(v)
+                      for k, v in _json_object(data["identities"], "identities").items()}
         action: dict[tuple[str, HomKey], dict[str, str]] = {}
         for e in data["action"]:
             if set(e) != {"n", "inputs", "output", "map_t", "map_l"}:

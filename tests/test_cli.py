@@ -1,14 +1,17 @@
+import copy
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcat.cli import main
 from skewcat.fincat import category_to_json
 from skewcat.skewmon import skewmon_from_json, skewmon_to_json
-from skewcat.tmulticat import multicat_to_json
+from skewcat.tmulticat import from_tight_subsets, loose_part, multicat_to_json
 from skewcat.correspondence import monoidal_to_multicat
-from conftest import chain_category, two_chain_fst, two_chain_snd, z2_monoidal
+from conftest import chain_category, two_chain_fst, two_chain_snd, z2_category, z2_monoidal
 
 
 def write(tmp_path, name, data):
@@ -21,6 +24,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, json.loads(captured.out), captured.err
+
+
+def only_identities_tight(s):
+    """The loose part of s with only the identities tight: not left
+    representable, since no binary map is tight."""
+    lp = loose_part(s)
+    return from_tight_subsets(
+        lp, {((a,), a): frozenset([lp.identities[a]]) for a in lp.objects})
 
 
 def test_check_category(tmp_path, capsys):
@@ -157,10 +168,7 @@ def test_analyze_rejects_lawless_input(tmp_path, capsys):
 
 
 def test_roundtrip_not_left_representable_is_exit_1(tmp_path, capsys):
-    from skewcat.tmulticat import from_tight_subsets, loose_part
-    lp = loose_part(monoidal_to_multicat(two_chain_fst(), 3))
-    only_id = from_tight_subsets(
-        lp, {((a,), a): frozenset([lp.identities[a]]) for a in lp.objects})
+    only_id = only_identities_tight(monoidal_to_multicat(two_chain_fst(), 3))
     path = write(tmp_path, "mc.json", multicat_to_json(only_id))
     code, out, _ = run(capsys, "roundtrip", path)
     assert code == 1
@@ -211,10 +219,7 @@ def test_analyze_multicat_input(tmp_path, capsys):
 
 
 def test_convert_non_left_representable_is_exit_1(tmp_path, capsys):
-    from skewcat.tmulticat import from_tight_subsets, loose_part
-    lp = loose_part(monoidal_to_multicat(two_chain_fst(), 3))
-    only_id = from_tight_subsets(
-        lp, {((a,), a): frozenset([lp.identities[a]]) for a in lp.objects})
+    only_id = only_identities_tight(monoidal_to_multicat(two_chain_fst(), 3))
     path = write(tmp_path, "mc.json", multicat_to_json(only_id))
     code, out, _ = run(capsys, "convert", path, "--to", "monoidal")
     assert code == 1
@@ -281,6 +286,138 @@ def test_max_arity_bound_for_flag_and_file(tmp_path, capsys, flag, file_value):
     code, out, _ = run(capsys, "analyze", path, "--max-arity", flag)
     assert code == 2
     assert "from 1 to 6" in out["error"]
+
+
+@pytest.mark.parametrize("left_representable", [True, False])
+def test_roundtrip_below_arity_3_is_exit_2(tmp_path, capsys, left_representable):
+    # the associator is read off ternary homs, so a round trip of an arity-2
+    # file cannot be decided, whether or not it is left representable
+    s = monoidal_to_multicat(two_chain_fst(), 2)
+    if not left_representable:
+        s = only_identities_tight(s)
+    code, out, _ = run(capsys, "roundtrip", write(tmp_path, "mc2.json", multicat_to_json(s)))
+    assert code == 2
+    assert "ternary" in out["error"]
+
+
+@pytest.mark.parametrize("kind", ["category", "monoidal", "multicat"])
+def test_identities_not_an_object_is_exit_2(tmp_path, capsys, kind):
+    data = {"category": lambda: category_to_json(chain_category(2)),
+            "monoidal": lambda: skewmon_to_json(two_chain_fst()),
+            "multicat": lambda: multicat_to_json(monoidal_to_multicat(two_chain_fst(), 2)),
+            }[kind]()
+    (data["category"] if kind == "monoidal" else data)["identities"] = []
+    code, out, _ = run(capsys, "check", write(tmp_path, "in.json", data))
+    assert code == 2
+    assert out["error"] == "identities must be a JSON object"
+
+
+def _edited(data, edit):
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    (_edited(category_to_json(chain_category(2)), lambda d: d.update(objects="01")),
+     "objects must be a JSON array"),
+    ({"objects": [0], "morphisms": [{"id": 1, "src": 0, "tgt": 0}],
+      "identities": {"0": 1}, "compose": [{"g": 1, "f": 1, "gf": 1}]},
+     "object must be a string id, got 0"),
+    (_edited(category_to_json(chain_category(2)),
+             lambda d: d["compose"][0].update(gf=0)),
+     "compose gf must be a string id, got 0"),
+    (_edited(skewmon_to_json(z2_monoidal()), lambda d: d.update(unit=["x"])),
+     "unit must be a string id, got ['x']"),
+    (_edited(skewmon_to_json(z2_monoidal()), lambda d: d.update({"lambda": [["x", 0]]})),
+     "lambda entry must be a string id, got 0"),
+], ids=["objects-string", "integer-ids", "compose-integer", "unit-list", "lambda-integer"])
+def test_ids_must_be_strings(tmp_path, capsys, data, message):
+    code, out, _ = run(capsys, "check", write(tmp_path, "in.json", data))
+    assert code == 2
+    assert out["error"] == message
+
+
+@pytest.mark.parametrize("table, value", [
+    ("compose", None), ("tensor.objects", None), ("tensor.morphisms", None),
+    ("lambda", None), ("rho", None),
+    ("alpha", "e1"),  # read last-wins, this row would be reported as an A1 failure
+])
+def test_repeated_row_is_exit_2(tmp_path, capsys, table, value):
+    if table == "compose":
+        data = category_to_json(chain_category(2))
+        rows = data["compose"]
+    else:
+        data = skewmon_to_json(z2_monoidal())
+        rows = data["tensor"][table[7:]] if table.startswith("tensor.") else data[table]
+    row = copy.deepcopy(rows[0])
+    if value is not None:
+        row[-1] = value
+    rows.append(row)
+    code, out, _ = run(capsys, "check", write(tmp_path, "in.json", data))
+    assert code == 2
+    assert out["error"].startswith(f"duplicate {table.replace('.', ' ')} row for ")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["category"].update(identities={}), "object 'x' has no identity"),
+    (lambda d: d.update({"lambda": [["x", "zz"]]}),
+     "left unit component 'zz' at 'x' is not a morphism"),
+    (lambda d: d["alpha"].append(["y", "x", "x", "e0"]),
+     "associativity component at ('y', 'x', 'x') names an unknown object"),
+], ids=["base-without-identity", "lambda-not-a-morphism", "alpha-unknown-object"])
+def test_monoidal_tables_naming_unknown_ids_are_exit_2(tmp_path, capsys, edit, message):
+    data = skewmon_to_json(z2_monoidal())
+    edit(data)
+    code, out, _ = run(capsys, "check", write(tmp_path, "in.json", data))
+    assert code == 2
+    assert out["error"] == message
+
+
+VALID_DOCUMENTS = [category_to_json(z2_category()), skewmon_to_json(z2_monoidal()),
+                   multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2))]
+
+# Strings are mostly drawn from the letters of the ids and keys of the valid
+# documents, so that a replaced field often names something that exists.
+JSON_STRINGS = st.text("xe01lt", max_size=3) | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=8)
+
+
+def _positions(value, path=()):
+    """Every path of keys and indices into a JSON value, the root included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _positions(child, path + (key,))
+
+
+@st.composite
+def one_field_replaced(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCUMENTS)))
+    path = draw(st.sampled_from(list(_positions(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(JSON_VALUES)
+    return doc
+
+
+COMMANDS = [["check"], ["analyze", "--max-arity", "2"],
+            ["convert", "--to", "multicat", "--max-arity", "2"],
+            ["convert", "--to", "monoidal", "--max-arity", "2"],
+            ["roundtrip", "--max-arity", "2"]]
+
+
+@given(doc=JSON_VALUES | one_field_replaced(), command=st.sampled_from(COMMANDS))
+@settings(max_examples=200, deadline=None)
+def test_arbitrary_json_never_escapes_as_an_exception(tmp_path_factory, doc, command):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], str(path), *command[1:]]) in (0, 1, 2)
 
 
 # sha256 of "<exit code>\n<stdout>" for each command of _golden_digests.  They

@@ -2,8 +2,7 @@ import pytest
 
 from skewcat.catoperad import TIGHT, make_R_operad
 from skewcat.colaxalg import (
-    LaxAlgMorphism, NormalColaxAlgebra, check_colax_algebra,
-    check_lax_alg_morphism, colax_to_multicat, debug_dump,
+    NormalColaxAlgebra, check_colax_algebra, colax_to_multicat,
     has_strict_left_bracketing, left_bracketed_classifier_table, multicat_to_colax,
 )
 from skewcat.correspondence import monoidal_to_multicat
@@ -143,28 +142,3 @@ def test_not_weakly_representable_raises(fst3):
         lp, {((a,), a): frozenset([lp.identities[a]]) for a in lp.objects})
     with pytest.raises(StructureError):
         multicat_to_colax(only_id)
-
-
-def test_identity_lax_morphism_passes(fst3):
-    alg = multicat_to_colax(fst3, left_bracketed_classifier_table(fst3))
-    base = alg.base
-    comparison = {}
-    for n in range(alg.max_arity + 1):
-        comp = alg.operad.component(n)
-        for x in comp.objects:
-            import itertools
-            for tup in itertools.product(base.objects, repeat=n):
-                comparison[(x, tup)] = base.id_of(alg.m_obj(x, tup))
-    ident = LaxAlgMorphism(alg, alg,
-                           {a: a for a in base.objects},
-                           {m: m for m, _, _ in base.morphisms}, comparison)
-    assert check_lax_alg_morphism(ident) == []
-
-
-def test_debug_dump_shape(fst3):
-    alg = multicat_to_colax(fst3, left_bracketed_classifier_table(fst3))
-    data = debug_dump(alg)
-    assert data["operad"] == "L"
-    assert "t@2" in data["functors"]
-    assert data["functors"]["t@1"]["objects"]["0"] == "0"
-    assert "lam@1" in data["op_mors"]

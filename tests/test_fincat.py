@@ -97,23 +97,6 @@ def test_nonfunctorial_map_reports_composition(z2):
     assert any(v.law == "functor-composition" for v in rep)
 
 
-def test_nat_trans_checker():
-    from skewcat.fincat import NatTrans, check_nat_trans
-    pp = parallel_pair_category()
-    const_x = Functor(pp, pp, {o: "x" for o in pp.objects},
-                      {m: "idx" for m, _, _ in pp.morphisms})
-    const_a = Functor(pp, pp, {o: "a" for o in pp.objects},
-                      {m: "ida" for m, _, _ in pp.morphisms})
-    good = NatTrans(const_x, const_a, {o: "w" for o in pp.objects})
-    assert check_nat_trans(good) == []
-    # components into the parallel pair disagree across a non-identity arrow
-    const_b = Functor(pp, pp, {o: "b" for o in pp.objects},
-                      {m: "idb" for m, _, _ in pp.morphisms})
-    bad = NatTrans(const_a, const_b, {"a": "u", "b": "v", "x": "u"})
-    rep = check_nat_trans(bad)
-    assert any(v.law == "naturality" for v in rep)
-
-
 def test_product_and_opposite():
     two = chain_category(2)
     sq = product_category(two, two)

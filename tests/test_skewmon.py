@@ -4,7 +4,7 @@ import pytest
 
 from skewcat.fincat import StructureError
 from skewcat.skewmon import (
-    check_lax_monoidal, check_skew_monoidal, identity_lax,
+    check_lax_monoidal, check_skew_monoidal,
     is_closed_skew_monoidal, is_left_normal, lambda_all_epi,
     left_bracketed_tensor, make_skew_monoidal, monoidal_iso_search,
     skewmon_from_json, skewmon_to_json, unit_absorption,
@@ -153,11 +153,6 @@ def test_unit_absorption_endpoints(skew_fst):
         m = unit_absorption(skew_fst, tup)
         assert base.src(m) == left_bracketed_tensor(skew_fst, tup, leading_unit=True)
         assert base.tgt(m) == left_bracketed_tensor(skew_fst, tup)
-
-
-def test_identity_lax_passes(skew_fst, z2_strict):
-    for c in (skew_fst, z2_strict):
-        assert check_lax_monoidal(identity_lax(c)) == []
 
 
 def test_monoidal_iso_search_self(skew_fst, skew_snd, z2_strict):

@@ -3,11 +3,9 @@ import pytest
 from skewcat.catoperad import make_R_operad, make_terminal_operad
 from skewcat.fincat import StructureError, check_category
 from skewcat.tmulticat import (
-    all_tight, check_2cell, check_hom_action, check_morphism, check_tmulticat,
-    from_tight_subsets, identity_multicat_morphism,
-    iso_search, loose_part, make_multicat, multicat_from_json,
-    multicat_to_json, signatures, terminal_multicat, tight_subsets, underlying_category,
-    Multicat2Cell,
+    all_tight, check_morphism, check_tmulticat, from_tight_subsets, iso_search,
+    loose_part, make_multicat, multicat_from_json, multicat_to_json, signatures,
+    terminal_multicat, underlying_category,
 )
 from skewcat.correspondence import monoidal_to_multicat
 from conftest import chain_category, two_chain_fst, z2_monoidal
@@ -132,11 +130,6 @@ def test_identities_map_to_category_identities(fst3):
         assert cat.id_of(a) == fst3.identities[a]
 
 
-def test_hom_action_laws(fst3, z2m):
-    assert check_hom_action(fst3) == []
-    assert check_hom_action(z2m) == []
-
-
 def test_hom_action_example(fst3):
     # post-composing a loose binary map with the chain step lands in the
     # loose homs at the larger output
@@ -167,7 +160,6 @@ def test_from_tight_subsets_round_trip(fst3):
     tight = {((a,), a): frozenset([lp.identities[a]]) for a in lp.objects}
     s = from_tight_subsets(lp, tight)
     assert check_tmulticat(s) == []
-    assert tight_subsets(s) == tight
     assert lp.tables_equal(loose_part(s))
 
 
@@ -175,7 +167,9 @@ def test_tight_subset_reconstruction_when_j_is_injective(fst3):
     # every comparison in the derived instance is injective, so splitting it
     # into loose part plus tight classes and recombining gives the same
     # structure up to isomorphism
-    rebuilt = from_tight_subsets(loose_part(fst3), tight_subsets(fst3))
+    tight = {(key[1], key[2]): frozenset(fst3.j(mm_).mid for mm_ in fst3.maps(key))
+             for key, mids in fst3.homs.items() if key[0] == "t" and key[1] and mids}
+    rebuilt = from_tight_subsets(loose_part(fst3), tight)
     assert check_tmulticat(rebuilt) == []
     assert iso_search(fst3, rebuilt) is not None
 
@@ -201,11 +195,6 @@ def test_from_tight_subsets_closure_violation_names_witness(z2m):
         from_tight_subsets(lp, bad)
 
 
-def test_morphism_identity_passes(fst3):
-    f = identity_multicat_morphism(fst3)
-    assert check_morphism(f) == []
-
-
 def test_tightening_morphism_passes(fst3):
     # growing the tight class along identical loose data is a morphism
     from skewcat.tmulticat import MulticatMorphism
@@ -225,12 +214,6 @@ def test_self_iso_is_the_identity(fst3):
     assert all(table == {mid: mid for mid in fst3.homs[key]}
                for key, table in fwd.hom_maps.items())
     assert bwd.obj_map == fwd.obj_map
-
-
-def test_2cell_identity_passes(fst3):
-    f = identity_multicat_morphism(fst3)
-    cell = Multicat2Cell(f, f, {a: fst3.identities[a] for a in fst3.objects})
-    assert check_2cell(cell) == []
 
 
 def test_iso_search_finds_self_iso(fst3, z2m):
