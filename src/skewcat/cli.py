@@ -9,6 +9,7 @@ or structurally invalid input.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -27,8 +28,37 @@ from .tmulticat import (
 )
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, depth: int = 0) -> str:
+    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` for JSON
+    data with string keys, nested ``depth`` levels deep.
+
+    With ``indent`` the stdlib falls back to its pure-Python encoder, which
+    builds one list of every small chunk of the document; this joins each
+    container as soon as its members are done, and leaves strings to the C
+    encoder and other scalars to ``json.dumps``."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        pad = "\n" + "  " * (depth + 1)
+        body = ("," + pad).join([_dumps(v, depth + 1) for v in obj])
+        return "[" + pad + body + "\n" + "  " * depth + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        pad = "\n" + "  " * (depth + 1)
+        body = ("," + pad).join([_encode_str(k) + ": " + _dumps(v, depth + 1)
+                                 for k, v in sorted(obj.items())])
+        return "{" + pad + body + "\n" + "  " * depth + "}"
+    return json.dumps(obj)
+
+
 def _emit(data: dict | list, message: str) -> None:
-    print(json.dumps(data, sort_keys=True, indent=2))
+    print(_dumps(data))
     print(message, file=sys.stderr)
 
 
@@ -165,8 +195,7 @@ def cmd_search(objects_path: str, emit_dir: str) -> int:
     for idx, structure in enumerate(found):
         name = f"structure_{idx:03d}.json"
         with open(os.path.join(emit_dir, name), "w", encoding="utf-8") as fh:
-            json.dump(skewmon_to_json(structure), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(_dumps(skewmon_to_json(structure)) + "\n")
         files.append(name)
     _emit({"count": len(found), "files": files},
           f"found {len(found)} skew monoidal structures")
@@ -201,6 +230,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--emit", required=True, metavar="DIR")
 
     args = parser.parse_args(argv)
+    # A command allocates millions of acyclic rows and keys, and each full
+    # pass of the cyclic collector would walk all of them again.  A command
+    # leaves a few hundred cyclic objects whatever the input size, so the
+    # pause costs no memory; the caller's collector state comes back on
+    # return.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         if args.command == "check":
             return cmd_check(args.path)
@@ -213,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_search(args.objects, args.emit)
     except (OSError, json.JSONDecodeError, StructureError) as exc:
         return _fail_input(str(exc))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -401,8 +401,9 @@ def _table(rows, width: int, kind: str) -> dict[tuple[str, ...], str]:
 
 
 def skewmon_from_json(data: dict) -> SkewMonoidalCategory:
-    """Read a skew monoidal category, requiring string ids and at most one
-    row per key in every table."""
+    """Read a skew monoidal category, requiring string ids, at most one row
+    per key in every table, and no tensor or unit row for a key outside the
+    base category."""
     if not isinstance(data, dict) or set(data) != _SM_KEYS:
         raise StructureError(f"skew monoidal object must have exactly the keys {sorted(_SM_KEYS)}")
     base = category_from_json(data["category"])
@@ -423,4 +424,13 @@ def skewmon_from_json(data: dict) -> SkewMonoidalCategory:
         for g, _, _ in base.morphisms:
             if (f, g) not in tensor_mor:
                 raise StructureError(f"tensor morphism table misses {(f, g)!r}")
+    objects = set(base.objects)
+    morphisms = {f for f, _, _ in base.morphisms}
+    for kind, table, required in (
+            ("tensor objects", tensor_obj, {(a, b) for a in objects for b in objects}),
+            ("tensor morphisms", tensor_mor, {(f, g) for f in morphisms for g in morphisms}),
+            ("lambda", lambda_, objects), ("rho", rho, objects)):
+        extra = set(table) - required
+        if extra:
+            raise StructureError(f"extra {kind} row for {min(extra)!r}")
     return make_skew_monoidal(base, tensor_obj, tensor_mor, unit, alpha, lambda_, rho)

@@ -27,7 +27,8 @@ from typing import Callable, Iterator
 
 from .catoperad import LAM, LOOSE, TIGHT, CatOperad, operad_by_name
 from .fincat import (
-    FinCategory, StructureError, Violation, _json_object, _no_repeat, check_category,
+    FinCategory, StructureError, Violation, _json_array, _json_object, _no_repeat,
+    _str_id, check_category,
 )
 
 HomKey = tuple[str, tuple[str, ...], str]  # (x, inputs, output)
@@ -159,11 +160,13 @@ class TMulticategory:
         by_output: dict[str, list[MultiMap]] = {b: [] for b in self.objects}
         for m in self.all_maps():
             by_output[m.output].append(m)
+        fitting = {b: [tuple(m for m in ms if m.arity <= k) for k in range(self.max_arity + 1)]
+                   for b, ms in by_output.items()}
         for key in sorted(self.homs):
+            if not key[1]:
+                continue
             for g in self.maps(key):
-                if g.arity == 0:
-                    continue
-                for fs in _slot_choices(g.inputs, self.max_arity, by_output):
+                for fs in _slot_choices(g.inputs, self.max_arity, fitting):
                     yield g, fs
 
     def generator_subst_keys(self) -> Iterator[tuple[MultiMap, tuple[MultiMap, ...]]]:
@@ -417,15 +420,17 @@ def _check_associativity(m: TMulticategory, keys) -> list[Violation]:
     return out
 
 
-def _slot_choices(slots, budget, by_output):
-    if not slots:
-        yield ()
-        return
+def _slot_choices(slots, budget, fitting):
+    """Tuples of multimaps into the non-empty slots, in ``all_maps`` order
+    slot by slot, whose arities sum to at most budget.  fitting[b][k] holds
+    the multimaps into b of arity at most k, in ``all_maps`` order."""
     b, rest = slots[0], slots[1:]
-    for h in by_output[b]:
-        if h.arity > budget:
-            continue
-        for tail in _slot_choices(rest, budget - h.arity, by_output):
+    if not rest:
+        for h in fitting[b][budget]:
+            yield (h,)
+        return
+    for h in fitting[b][budget]:
+        for tail in _slot_choices(rest, budget - h.arity, fitting):
             yield (h,) + tail
 
 
@@ -811,7 +816,7 @@ def multicat_from_json(data: dict) -> TMulticategory:
     op = operad_by_name(data["operad"])
     max_arity = arity_bound(data["max_arity"], "max_arity")
     try:
-        objects = tuple(str(x) for x in data["objects"])
+        objects = tuple(_str_id(x, "object") for x in _json_array(data["objects"], "objects"))
         homs: dict[HomKey, tuple[str, ...]] = {}
         for h in data["homs"]:
             if set(h) != {"x", "inputs", "output", "maps"}:

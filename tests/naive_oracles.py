@@ -256,3 +256,25 @@ def naive_check_tmulticat(m) -> bool:
                m.substitute(g, tuple(m.substitute(f, hs) for f, hs in zip(fs, hss))):
                 return False
     return True
+
+
+def naive_subst_keys(m) -> list:
+    """Every (outer, inners) substitution within the bound, in the order of
+    ``TMulticategory.subst_keys``: outer multimaps by sorted hom key, then
+    for each slot every multimap into it by sorted hom key, skipping one at
+    a time those whose arity overruns what is left of the bound."""
+    maps = [m.mm(x, inputs, output, mid)
+            for (x, inputs, output) in sorted(m.homs)
+            for mid in m.homs[(x, inputs, output)]]
+
+    def choices(slots, budget):
+        if not slots:
+            yield ()
+            return
+        for f in maps:
+            if f.output != slots[0] or f.arity > budget:
+                continue
+            for rest in choices(slots[1:], budget - f.arity):
+                yield (f,) + rest
+
+    return [(g, fs) for g in maps if g.arity for fs in choices(g.inputs, m.max_arity)]

@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcat.cli import main
+from skewcat.cli import _dumps, main
 from skewcat.fincat import category_to_json
 from skewcat.skewmon import skewmon_from_json, skewmon_to_json
 from skewcat.tmulticat import from_tight_subsets, loose_part, multicat_to_json
@@ -330,7 +331,14 @@ def _edited(data, edit):
      "unit must be a string id, got ['x']"),
     (_edited(skewmon_to_json(z2_monoidal()), lambda d: d.update({"lambda": [["x", 0]]})),
      "lambda entry must be a string id, got 0"),
-], ids=["objects-string", "integer-ids", "compose-integer", "unit-list", "lambda-integer"])
+    (_edited(multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2)),
+             lambda d: d.update(objects="x")),
+     "objects must be a JSON array"),
+    (_edited(multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2)),
+             lambda d: d.update(objects=["x", 0])),
+     "object must be a string id, got 0"),
+], ids=["objects-string", "integer-ids", "compose-integer", "unit-list", "lambda-integer",
+        "multicat-objects-string", "multicat-object-integer"])
 def test_ids_must_be_strings(tmp_path, capsys, data, message):
     code, out, _ = run(capsys, "check", write(tmp_path, "in.json", data))
     assert code == 2
@@ -356,6 +364,18 @@ def test_repeated_row_is_exit_2(tmp_path, capsys, table, value):
     code, out, _ = run(capsys, "check", write(tmp_path, "in.json", data))
     assert code == 2
     assert out["error"].startswith(f"duplicate {table.replace('.', ' ')} row for ")
+
+
+@pytest.mark.parametrize("table, row", [
+    ("tensor.objects", ["y", "x", "x"]), ("tensor.morphisms", ["zz", "e1", "e1"]),
+    ("lambda", ["y", "e1"]), ("rho", ["y", "e1"]),
+], ids=["tensor.objects", "tensor.morphisms", "lambda", "rho"])
+def test_extra_monoidal_row_is_exit_2(tmp_path, capsys, table, row):
+    data = skewmon_to_json(z2_monoidal())
+    (data["tensor"][table[7:]] if table.startswith("tensor.") else data[table]).append(row)
+    code, out, _ = run(capsys, "check", write(tmp_path, "in.json", data))
+    assert code == 2
+    assert out["error"].startswith(f"extra {table.replace('.', ' ')} row for ")
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -420,12 +440,72 @@ def test_arbitrary_json_never_escapes_as_an_exception(tmp_path_factory, doc, com
     assert main([command[0], str(path), *command[1:]]) in (0, 1, 2)
 
 
+# Strings include quotes, backslashes, control characters and non-ASCII text.
+TEXT = st.text("ab\"\\\n\t\x00\x7fé☃𝄞", max_size=4) | st.text(max_size=4)
+JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=12)
+
+
+@given(value=JSON_LIKE)
+@settings(max_examples=300, deadline=None)
+def test_dumps_matches_the_stdlib_encoder(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(tmp_path, capsys, enabled):
+    good = write(tmp_path, "good.json", skewmon_to_json(z2_monoidal()))
+    lawless = write(tmp_path, "lawless.json", skewmon_to_json(z2_monoidal(alpha=1)))
+    unreadable = write(tmp_path, "unreadable.json", {"objects": 1})
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for path, code in ((good, 0), (lawless, 1), (unreadable, 2)):
+            assert main(["check", path]) == code
+            assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["check", good, "--no-such-flag"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_a_command_leaves_little_cyclic_garbage(tmp_path, capsys):
+    # the collector is paused for each command because what a command
+    # allocates is acyclic: a few hundred cyclic objects remain, whatever
+    # the input size
+    src = write(tmp_path, "z2.json", skewmon_to_json(z2_monoidal()))
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["convert", src, "--to", "multicat", "--max-arity", "3"]) == 0
+        assert gc.collect() < 1000
+    finally:
+        if was:
+            gc.enable()
+    capsys.readouterr()
+
+
 # sha256 of "<exit code>\n<stdout>" for each command of _golden_digests.  They
 # pin the output bytes: a refactor leaves them as they are, and an intended
-# change of output updates them and says so in CHANGES.md.
+# change of output updates them and says so in CHANGES.md.  The "emit" entries
+# are the sha256 of each file that the search writes.
 GOLDEN = {
     "search 2-chain":
         "873dbcff3fc3708ca399dcd60c64a8d5ac1d3af7fc4dc974afd7a63cfdbc7a42",
+    "emit structure_000.json":
+        "2e664631e29a30d4a1c2dfec5ef05af6c7e8c9a318da972b50431e8b4739d8e7",
+    "emit structure_001.json":
+        "ee4532c96a395e4e5c7ef35b47b99bd4235caa4c7ef75c94b44f5ed2d2943da7",
+    "emit structure_002.json":
+        "a1a793ba2e920d67a613297c2688b205a58fac7dfee16e142e20a690801339f5",
+    "emit structure_003.json":
+        "f2f77ded6086ee10b63c3f6c4f1c313f4cc31ae7215bd0a5bfb57e48cfe0145a",
     "check structure_000.json":
         "00098728eb5a97ebe07b59e6e4fadc635414d342bb6cebd25991e83d83ebaa83",
     "analyze structure_000.json":
@@ -511,6 +591,7 @@ def _golden_digests(tmp_path, capsys) -> dict[str, str]:
     found = json.loads(go("search 2-chain", "search", "--objects", base, "--emit", str(emit)))
     for name in found["files"]:
         path = str(emit / name)
+        digests[f"emit {name}"] = hashlib.sha256((emit / name).read_bytes()).hexdigest()
         go(f"check {name}", "check", path)
         go(f"analyze {name}", "analyze", path, "--max-arity", "3")
         go(f"roundtrip {name}", "roundtrip", path, "--max-arity", "3")

@@ -8,8 +8,8 @@ from skewcat.tmulticat import (
     terminal_multicat, underlying_category,
 )
 from skewcat.correspondence import monoidal_to_multicat
-from conftest import chain_category, two_chain_fst, z2_monoidal
-from naive_oracles import naive_check_multicat_over_n, naive_check_tmulticat
+from conftest import chain_category, two_chain_fst, two_chain_snd, z2_monoidal
+from naive_oracles import naive_check_multicat_over_n, naive_check_tmulticat, naive_subst_keys
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +228,18 @@ def test_iso_search_finds_self_iso(fst3, z2m):
 def test_iso_search_rejects_different_shapes(fst3):
     other = terminal_multicat(make_R_operad(), 3, ("0", "1"))
     assert iso_search(fst3, other) is None
+
+
+@pytest.mark.parametrize("arity", [3, 4])
+@pytest.mark.parametrize("structure", [z2_monoidal, two_chain_fst, two_chain_snd])
+def test_subst_keys_in_the_order_of_the_naive_enumeration(structure, arity):
+    m = monoidal_to_multicat(structure(), arity)
+    assert list(m.subst_keys()) == naive_subst_keys(m)
+
+
+def test_subst_keys_of_a_loose_part_in_the_naive_order(fst3):
+    lp = loose_part(fst3)
+    assert list(lp.subst_keys()) == naive_subst_keys(lp)
 
 
 def test_json_round_trip(z2m):
