@@ -17,7 +17,7 @@ from .tmulticat import (
     MulticatMorphism, check_morphism, iso_search,
 )
 from .representability import (
-    UniversalMultimap, ClassifierTable, ClosedStructure,
+    UniversalMultimap, ClassifierTable, ClosedStructure, NotLeftRepresentable,
     find_universal, is_weakly_representable, is_left_representable,
     build_inductive_classifiers, check_left_representability_equivalences,
     find_closed_structure, check_closed_representability_equivalences, analyze,
@@ -33,7 +33,7 @@ from .skewmon import (
     monoidal_iso_search,
 )
 from .correspondence import (
-    NotLeftRepresentable, monoidal_to_multicat, multicat_to_monoidal,
+    monoidal_to_multicat, multicat_to_monoidal,
     roundtrip_monoidal, roundtrip_multicat, check_loose_classifier_adjunction,
     classify,
 )

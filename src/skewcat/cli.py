@@ -16,11 +16,10 @@ import sys
 from collections import Counter
 
 from .correspondence import (
-    NotLeftRepresentable, monoidal_to_multicat, multicat_to_monoidal,
-    roundtrip_monoidal, roundtrip_multicat,
+    monoidal_to_multicat, multicat_to_monoidal, roundtrip_monoidal, roundtrip_multicat,
 )
 from .fincat import _CAT_KEYS, StructureError, category_from_json, check_category, report_to_json
-from .representability import analyze
+from .representability import NotLeftRepresentable, analyze
 from .search import enumerate_skew_structures
 from .skewmon import _SM_KEYS, check_skew_monoidal, skewmon_from_json, skewmon_to_json
 from .tmulticat import (
@@ -157,12 +156,12 @@ def cmd_convert(path: str, to: str, max_arity: int) -> int:
     if value.operad.name != "R":
         raise StructureError("convert --to monoidal requires tight/loose typing")
     try:
-        conv = multicat_to_monoidal(value)
+        monoidal = multicat_to_monoidal(value)
     except NotLeftRepresentable as exc:
         _emit({"error": "not left representable", "missing": str(exc.missing)},
               f"cannot convert: {exc}")
         return 1
-    _emit(skewmon_to_json(conv.monoidal), "converted to a skew monoidal category")
+    _emit(skewmon_to_json(monoidal), "converted to a skew monoidal category")
     return 0
 
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .catoperad import LOOSE, TIGHT, CatOperad, dual_operad
+from .catoperad import TIGHT, CatOperad, dual_operad
 from .fincat import FinCategory, StructureError, Violation, preimage
 from .representability import (
-    ClassifierTable, build_inductive_classifiers, find_classifiers, is_weakly_representable,
+    ClassifierTable, NotLeftRepresentable, WeakRepResult, build_inductive_classifiers,
+    find_classifiers,
 )
 from .tmulticat import (
     MultiMap, SkewMulticategory, TMulticategory, make_multicat, signatures, underlying_with_maps,
@@ -306,27 +307,20 @@ def has_strict_left_bracketing(alg: NormalColaxAlgebra) -> bool:
 
 # -- translation with multicategories -----------------------------------------
 
-def left_bracketed_classifier_table(s: SkewMulticategory) -> ClassifierTable:
+def left_bracketed_classifier_table(s: SkewMulticategory, weak: WeakRepResult
+                                    ) -> ClassifierTable:
     """Classifier choice that makes the translated algebra satisfy the strict
-    left-bracketing property: search only the nullary and binary classifiers,
-    then generate the rest inductively."""
-    nullary, binary, missing = find_classifiers(s)
-    if missing == (LOOSE, ()):
-        raise StructureError("no nullary classifier")
+    left-bracketing property: the nullary and tight binary classifiers of a
+    weak search of s, extended inductively to the rest."""
+    nullary, binary, missing = find_classifiers(s, weak)
     if missing is not None:
-        raise StructureError(f"no tight binary classifier at {missing[1]!r}")
+        raise NotLeftRepresentable(missing)
     return build_inductive_classifiers(s, nullary, binary)
 
 
-def multicat_to_colax(m: TMulticategory, table: ClassifierTable | None = None
-                      ) -> NormalColaxAlgebra:
+def multicat_to_colax(m: TMulticategory, table: ClassifierTable) -> NormalColaxAlgebra:
     """Translate a weakly representable multicategory along a classifier
-    choice; defaults to the canonical searched classifiers."""
-    if table is None:
-        weak = is_weakly_representable(m)
-        if not weak.ok:
-            raise StructureError(f"not weakly representable at {weak.failure!r}")
-        table = weak.table
+    choice."""
     cat, to_mm = underlying_with_maps(m)
     dual = dual_operad(m.operad)
 
@@ -335,8 +329,7 @@ def multicat_to_colax(m: TMulticategory, table: ClassifierTable | None = None
         substitution against theta is the given multimap."""
         g = preimage(cat.hom(classifier, b), lambda g: m.substitute(to_mm[g], (theta,)), target)
         if g is None:
-            raise StructureError(
-                f"no preimage under the representation bijection at {(theta.key, b)!r}")
+            raise NotLeftRepresentable((theta.key, b))
         return g
 
     def entry(x, inputs) -> tuple[str, MultiMap]:

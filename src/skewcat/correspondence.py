@@ -6,9 +6,10 @@ From the monoidal side, a colax algebra is built first: the functors are
 left-bracketed tensor words (with a leading unit for the loose typing) and the
 substitution comparisons are synthesized from right unit insertions followed
 by reassociations, processing blocks right to left.  The multicategory is then
-read off from that algebra.  From the multicategory side, the tensor and unit
-are classifier objects and the three structure maps are extracted through
-explicitly materialized representation bijections.
+read off from that algebra.  From the multicategory side, one weak search
+gives the nullary and tight binary classifiers; the algebra along their
+left-bracketed extension is read back as a skew monoidal category, its
+structure maps being the comparisons that the first direction synthesizes.
 """
 
 from __future__ import annotations
@@ -17,10 +18,14 @@ import itertools
 from dataclasses import dataclass
 
 from .catoperad import LAM, LOOSE, TIGHT, make_L_operad
-from .colaxalg import InnerSpec, NormalColaxAlgebra, colax_to_multicat
+from .colaxalg import (
+    InnerSpec, NormalColaxAlgebra, colax_to_multicat, left_bracketed_classifier_table,
+    multicat_to_colax,
+)
 from .fincat import StructureError, Violation, is_bijection_onto, is_epimorphism, preimage
 from .representability import (
-    find_classifiers, find_closed_structure, find_universal, is_left_representable,
+    ClassifierTable, NotLeftRepresentable, _left_representable, find_closed_structure,
+    is_weakly_representable,
 )
 from .skewmon import (
     SkewMonoidalCategory, is_closed_skew_monoidal, is_left_normal,
@@ -28,12 +33,6 @@ from .skewmon import (
     monoidal_iso_search, unit_absorption,
 )
 from .tmulticat import SkewMulticategory, iso_search, underlying_with_maps
-
-
-class NotLeftRepresentable(StructureError):
-    def __init__(self, missing):
-        self.missing = missing
-        super().__init__(f"not left representable; missing classifier at {missing!r}")
 
 
 # -- monoidal -> colax algebra -> skew multicategory ---------------------------
@@ -125,6 +124,22 @@ def monoidal_to_colax(c: SkewMonoidalCategory, max_arity: int = 4) -> NormalCola
                               m_obj_rule, m_mor_rule, op_mor_rule, gamma_rule)
 
 
+def colax_to_monoidal(alg: NormalColaxAlgebra) -> SkewMonoidalCategory:
+    """The inverse of monoidal_to_colax: the tensor is the tight binary
+    functor, the unit the loose nullary one, lambda the component at LAM, and
+    rho and alpha the comparisons that gamma_word builds from them alone."""
+    objs = alg.base.objects
+    mors = [f for f, _, _ in alg.base.morphisms]
+    tensor_obj = {(a, b): alg.m_obj(TIGHT, (a, b)) for a in objs for b in objs}
+    tensor_mor = {(f, g): alg.m_mor(TIGHT, (f, g)) for f in mors for g in mors}
+    alpha = {(a, b, d): alg.gamma(TIGHT, ((TIGHT, 1), (TIGHT, 2)), ((a,), (b, d)))
+             for a in objs for b in objs for d in objs}
+    lam = {a: alg.op_mor(LAM, (a,)) for a in objs}
+    rho = {a: alg.gamma(TIGHT, ((TIGHT, 1), (LOOSE, 0)), ((a,), ())) for a in objs}
+    return make_skew_monoidal(alg.base, tensor_obj, tensor_mor, alg.m_obj(LOOSE, ()),
+                              alpha, lam, rho)
+
+
 def monoidal_to_multicat(c: SkewMonoidalCategory, max_arity: int = 4) -> SkewMulticategory:
     """Tight multimaps out of left-bracketed tensors, loose ones out of the
     same words with a leading unit; the comparison precomposes the whiskered
@@ -132,90 +147,25 @@ def monoidal_to_multicat(c: SkewMonoidalCategory, max_arity: int = 4) -> SkewMul
     return colax_to_multicat(monoidal_to_colax(c, max_arity))
 
 
-# -- skew multicategory -> monoidal --------------------------------------------
+# -- skew multicategory -> colax algebra -> monoidal ------------------------------
 
-@dataclass
-class MonoidalConversion:
-    monoidal: SkewMonoidalCategory
-    witness: dict
-
-
-def multicat_to_monoidal(s: SkewMulticategory) -> MonoidalConversion:
-    """Read the monoidal structure off the classifiers: the tensor represents
-    tight binary maps, the unit represents loose nullary maps, and each of the
-    three structure maps is pulled back through one or two representation
-    bijections, which are materialized into the returned witness."""
+def _monoidal_classifiers(s: SkewMulticategory) -> ClassifierTable:
+    """The left-bracketed classifier table of a left representable s, read
+    off one weak search."""
     if s.max_arity < 3:
         raise StructureError("need ternary homs to extract the associator")
-    nullary, binary, missing = find_classifiers(s)
-    if missing is not None:
-        raise NotLeftRepresentable(missing)
-    if not is_left_representable(s):
+    weak = is_weakly_representable(s)
+    table = left_bracketed_classifier_table(s, weak)
+    if not _left_representable(s, weak):
         raise NotLeftRepresentable("single-input extension fails")
+    return table
 
-    cat, to_mm = underlying_with_maps(s)
-    from_mm = {mm: mor for mor, mm in to_mm.items()}
-    unit = nullary.classifier
-    theta0 = nullary.theta
 
-    def m(a, b):
-        return binary[(a, b)].classifier
-
-    def th(a, b):
-        return binary[(a, b)].theta
-
-    tensor_obj = {(a, b): m(a, b) for a in s.objects for b in s.objects}
-    tensor_mor = {}
-    for f, a1, a2 in cat.morphisms:
-        for g, b1, b2 in cat.morphisms:
-            moved = s.substitute(th(a2, b2), (to_mm[f], to_mm[g]))
-            theta = th(a1, b1)
-            fg = preimage(cat.hom(m(a1, b1), m(a2, b2)),
-                          lambda h: s.substitute(to_mm[h], (theta,)), moved)
-            if fg is None:
-                raise NotLeftRepresentable((theta.key, m(a2, b2)))
-            tensor_mor[(f, g)] = fg
-
-    witness: dict = {"unit": unit, "nullary_theta": theta0.mid,
-                     "binary": {f"{a},{b}": {"object": m(a, b), "theta": th(a, b).mid}
-                                for a in s.objects for b in s.objects},
-                     "alpha_bijections": {}}
-
-    rho = {}
-    for a in s.objects:
-        rho[a] = from_mm[s.subst_after(th(a, unit), 2, theta0)]
-
-    lam = {}
-    for a in s.objects:
-        lam[a] = preimage(
-            cat.hom(m(unit, a), a),
-            lambda h: s.subst_after(s.substitute(to_mm[h], (th(unit, a),)), 1, theta0),
-            s.j(s.identity(a)))
-        if lam[a] is None:
-            raise NotLeftRepresentable(("left-unit", a))
-
-    alpha = {}
-    for a in s.objects:
-        for b in s.objects:
-            for d in s.objects:
-                xi = s.subst_after(th(a, m(b, d)), 2, th(b, d))
-                first, second = {}, {}
-                alpha[(a, b, d)] = None
-                for h in cat.hom(m(m(a, b), d), m(a, m(b, d))):
-                    k = s.substitute(to_mm[h], (th(m(a, b), d),))
-                    first[h] = k.mid
-                    full = s.subst_after(k, 1, th(a, b))
-                    second[h] = full.mid
-                    if full == xi and alpha[(a, b, d)] is None:
-                        alpha[(a, b, d)] = h
-                witness["alpha_bijections"][f"{a},{b},{d}"] = {
-                    "after_outer": first, "after_inner": second, "target": xi.mid}
-                if alpha[(a, b, d)] is None:
-                    raise NotLeftRepresentable(("associator", (a, b, d)))
-
-    monoidal = make_skew_monoidal(cat, tensor_obj, tensor_mor, unit,
-                                  alpha, lam, rho)
-    return MonoidalConversion(monoidal, witness)
+def multicat_to_monoidal(s: SkewMulticategory) -> SkewMonoidalCategory:
+    """The tensor represents tight binary maps and the unit loose nullary
+    ones: the colax algebra along the left-bracketed classifiers, read back
+    as a skew monoidal category."""
+    return colax_to_monoidal(multicat_to_colax(s, _monoidal_classifiers(s)))
 
 
 # -- round trips ----------------------------------------------------------------
@@ -234,7 +184,7 @@ class RoundtripVerdict:
 
 def roundtrip_monoidal(c: SkewMonoidalCategory, max_arity: int = 4) -> RoundtripVerdict:
     try:
-        back = multicat_to_monoidal(monoidal_to_multicat(c, max_arity)).monoidal
+        back = multicat_to_monoidal(monoidal_to_multicat(c, max_arity))
     except NotLeftRepresentable:
         return RoundtripVerdict(False, False, None)
     pair = monoidal_iso_search(c, back)
@@ -250,7 +200,7 @@ def roundtrip_monoidal(c: SkewMonoidalCategory, max_arity: int = 4) -> Roundtrip
 
 def roundtrip_multicat(s: SkewMulticategory) -> RoundtripVerdict:
     try:
-        c = multicat_to_monoidal(s).monoidal
+        c = multicat_to_monoidal(s)
     except NotLeftRepresentable:
         return RoundtripVerdict(False, False, None)
     again = monoidal_to_multicat(c, s.max_arity)
@@ -270,18 +220,16 @@ def roundtrip_multicat(s: SkewMulticategory) -> RoundtripVerdict:
 def check_loose_classifier_adjunction(s: SkewMulticategory) -> list[Violation]:
     """The tensor-with-unit functor is left adjoint to viewing tight unary
     maps as loose ones: substitution against the unit of the adjunction is a
-    bijection natural in the output, and the counit is the constructed left
-    unit map."""
+    bijection natural in the output, and the counit is the left unit map,
+    which substitutes the binary classifier first and the nullary one after."""
     out: list[Violation] = []
-    conv = multicat_to_monoidal(s)
-    c = conv.monoidal
+    table = _monoidal_classifiers(s)
     cat, to_mm = underlying_with_maps(s)
-    nullary = find_universal(s, LOOSE, ())
-    theta0 = nullary.theta
+    nullary = table.get(LOOSE, ())
     for a in s.objects:
-        ub = find_universal(s, TIGHT, (nullary.classifier, a))
-        eta = s.subst_after(ub.theta, 1, theta0)
-        ia = ub.classifier
+        # the unit of the adjunction: the loose classifier of a, i (x) a
+        loose = table.get(LOOSE, (a,))
+        eta, ia = loose.theta, loose.classifier
         for b in s.objects:
             images = [s.substitute(to_mm[cat_mor], (eta,)).mid
                       for cat_mor in cat.hom(ia, b)]
@@ -289,11 +237,14 @@ def check_loose_classifier_adjunction(s: SkewMulticategory) -> list[Violation]:
                 out.append(Violation.of("adjunction-bijection", a=a, b=b))
         counit = preimage(cat.hom(ia, a), lambda h: s.substitute(to_mm[h], (eta,)),
                           s.j(s.identity(a)))
+        theta = table.get(TIGHT, (nullary.classifier, a)).theta
+        lam = preimage(cat.hom(ia, a), lambda h: s.subst_after(
+                           s.substitute(to_mm[h], (theta,)), 1, nullary.theta),
+                       s.j(s.identity(a)))
         if counit is None:
             out.append(Violation.of("adjunction-counit-missing", a=a))
-        elif counit != c.lambda_[a]:
-            out.append(Violation.of("adjunction-counit", a=a, counit=counit,
-                                    lam=c.lambda_[a]))
+        elif counit != lam:
+            out.append(Violation.of("adjunction-counit", a=a, counit=counit, lam=lam))
         # naturality of the bijection in the output object
         for h in cat.hom(ia, a):
             hm = to_mm[h]
@@ -364,5 +315,5 @@ def classify(value, max_arity: int = 4) -> ClassificationRecord:
         s = monoidal_to_multicat(c, max_arity)
     else:
         s = value
-        c = multicat_to_monoidal(s).monoidal
+        c = multicat_to_monoidal(s)
     return ClassificationRecord(_monoidal_flags(c, s.max_arity), _multicat_flags(s))

@@ -81,24 +81,37 @@ def find_universal(s: SkewMulticategory, x: str, inputs: tuple[str, ...]
     return None
 
 
+class NotLeftRepresentable(StructureError):
+    def __init__(self, missing):
+        self.missing = missing
+        super().__init__(f"not left representable; missing classifier at {missing!r}")
+
+
 @dataclass(frozen=True)
 class WeakRepResult:
-    ok: bool
-    table: ClassifierTable | None
+    table: ClassifierTable
     failure: tuple[str, tuple[str, ...]] | None
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
 
 def is_weakly_representable(s: SkewMulticategory) -> WeakRepResult:
+    """Search every signature once.  The table keeps every classifier found;
+    the failure is the first signature in search order that has none."""
     entries = {}
+    failure = None
     for n in range(s.max_arity + 1):
         comp = s.operad.component(n)
         for x in comp.objects:
             for inputs in itertools.product(sorted(s.objects), repeat=n):
                 u = find_universal(s, x, inputs)
-                if u is None:
-                    return WeakRepResult(False, None, (x, inputs))
-                entries[(x, inputs)] = u
-    return WeakRepResult(True, ClassifierTable(entries), None)
+                if u is not None:
+                    entries[(x, inputs)] = u
+                elif failure is None:
+                    failure = (x, inputs)
+    return WeakRepResult(ClassifierTable(entries), failure)
 
 
 def build_inductive_classifiers(s: SkewMulticategory,
@@ -133,18 +146,18 @@ def build_inductive_classifiers(s: SkewMulticategory,
     return ClassifierTable(entries)
 
 
-def find_classifiers(s: SkewMulticategory):
+def find_classifiers(s: SkewMulticategory, weak: WeakRepResult):
     """(nullary, binary, None): the nullary classifier, then the tight binary
-    ones keyed by input pair.  The search stops at the first signature with
-    no classifier and returns it third, with binary None (and nullary None
-    when the nullary one is missing)."""
-    nullary = find_universal(s, LOOSE, ())
+    ones keyed by input pair, looked up in a weak search of s.  The first
+    signature in that order with no classifier comes back third, with binary
+    None (and nullary None when the nullary one is missing)."""
+    nullary = weak.table.get(LOOSE, ())
     if nullary is None:
         return None, None, (LOOSE, ())
     binary = {}
     for a in s.objects:
         for b in s.objects:
-            u = find_universal(s, TIGHT, (a, b))
+            u = weak.table.get(TIGHT, (a, b))
             if u is None:
                 return nullary, None, (TIGHT, (a, b))
             binary[(a, b)] = u
@@ -186,7 +199,7 @@ def check_left_representability_equivalences(s: SkewMulticategory) -> Equivalenc
     cond = {}
     cond["all_universals_left_universal"] = weak.ok and all(
         _left_universal(s, u) for u in weak.table.entries.values())
-    nullary, binary, missing = find_classifiers(s)
+    nullary, binary, missing = find_classifiers(s, weak)
     if missing is None:
         table = build_inductive_classifiers(s, nullary, binary)
         cond["inductive_classifiers_universal"] = all(
@@ -306,7 +319,7 @@ def check_closed_representability_equivalences(s: SkewMulticategory) -> Equivale
         "left_representable": _left_representable(s, weak),
         "weakly_representable": weak.ok,
     }
-    nullary, _, missing = find_classifiers(s)
+    nullary, _, missing = find_classifiers(s, weak)
     cond["nullary_and_binary_classifiers"] = missing is None
     cond["nullary_classifier_and_left_adjoints"] = (
         nullary is not None and _left_adjoint_ok(s, closed))
@@ -326,7 +339,6 @@ def analyze(s: SkewMulticategory) -> dict:
         raise StructureError(f"analyze needs max_arity at least 2, got {s.max_arity}")
     weak = is_weakly_representable(s)
     closed = find_closed_structure(s)
-    nullary = find_universal(s, LOOSE, ())
     witnesses: dict = {}
     if weak.ok:
         witnesses["classifiers"] = {
@@ -342,7 +354,7 @@ def analyze(s: SkewMulticategory) -> dict:
         "weakly_representable": weak.ok,
         "left_representable": _left_representable(s, weak),
         "closed": closed is not None,
-        "closed_with_unit": closed is not None and nullary is not None,
+        "closed_with_unit": closed is not None and weak.table.get(LOOSE, ()) is not None,
         "witnesses": witnesses,
         "checked_up_to_arity": s.max_arity,
     }

@@ -20,7 +20,7 @@ from skewcat.fincat import FinCategory, check_category, is_epimorphism
 from skewcat.representability import (
     check_closed_representability_equivalences,
     check_left_representability_equivalences, find_closed_structure,
-    is_left_representable,
+    is_left_representable, is_weakly_representable,
 )
 from skewcat.search import enumerate_skew_structures
 from skewcat.skewmon import check_skew_monoidal, monoidal_iso_search
@@ -104,7 +104,7 @@ def test_criterion_3_round_trip(corpus):
         assert len(corpus) == 36
         for c, s in corpus:
             assert is_left_representable(s)
-            back = multicat_to_monoidal(s).monoidal
+            back = multicat_to_monoidal(s)
             assert monoidal_iso_search(c, back) is not None
 
 
@@ -138,7 +138,7 @@ def test_criterion_5_closed_equivalences(corpus):
 def test_criterion_6_colax_translation(corpus):
     with criterion(6, "colax algebra translation"):
         for _, s in corpus:
-            table = left_bracketed_classifier_table(s)
+            table = left_bracketed_classifier_table(s, is_weakly_representable(s))
             alg = multicat_to_colax(s, table)
             assert has_strict_left_bracketing(alg) == is_left_representable(s)
             back = colax_to_multicat(alg)

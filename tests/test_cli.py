@@ -86,6 +86,24 @@ def test_check_swapped_multicat_names_associativity(tmp_path, capsys):
         [("subst-associativity", "fold")]
 
 
+def test_unlawful_multicat_with_no_preimage_is_not_left_representable(tmp_path, capsys):
+    # the identity of x with the loose e0 substituted into it gives e1, so
+    # the left-bracketed loose classifier of x represents no morphism onto
+    # e0 (convert --to monoidal and roundtrip do not check laws first)
+    data = multicat_to_json(monoidal_to_multicat(z2_monoidal(), 3))
+    row = next(r for r in data["subst"]
+               if (r["outer"]["x"], r["outer"]["id"], len(r["outer"]["inputs"])) == ("t", "e0", 1)
+               and [(f["x"], f["id"], len(f["inputs"])) for f in r["inners"]] == [("l", "e0", 1)])
+    row["result"] = "e1"
+    path = write(tmp_path, "unlawful.json", data)
+    code, out, _ = run(capsys, "convert", path, "--to", "monoidal")
+    assert code == 1
+    assert out == {"error": "not left representable", "missing": "(('l', ('x',), 'x'), 'x')"}
+    code, out, _ = run(capsys, "roundtrip", path)
+    assert code == 1
+    assert out == {"isomorphic": False, "left_representable": False, "witness": None}
+
+
 def test_translations_reject_pentagon_mutant(tmp_path, capsys):
     path = write(tmp_path, "bad.json", skewmon_to_json(z2_monoidal(alpha=1)))
     for argv in (["convert", path, "--to", "multicat"], ["roundtrip", path]):
@@ -378,6 +396,15 @@ def test_extra_monoidal_row_is_exit_2(tmp_path, capsys, table, row):
     assert out["error"].startswith(f"extra {table.replace('.', ' ')} row for ")
 
 
+@pytest.mark.parametrize("table", ["objects", "morphisms"])
+def test_missing_tensor_row_is_exit_2(tmp_path, capsys, table):
+    data = skewmon_to_json(z2_monoidal())
+    data["tensor"][table].pop()
+    code, out, _ = run(capsys, "check", write(tmp_path, "in.json", data))
+    assert code == 2
+    assert out["error"].startswith("tensor table misses ")
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["category"].update(identities={}), "object 'x' has no identity"),
     (lambda d: d.update({"lambda": [["x", "zz"]]}),
@@ -570,6 +597,24 @@ GOLDEN = {
         "17f9c8e3c76dcba62dd1b3a9ee88b57c13bbf985642ce938a8ec814b3d7e4ca2",
     "analyze fst@2":
         "e00713251620d13275d7ec7e1ca7360f9d8343ae6ed33d0dcbe4b995c12da15f",
+    "convert structure_000.json --to multicat @3":
+        "035978be008d0f58bbbbbd776c0a1fc37fb4223889147afcb225505212ec90bf",
+    "convert structure_000.json@3 --to monoidal":
+        "02d20ce0b717d50b804f8c808949050f79f9508ac81b33aeef0c6af94c5358ea",
+    "convert structure_001.json --to multicat @3":
+        "ba151b8352464584b1890ce715d41eb053d1cb9808f785f63ec0a642188d85fd",
+    "convert structure_001.json@3 --to monoidal":
+        "0389f2adb10da4ea98832bd090091d81e5767f8ef93fd3ea26622408c7723b1e",
+    "convert structure_002.json --to multicat @3":
+        "d90f700048abdc0467823542acbd63616b4b91119b032af32bd5cf11daaf4ba6",
+    "convert structure_002.json@3 --to monoidal":
+        "b464b499b05edcc062dc55d5650e1e0ac4489fb1ac3c402d50322d413e7e72e3",
+    "convert structure_003.json --to multicat @3":
+        "76cc78aa703c9a92cc7d0a7b7c707699960f7414e2f6ed0989c6f1f6ce1b918a",
+    "convert structure_003.json@3 --to monoidal":
+        "4338f35a3ca741d654bd1c4a494ee61c8d078e17063d68b6d9e272c82cbeb85d",
+    "convert fst@3 only-identities-tight --to monoidal":
+        "ba3ef3ae7b4bf14f224630f95061bd8106ead22342b6ca282e5eaf0037d307d4",
 }
 
 
@@ -597,6 +642,9 @@ def _golden_digests(tmp_path, capsys) -> dict[str, str]:
         go(f"roundtrip {name}", "roundtrip", path, "--max-arity", "3")
         go(f"analyze {name} @4", "analyze", path)
         go(f"roundtrip {name} @4", "roundtrip", path)
+        mc = save(f"{name}@3", go(f"convert {name} --to multicat @3", "convert", path,
+                                   "--to", "multicat", "--max-arity", "3"))
+        go(f"convert {name}@3 --to monoidal", "convert", mc, "--to", "monoidal")
     for label, structure in (("z2", z2_monoidal()), ("fst", two_chain_fst())):
         src = write(tmp_path, f"{label}.json", skewmon_to_json(structure))
         mc3 = save(f"{label}3.json", go(f"convert {label} --to multicat @3", "convert", src,
@@ -607,6 +655,10 @@ def _golden_digests(tmp_path, capsys) -> dict[str, str]:
         go(f"roundtrip {label}@3", "roundtrip", mc3)
         go(f"check {label}@2", "check", mc2)
         go(f"analyze {label}@2", "analyze", mc2)
+    only_id = write(tmp_path, "fst3_only_id.json", multicat_to_json(
+        only_identities_tight(monoidal_to_multicat(two_chain_fst(), 3))))
+    go("convert fst@3 only-identities-tight --to monoidal", "convert", only_id,
+       "--to", "monoidal")
     return digests
 
 

@@ -26,6 +26,11 @@ def z2m():
     return monoidal_to_multicat(z2_monoidal(), 3)
 
 
+def left_bracketed_algebra(s):
+    """The algebra along the left-bracketed classifiers of s."""
+    return multicat_to_colax(s, left_bracketed_classifier_table(s, is_weakly_representable(s)))
+
+
 def codiscrete_skew(max_arity=3):
     objs = ("a", "b")
     morphisms = tuple((f"h{p}{q}", p, q) for p in objs for q in objs)
@@ -42,25 +47,25 @@ def codiscrete_skew(max_arity=3):
 
 
 def test_derived_algebra_passes(fst3):
-    alg = multicat_to_colax(fst3, left_bracketed_classifier_table(fst3))
+    alg = left_bracketed_algebra(fst3)
     assert check_colax_algebra(alg) == []
     assert has_strict_left_bracketing(alg)
 
 
 def test_trivial_algebra_passes():
     term = terminal_multicat(make_R_operad(), 3)
-    alg = multicat_to_colax(term)
+    alg = multicat_to_colax(term, is_weakly_representable(term).table)
     assert check_colax_algebra(alg) == []
     assert has_strict_left_bracketing(alg)
 
 
 def test_z2_algebra_passes(z2m):
-    alg = multicat_to_colax(z2m, left_bracketed_classifier_table(z2m))
+    alg = left_bracketed_algebra(z2m)
     assert check_colax_algebra(alg) == []
 
 
 def test_unit_functor_is_the_identity(fst3):
-    alg = multicat_to_colax(fst3)
+    alg = multicat_to_colax(fst3, is_weakly_representable(fst3).table)
     for a in alg.base.objects:
         assert alg.m_obj(alg.operad.unit, (a,)) == a
     for f, _, _ in alg.base.morphisms:
@@ -68,7 +73,7 @@ def test_unit_functor_is_the_identity(fst3):
 
 
 def test_gamma_mutant_reports_naturality(z2m):
-    alg = multicat_to_colax(z2m, left_bracketed_classifier_table(z2m))
+    alg = left_bracketed_algebra(z2m)
     target = (TIGHT, ((TIGHT, 2), (TIGHT, 1)), (("x", "x"), ("x",)))
 
     def gamma_rule(x, inner, blocks):
@@ -99,14 +104,14 @@ def test_transported_classifiers_break_strict_bracketing():
     twisted = multicat_to_colax(sc, table)
     assert check_colax_algebra(twisted) == []
     assert not has_strict_left_bracketing(twisted)
-    normalized = multicat_to_colax(sc, left_bracketed_classifier_table(sc))
+    normalized = left_bracketed_algebra(sc)
     assert check_colax_algebra(normalized) == []
     assert has_strict_left_bracketing(normalized)
 
 
 def test_multicat_round_trip(fst3, z2m):
     for s in (fst3, z2m):
-        alg = multicat_to_colax(s, left_bracketed_classifier_table(s))
+        alg = left_bracketed_algebra(s)
         back = colax_to_multicat(alg)
         assert check_tmulticat(back) == []
         assert iso_search(s, back) is not None
@@ -114,12 +119,12 @@ def test_multicat_round_trip(fst3, z2m):
 
 def test_trivial_round_trip():
     term = terminal_multicat(make_R_operad(), 3)
-    back = colax_to_multicat(multicat_to_colax(term))
+    back = colax_to_multicat(multicat_to_colax(term, is_weakly_representable(term).table))
     assert iso_search(term, back) is not None
 
 
 def test_round_trip_is_weakly_representable_with_identity_universal(fst3):
-    alg = multicat_to_colax(fst3, left_bracketed_classifier_table(fst3))
+    alg = left_bracketed_algebra(fst3)
     back = colax_to_multicat(alg)
     weak = is_weakly_representable(back)
     assert weak.ok
@@ -130,7 +135,7 @@ def test_round_trip_is_weakly_representable_with_identity_universal(fst3):
 def test_strict_bracketing_forces_left_representability(fst3, z2m):
     # translated back along a strictly bracketing algebra
     for s in (fst3, z2m):
-        alg = multicat_to_colax(s, left_bracketed_classifier_table(s))
+        alg = left_bracketed_algebra(s)
         assert has_strict_left_bracketing(alg)
         assert is_left_representable(colax_to_multicat(alg))
 
@@ -141,4 +146,4 @@ def test_not_weakly_representable_raises(fst3):
     only_id = from_tight_subsets(
         lp, {((a,), a): frozenset([lp.identities[a]]) for a in lp.objects})
     with pytest.raises(StructureError):
-        multicat_to_colax(only_id)
+        left_bracketed_algebra(only_id)

@@ -1,23 +1,29 @@
 import itertools
+import sys
+from collections import Counter
 
 import pytest
 
+from skewcat import representability
 from skewcat.catoperad import LOOSE, TIGHT, make_R_operad
 from skewcat.correspondence import (
     NotLeftRepresentable, check_loose_classifier_adjunction, classify,
-    gamma_word, monoidal_to_colax, monoidal_to_multicat, multicat_to_monoidal,
-    roundtrip_monoidal, roundtrip_multicat,
+    colax_to_monoidal, gamma_word, monoidal_to_colax, monoidal_to_multicat,
+    multicat_to_monoidal, roundtrip_monoidal, roundtrip_multicat,
 )
-from skewcat.representability import is_left_representable
+from skewcat.representability import analyze, is_left_representable
 from skewcat.search import enumerate_skew_structures
 from skewcat.skewmon import (
-    check_skew_monoidal, is_left_normal, monoidal_iso_search, unit_absorption,
+    check_skew_monoidal, is_left_normal, monoidal_iso_search, skewmon_to_json,
+    unit_absorption,
 )
 from skewcat.tmulticat import (
-    all_tight, check_tmulticat, from_tight_subsets, iso_search, loose_part,
+    all_tight, check_tmulticat, from_tight_subsets, iso_search, loose_part, make_multicat,
     terminal_multicat,
 )
-from conftest import chain_category, two_chain_fst, two_chain_snd, z2_monoidal
+from conftest import (
+    chain_category, two_chain_fst, two_chain_snd, z2_category, z2_monoidal,
+)
 from test_skewmon import chain_monoidal
 
 
@@ -85,21 +91,19 @@ def test_trivial_gives_terminal():
 
 
 def test_monoidal_extraction_recovers_projection(fst3):
-    conv = multicat_to_monoidal(fst3)
-    c = conv.monoidal
+    c = multicat_to_monoidal(fst3)
     assert check_skew_monoidal(c) == []
     assert c.unit == "0"
     for a in ("0", "1"):
         for b in ("0", "1"):
             assert c.t_obj(a, b) == a
     assert monoidal_iso_search(two_chain_fst(), c) is not None
-    assert "alpha_bijections" in conv.witness
 
 
 def test_all_tight_gives_left_normal(fst3):
     s = all_tight(loose_part(fst3))
     assert is_left_representable(s)
-    c = multicat_to_monoidal(s).monoidal
+    c = multicat_to_monoidal(s)
     assert check_skew_monoidal(c) == []
     assert is_left_normal(c)
 
@@ -132,6 +136,24 @@ def test_loose_classifier_adjunction(fst3):
     assert check_loose_classifier_adjunction(fst3) == []
     assert check_loose_classifier_adjunction(terminal_multicat(make_R_operad(), 3)) == []
     assert check_loose_classifier_adjunction(all_tight(loose_part(fst3))) == []
+
+
+@pytest.mark.parametrize("args", [(0, 0, 0), (0, 1, 1)])
+def test_adjunction_counit_mutant_is_reported(args):
+    # swapping the two results of h o eta, for h in T(x; x) and eta the loose
+    # classifier of x, moves the counit; the left unit map, which substitutes
+    # the binary classifier and then the nullary one, does not move with it
+    s = monoidal_to_multicat(z2_monoidal(*args), 3).materialize()
+    eta = s.mm(LOOSE, ("x",), "x", "e0")
+    assert check_loose_classifier_adjunction(s) == []
+    inner = ((LOOSE, ("x",), eta.mid),)
+    k0, k1 = (((TIGHT, ("x",), "x"), h, inner) for h in ("e0", "e1"))
+    subst = {**s.subst_table, k0: s.subst_table[k1], k1: s.subst_table[k0]}
+    mutant = make_multicat(s.operad, s.objects, s.max_arity, s.homs, s.identities,
+                           action_table=s.action_table, subst_table=subst)
+    counit = [v for v in check_loose_classifier_adjunction(mutant)
+              if v.law.startswith("adjunction-counit")]
+    assert [(v.law, dict(v.details)["a"]) for v in counit] == [("adjunction-counit", "x")]
 
 
 def test_classify_reference_flags():
@@ -175,3 +197,41 @@ def test_monoidal_to_colax_coassociativity_surface():
     from skewcat.colaxalg import check_colax_algebra
     for c in (two_chain_snd(), z2_monoidal(0, 1, 1)):
         assert check_colax_algebra(monoidal_to_colax(c, 3)) == []
+
+
+def test_the_correspondence_inverts_at_the_colax_layer():
+    # the 36 search structures and the four reference ones come back exactly,
+    # through the colax algebra alone and through the multicategory
+    structures = [c for base in (chain_category(1), chain_category(2), chain_category(3),
+                                 z2_category())
+                  for c in enumerate_skew_structures(base)]
+    assert len(structures) == 36
+    structures += [two_chain_fst(), two_chain_snd(), z2_monoidal(), z2_monoidal(0, 1, 1)]
+    for c in structures:
+        doc = skewmon_to_json(c)
+        assert skewmon_to_json(colax_to_monoidal(monoidal_to_colax(c, 3))) == doc
+        assert skewmon_to_json(multicat_to_monoidal(monoidal_to_multicat(c, 3))) == doc
+
+
+@pytest.fixture(scope="module")
+def fst4():
+    return monoidal_to_multicat(two_chain_fst(), 4)
+
+
+@pytest.mark.parametrize("run", [multicat_to_monoidal, roundtrip_multicat, analyze],
+                         ids=["multicat_to_monoidal", "roundtrip_multicat", "analyze"])
+def test_no_classifier_is_searched_twice(monkeypatch, fst4, run):
+    searched: Counter = Counter()
+    original = representability.find_universal
+
+    def counted(s, x, inputs):
+        searched[(x, tuple(inputs))] += 1
+        return original(s, x, inputs)
+
+    # the library imports functions by name, so patch every namespace
+    for name, module in list(sys.modules.items()):
+        if name.startswith("skewcat") and getattr(module, "find_universal", None) is original:
+            monkeypatch.setattr(module, "find_universal", counted)
+    run(fst4)
+    assert searched
+    assert [key for key, n in searched.items() if n > 1] == []

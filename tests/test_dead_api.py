@@ -22,11 +22,6 @@ ALLOWED = {
     "colaxalg.has_strict_left_bracketing":
         "acceptance criterion 6: the translated algebra is strictly left "
         "bracketed exactly when the multicategory is left representable",
-    "colaxalg.left_bracketed_classifier_table":
-        "acceptance criterion 6: the classifier choice that criterion translates along",
-    "colaxalg.multicat_to_colax":
-        "acceptance criterion 6: weakly representable multicategories as normal "
-        "colax algebras, the direction the correspondence does not route through",
     "correspondence.check_loose_classifier_adjunction":
         "acceptance criterion 7: tensoring with the unit is left adjoint to "
         "viewing tight unary maps as loose, with the left unit map as counit",
