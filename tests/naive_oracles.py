@@ -5,6 +5,9 @@ with plain loops, kept free of any logic shared with the library's checkers so
 the two sides can disagree if either is wrong.
 """
 
+import itertools
+
+
 def naive_check_category(cat) -> bool:
     mors = {m: (s, t) for m, s, t in cat.morphisms}
     for obj in cat.objects:
@@ -278,3 +281,154 @@ def naive_subst_keys(m) -> list:
                 yield (f,) + rest
 
     return [(g, fs) for g in maps if g.arity for fs in choices(g.inputs, m.max_arity)]
+
+
+def naive_check_colax_algebra(alg) -> bool:
+    """Endpoints of the transformations and comparisons, the functor laws of
+    each m_x, naturality of every structural transformation, the counit laws
+    and coassociativity of the substitution comparisons of a normal colax
+    algebra, each quantified jointly over all its variables within the bound,
+    by nested loops over the algebra's values."""
+    base, op, bound = alg.base, alg.operad, alg.max_arity
+    objs = base.objects
+    mors = [m for m, _, _ in base.morphisms]
+    seq = base.comp_seq
+
+    def blocks_of(items, ks):
+        return itertools.product(*[list(itertools.product(items, repeat=k)) for k in ks])
+
+    def inner_specs(n, budget):
+        if n == 0:
+            yield ()
+            return
+        for k in range(budget + 1):
+            for x in op.component(k).objects:
+                for rest in inner_specs(n - 1, budget - k):
+                    yield ((x, k),) + rest
+
+    shapes = [(x, inner) for n in range(bound + 1) for x in op.component(n).objects
+              for inner in inner_specs(n, bound)]
+
+    def composite(x, inner):
+        return op.subst_obj(x, tuple(xi for xi, _ in inner), tuple(k for _, k in inner))
+
+    def component(step, tup, comp):
+        if comp.is_identity(step):
+            return base.id_of(alg.m_obj(comp.src(step), tup))
+        return alg.op_mor(step, tup)
+
+    # functor laws for each m_x
+    for n in range(bound + 1):
+        for x in op.component(n).objects:
+            for tup in itertools.product(objs, repeat=n):
+                if alg.m_mor(x, tuple(base.id_of(a) for a in tup)) != \
+                   base.id_of(alg.m_obj(x, tup)):
+                    return False
+            for pairs in itertools.product(list(base.compose), repeat=n):
+                gs = tuple(p[0] for p in pairs)
+                fs = tuple(p[1] for p in pairs)
+                if alg.m_mor(x, tuple(base.comp(g, f) for g, f in pairs)) != \
+                   seq(alg.m_mor(x, fs), alg.m_mor(x, gs)):
+                    return False
+
+    # component-morphism transformations: endpoints and naturality
+    for n in range(bound + 1):
+        comp = op.component(n)
+        for phi, sx, tx in comp.morphisms:
+            if comp.is_identity(phi):
+                continue
+            for tup in itertools.product(objs, repeat=n):
+                c = alg.op_mor(phi, tup)
+                if base.src(c) != alg.m_obj(sx, tup) or base.tgt(c) != alg.m_obj(tx, tup):
+                    return False
+            for ms in itertools.product(mors, repeat=n):
+                srcs = tuple(base.src(f) for f in ms)
+                tgts = tuple(base.tgt(f) for f in ms)
+                if seq(alg.m_mor(sx, ms), alg.op_mor(phi, tgts)) != \
+                   seq(alg.op_mor(phi, srcs), alg.m_mor(tx, ms)):
+                    return False
+
+    # Gamma: endpoints, naturality in objects, naturality in the operad slots
+    for x, inner in shapes:
+        ks = tuple(k for _, k in inner)
+        cx = composite(x, inner)
+        comp_n = op.component(len(inner))
+        comp_total = op.component(sum(ks))
+        for blocks in blocks_of(objs, ks):
+            g = alg.gamma(x, inner, blocks)
+            flat = tuple(a for blk in blocks for a in blk)
+            tgt = alg.m_obj(x, tuple(alg.m_obj(xi, blk) for (xi, _), blk in zip(inner, blocks)))
+            if base.src(g) != alg.m_obj(cx, flat) or base.tgt(g) != tgt:
+                return False
+        for mor_blocks in blocks_of(mors, ks):
+            src_blocks = tuple(tuple(base.src(f) for f in blk) for blk in mor_blocks)
+            tgt_blocks = tuple(tuple(base.tgt(f) for f in blk) for blk in mor_blocks)
+            flat = tuple(f for blk in mor_blocks for f in blk)
+            per_block = tuple(alg.m_mor(xi, blk) for (xi, _), blk in zip(inner, mor_blocks))
+            if seq(alg.m_mor(cx, flat), alg.gamma(x, inner, tgt_blocks)) != \
+               seq(alg.gamma(x, inner, src_blocks), alg.m_mor(x, per_block)):
+                return False
+        # one operad-morphism step at a time: outer slot, then each inner slot
+        ids = tuple(op.component(k).id_of(xi) for xi, k in inner)
+        for blocks in blocks_of(objs, ks):
+            flat = tuple(a for blk in blocks for a in blk)
+            for phi, sx, tx in comp_n.morphisms:
+                if comp_n.is_identity(phi) or sx != x:
+                    continue
+                step = op.subst_mor(phi, ids, ks)
+                mids = tuple(alg.m_obj(xi, blk) for (xi, _), blk in zip(inner, blocks))
+                if seq(component(step, flat, comp_total), alg.gamma(tx, inner, blocks)) != \
+                   seq(alg.gamma(x, inner, blocks), alg.op_mor(phi, mids)):
+                    return False
+            for i, (xi, k) in enumerate(inner):
+                comp_k = op.component(k)
+                for phi, sx, tx in comp_k.morphisms:
+                    if comp_k.is_identity(phi) or sx != xi:
+                        continue
+                    new_inner = inner[:i] + ((tx, k),) + inner[i + 1:]
+                    step = op.subst_mor(comp_n.id_of(x), ids[:i] + (phi,) + ids[i + 1:], ks)
+                    whisker = tuple(alg.op_mor(phi, blocks[i]) if j == i
+                                    else base.id_of(alg.m_obj(inner[j][0], blocks[j]))
+                                    for j in range(len(inner)))
+                    if seq(component(step, flat, comp_total), alg.gamma(x, new_inner, blocks)) \
+                       != seq(alg.gamma(x, inner, blocks), alg.m_mor(x, whisker)):
+                        return False
+
+    # counit laws
+    e = op.unit
+    for n in range(bound + 1):
+        for x in op.component(n).objects:
+            for tup in itertools.product(objs, repeat=n):
+                one = base.id_of(alg.m_obj(x, tup))
+                if alg.gamma(x, ((e, 1),) * n, tuple((a,) for a in tup)) != one:
+                    return False
+                if alg.gamma(e, ((x, n),), (tup,)) != one:
+                    return False
+
+    # coassociativity: substituting twice agrees with comparing in one step
+    for x, inner in shapes:
+        if not inner:
+            continue
+        cx = composite(x, inner)
+        for deeps in itertools.product(*[list(inner_specs(k, bound)) for _, k in inner]):
+            if sum(kk for deep in deeps for _, kk in deep) > bound:
+                continue
+            flat_deep = tuple(pair for deep in deeps for pair in deep)
+            collapsed = tuple((composite(xi, deep), sum(kk for _, kk in deep))
+                              for (xi, _), deep in zip(inner, deeps))
+            for flat_blocks in blocks_of(objs, [kk for _, kk in flat_deep]):
+                grouped, idx = [], 0
+                for deep in deeps:
+                    grouped.append(flat_blocks[idx:idx + len(deep)])
+                    idx += len(deep)
+                values = tuple(tuple(alg.m_obj(yj, blk) for (yj, _), blk in zip(deep, blks))
+                               for deep, blks in zip(deeps, grouped))
+                inner_first = seq(alg.gamma(cx, flat_deep, flat_blocks),
+                                  alg.gamma(x, inner, values))
+                leaves = tuple(tuple(a for blk in blks for a in blk) for blks in grouped)
+                deep_gammas = tuple(alg.gamma(xi, deep, blks)
+                                    for (xi, _), deep, blks in zip(inner, deeps, grouped))
+                outer_first = seq(alg.gamma(x, collapsed, leaves), alg.m_mor(x, deep_gammas))
+                if inner_first is None or inner_first != outer_first:
+                    return False
+    return True

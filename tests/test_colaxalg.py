@@ -1,11 +1,11 @@
 import pytest
 
-from skewcat.catoperad import TIGHT, make_R_operad
+from skewcat.catoperad import LAM, TIGHT, make_R_operad
 from skewcat.colaxalg import (
     NormalColaxAlgebra, check_colax_algebra, colax_to_multicat,
     has_strict_left_bracketing, left_bracketed_classifier_table, multicat_to_colax,
 )
-from skewcat.correspondence import monoidal_to_multicat
+from skewcat.correspondence import monoidal_to_colax, monoidal_to_multicat
 from skewcat.fincat import FinCategory, StructureError
 from skewcat.representability import (
     UniversalMultimap, _tails_bijective,
@@ -13,7 +13,8 @@ from skewcat.representability import (
 )
 from skewcat.skewmon import make_skew_monoidal
 from skewcat.tmulticat import check_tmulticat, iso_search, terminal_multicat
-from conftest import two_chain_fst, z2_monoidal
+from conftest import two_chain_fst, two_chain_snd, z2_monoidal
+from naive_oracles import naive_check_colax_algebra
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,19 @@ def z2m():
 def left_bracketed_algebra(s):
     """The algebra along the left-bracketed classifiers of s."""
     return multicat_to_colax(s, left_bracketed_classifier_table(s, is_weakly_representable(s)))
+
+
+def with_rules(alg, **rules):
+    """alg with some of its m_mor, op_mor and gamma rules replaced."""
+    r = {"m_mor": alg.m_mor, "op_mor": alg.op_mor, "gamma": alg.gamma, **rules}
+    return NormalColaxAlgebra(alg.base, alg.operad, alg.max_arity, alg.m_obj,
+                              r["m_mor"], r["op_mor"], r["gamma"])
+
+
+def with_value(alg, kind, key, value):
+    """alg with the one m_mor, op_mor or gamma value at key replaced."""
+    rule = getattr(alg, kind)
+    return with_rules(alg, **{kind: lambda *args: value if args == key else rule(*args)})
 
 
 def codiscrete_skew(max_arity=3):
@@ -87,7 +101,68 @@ def test_gamma_mutant_reports_naturality(z2m):
     rep = check_colax_algebra(mutant)
     kinds = {v.law for v in rep}
     assert rep
-    assert "gamma-op-naturality" in kinds or "coassociativity" in kinds
+    assert "subst-associativity" in kinds or "subst-naturality" in kinds
+
+
+def test_op_mor_with_wrong_target_is_an_endpoint_violation():
+    alg = monoidal_to_colax(two_chain_fst(), 2)
+    mutant = with_value(alg, "op_mor", (LAM, ("0",)), "m11")
+    assert {v.law for v in check_colax_algebra(mutant)} == {"op-mor-endpoints"}
+    with pytest.raises(StructureError):
+        check_tmulticat(colax_to_multicat(mutant))
+
+
+def test_functor_identity_is_checked_at_every_arity():
+    # An automorphism P of m_t(x, x) put after each binary Gamma (as P^-1)
+    # and before each binary m_t (as P) leaves every substitution of the
+    # multicategory unchanged; only m_t(1, 1) = P shows the fault.
+    alg = monoidal_to_colax(z2_monoidal(), 2)
+    seq = alg.base.comp_seq
+
+    def m_mor(x, mors):
+        v = alg.m_mor(x, mors)
+        return seq("e1", v) if (x, len(mors)) == (TIGHT, 2) else v
+
+    def gamma(x, inner, blocks):
+        v = alg.gamma(x, inner, blocks)
+        return seq(v, "e1") if (x, len(inner)) == (TIGHT, 2) else v
+
+    mutant = with_rules(alg, m_mor=m_mor, gamma=gamma)
+    assert check_tmulticat(colax_to_multicat(mutant)) == []
+    assert not naive_check_colax_algebra(mutant)
+    assert [v.law for v in check_colax_algebra(mutant)] == ["functor-identity"]
+
+
+def oracle_reads(alg):
+    """(kind, key) of each m_mor, op_mor and gamma value the oracle reads."""
+    reads = []
+
+    def recording(kind):
+        def rule(*args):
+            reads.append((kind, args))
+            return getattr(alg, kind)(*args)
+        return rule
+
+    probe = with_rules(alg, **{k: recording(k) for k in ("m_mor", "op_mor", "gamma")})
+    assert naive_check_colax_algebra(probe)
+    return reads
+
+
+@pytest.mark.parametrize("c", [z2_monoidal(), z2_monoidal(0, 1, 1), two_chain_snd()],
+                         ids=["z2", "z2_011", "snd"])
+def test_checker_agrees_with_nested_oracle_on_one_entry_mutants(c):
+    alg = monoidal_to_colax(c, 2)
+    reads = oracle_reads(alg)
+    # the arity-0 values the multicategory never reads are among the mutants
+    for x in alg.operad.component(0).objects:
+        assert ("m_mor", (x, ())) in reads and ("gamma", (x, (), ())) in reads
+    for kind, key in reads:
+        for value, _, _ in alg.base.morphisms:
+            if value == getattr(alg, kind)(*key):
+                continue
+            mutant = with_value(alg, kind, key, value)
+            assert (check_colax_algebra(mutant) == []) == naive_check_colax_algebra(mutant), \
+                (kind, key, value)
 
 
 def test_transported_classifiers_break_strict_bracketing():

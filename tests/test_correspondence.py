@@ -196,7 +196,8 @@ def test_monoidal_to_colax_coassociativity_surface():
     # the synthesized comparison family satisfies the substitution axioms
     from skewcat.colaxalg import check_colax_algebra
     for c in (two_chain_snd(), z2_monoidal(0, 1, 1)):
-        assert check_colax_algebra(monoidal_to_colax(c, 3)) == []
+        for max_arity in (3, 4):
+            assert check_colax_algebra(monoidal_to_colax(c, max_arity)) == []
 
 
 def test_the_correspondence_inverts_at_the_colax_layer():
