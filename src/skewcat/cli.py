@@ -30,29 +30,42 @@ from .tmulticat import (
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _dumps(obj, depth: int = 0) -> str:
+def _dumps(obj) -> str:
     """The bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` for JSON
-    data with string keys, nested ``depth`` levels deep.
+    data with string keys.
 
     With ``indent`` the stdlib falls back to its pure-Python encoder, which
     builds one list of every small chunk of the document; this joins each
     container as soon as its members are done, and leaves strings to the C
-    encoder and other scalars to ``json.dumps``."""
+    encoder and other scalars to ``json.dumps``.  The text of a dict is
+    rendered once per depth and reused wherever the same dict object appears
+    again at that depth, as the multimap references that ``multicat_to_json``
+    shares between ``subst`` rows do; the whole document stays alive for the
+    call, so no two of its dicts share an ``id``."""
+    return _dump(obj, 0, {})
+
+
+def _dump(obj, depth: int, memo: dict[tuple[int, int], str]) -> str:
     if isinstance(obj, str):
         return _encode_str(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         pad = "\n" + "  " * (depth + 1)
-        body = ("," + pad).join([_dumps(v, depth + 1) for v in obj])
+        body = ("," + pad).join([_dump(v, depth + 1, memo) for v in obj])
         return "[" + pad + body + "\n" + "  " * depth + "]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        pad = "\n" + "  " * (depth + 1)
-        body = ("," + pad).join([_encode_str(k) + ": " + _dumps(v, depth + 1)
-                                 for k, v in sorted(obj.items())])
-        return "{" + pad + body + "\n" + "  " * depth + "}"
+        key = (id(obj), depth)
+        text = memo.get(key)
+        if text is None:
+            if not obj:
+                return "{}"
+            pad = "\n" + "  " * (depth + 1)
+            body = ("," + pad).join([_encode_str(k) + ": " + _dump(v, depth + 1, memo)
+                                     for k, v in sorted(obj.items())])
+            text = "{" + pad + body + "\n" + "  " * depth + "}"
+            memo[key] = text
+        return text
     return json.dumps(obj)
 
 

@@ -129,9 +129,10 @@ def check_colax_algebra(alg: NormalColaxAlgebra) -> list[Violation]:
 
     The endpoints checked are those of every value of m_mor, ``op_mor`` and
     Gamma: all the values the multicategory reads, so every composite it
-    forms exists.  Its multimaps of type x out of ``inputs`` into b are the
-    maps m_x(inputs) -> b, it acts by precomposing ``op_mor``, and it
-    substitutes by g(f1..fn) = Gamma ; m_x(f1..fn) ; g.  By Yoneda each colax
+    forms exists; a value that is no morphism of the base category fails
+    it.  Its multimaps of type x out of ``inputs`` into b are the maps
+    m_x(inputs) -> b, it acts by precomposing ``op_mor``, and it substitutes
+    by g(f1..fn) = Gamma ; m_x(f1..fn) ; g.  By Yoneda each colax
     law is a multicategory law with an identity as the outer map, given
     m_x(1..1) = 1 and U = 1 for U the Gamma at unary unit inners:
     ``identity-left`` at the identity of m_x(tup) is the outer counit law;
@@ -158,22 +159,19 @@ def check_colax_algebra(alg: NormalColaxAlgebra) -> list[Violation]:
         comp = alg.operad.component(n)
         for x in comp.objects:
             for ms in itertools.product(mors, repeat=n):
-                f = alg.m_mor(x, ms)
-                if base.src(f) != alg.m_obj(x, tuple(base.src(g) for g in ms)) or \
-                   base.tgt(f) != alg.m_obj(x, tuple(base.tgt(g) for g in ms)):
+                srcs = tuple(base.src(g) for g in ms)
+                tgts = tuple(base.tgt(g) for g in ms)
+                if alg.m_mor(x, ms) not in base.hom(alg.m_obj(x, srcs), alg.m_obj(x, tgts)):
                     out.append(Violation.of("functor-endpoints", x=x, fs=str(ms)))
         for phi, sx, tx in comp.morphisms:
             if comp.is_identity(phi):
                 continue
             for tup in itertools.product(objs, repeat=n):
-                c = alg.op_mor(phi, tup)
-                if base.src(c) != alg.m_obj(sx, tup) or base.tgt(c) != alg.m_obj(tx, tup):
+                if alg.op_mor(phi, tup) not in base.hom(alg.m_obj(sx, tup), alg.m_obj(tx, tup)):
                     out.append(Violation.of("op-mor-endpoints", phi=phi, objs=str(tup)))
     for x, inner in _shapes(alg):
         for blocks in _blocks(objs, tuple(k for _, k in inner)):
-            g = alg.gamma(x, inner, blocks)
-            src, tgt = alg.gamma_endpoints(x, inner, blocks)
-            if base.src(g) != src or base.tgt(g) != tgt:
+            if alg.gamma(x, inner, blocks) not in base.hom(*alg.gamma_endpoints(x, inner, blocks)):
                 out.append(Violation.of("gamma-endpoints", x=x, inner=str(inner),
                                         blocks=str(blocks)))
     if out:

@@ -781,6 +781,12 @@ _MC_KEYS = {"operad", "max_arity", "objects", "homs", "identities", "action", "s
 
 
 def multicat_to_json(m: TMulticategory) -> dict:
+    """The JSON document of ``m``, with every table stored.
+
+    The ``outer`` and inner dicts of the ``subst`` rows are shared: one dict
+    per distinct (x, inputs, output, id) reference, so that ``cli._dumps``
+    renders each once.  A caller that edits an ``outer`` or inner in place
+    must copy it first; replacing a row's ``result`` is safe."""
     mat = m if m.action_table is not None and m.subst_table is not None else m.materialize()
     homs = [{"x": x, "inputs": list(inputs), "output": output, "maps": list(mids)}
             for (x, inputs, output), mids in sorted(mat.homs.items()) if mids]
@@ -789,12 +795,20 @@ def multicat_to_json(m: TMulticategory) -> dict:
         src_ids = list(mat.homs[(x, inputs, output)])
         action.append({"n": len(inputs), "inputs": list(inputs), "output": output,
                        "map_t": src_ids, "map_l": [table[i] for i in src_ids]})
+    refs: dict[tuple[str, tuple[str, ...], str, str], dict] = {}
+
+    def ref(x: str, inputs: tuple[str, ...], output: str, mid: str) -> dict:
+        key = (x, inputs, output, mid)
+        obj = refs.get(key)
+        if obj is None:
+            obj = refs[key] = {"x": x, "inputs": list(inputs), "output": output, "id": mid}
+        return obj
+
     subst = []
     for (gkey, gid, inner), rid in sorted(mat.subst_table.items()):
         subst.append({
-            "outer": {"x": gkey[0], "inputs": list(gkey[1]), "output": gkey[2], "id": gid},
-            "inners": [{"x": fx, "inputs": list(fi), "output": gkey[1][i], "id": fid}
-                       for i, (fx, fi, fid) in enumerate(inner)],
+            "outer": ref(*gkey, gid),
+            "inners": [ref(fx, fi, gkey[1][i], fid) for i, (fx, fi, fid) in enumerate(inner)],
             "result": rid,
         })
     return {
@@ -808,44 +822,89 @@ def multicat_to_json(m: TMulticategory) -> dict:
     }
 
 
+_SUBST_KEYS = {"outer", "inners", "result"}
+
+
+def _str_ids(values, what: str) -> tuple[str, ...]:
+    return tuple(_str_id(v, what) for v in _json_array(values, what))
+
+
 def multicat_from_json(data: dict) -> TMulticategory:
+    """Read a multicategory, requiring string ids and exactly the documented
+    keys in every row.
+
+    Each distinct ``outer``/inner reference is type-checked once and its
+    parsed form shared by every ``subst`` row that names it: a file repeats
+    a few hundred references tens of thousands of times."""
     if not isinstance(data, dict) or set(data) != _MC_KEYS:
         raise StructureError(f"multicategory object must have exactly the keys {sorted(_MC_KEYS)}")
     if data["operad"] not in ("R", "N"):
         raise StructureError("operad must be \"R\" or \"N\"")
     op = operad_by_name(data["operad"])
     max_arity = arity_bound(data["max_arity"], "max_arity")
+    refs: dict[tuple, tuple] = {}
+
+    def ref(o, what: str) -> tuple:
+        """(signature, id, (x, inputs, id), output) of a multimap reference."""
+        try:
+            inputs = o["inputs"]
+            # the class of inputs is part of the key: a string would give the
+            # same tuple as the list of its characters
+            raw = (o["x"], inputs.__class__, tuple(inputs), o["output"], o["id"])
+        except KeyError:
+            raw = None
+        if raw is None or len(o) != 4:
+            raise StructureError(f"subst {what} entries must have keys x/inputs/output/id")
+        parsed = refs.get(raw)
+        if parsed is None:
+            x, _, inputs, output, mid = raw
+            _str_ids(o["inputs"], f"subst {what} inputs")
+            for name in ("x", "output", "id"):
+                _str_id(o[name], f"subst {what} {name}")
+            parsed = refs[raw] = ((x, inputs, output), mid, (x, inputs, mid), output)
+        return parsed
+
     try:
         objects = tuple(_str_id(x, "object") for x in _json_array(data["objects"], "objects"))
         homs: dict[HomKey, tuple[str, ...]] = {}
-        for h in data["homs"]:
-            if set(h) != {"x", "inputs", "output", "maps"}:
+        for h in _json_array(data["homs"], "homs"):
+            if not isinstance(h, dict) or set(h) != {"x", "inputs", "output", "maps"}:
                 raise StructureError("hom entries must have keys x/inputs/output/maps")
-            hkey = (str(h["x"]), tuple(str(a) for a in h["inputs"]), str(h["output"]))
+            hkey = (_str_id(h["x"], "hom x"), _str_ids(h["inputs"], "hom inputs"),
+                    _str_id(h["output"], "hom output"))
             _no_repeat(homs, hkey, "hom")
-            homs[hkey] = tuple(str(i) for i in h["maps"])
-        identities = {str(k): str(v)
+            homs[hkey] = _str_ids(h["maps"], "hom maps")
+        identities = {k: _str_id(v, f"identity of {k!r}")
                       for k, v in _json_object(data["identities"], "identities").items()}
         action: dict[tuple[str, HomKey], dict[str, str]] = {}
-        for e in data["action"]:
-            if set(e) != {"n", "inputs", "output", "map_t", "map_l"}:
+        for e in _json_array(data["action"], "action"):
+            if not isinstance(e, dict) or set(e) != {"n", "inputs", "output", "map_t", "map_l"}:
                 raise StructureError("action entries must have keys n/inputs/output/map_t/map_l")
-            key = (TIGHT, tuple(str(a) for a in e["inputs"]), str(e["output"]))
-            if len(e["map_t"]) != len(e["map_l"]):
+            inputs = _str_ids(e["inputs"], "action inputs")
+            if e["n"].__class__ is not int or e["n"] != len(inputs):
+                raise StructureError(f"action row n={e['n']!r} is not the length "
+                                     f"{len(inputs)} of its inputs")
+            key = (TIGHT, inputs, _str_id(e["output"], "action output"))
+            map_t = _str_ids(e["map_t"], "action map_t")
+            map_l = _str_ids(e["map_l"], "action map_l")
+            if len(map_t) != len(map_l):
                 raise StructureError("action arrays must be parallel")
             _no_repeat(action, (LAM, key), "action")
-            action[(LAM, key)] = {str(a): str(b) for a, b in zip(e["map_t"], e["map_l"])}
+            action[(LAM, key)] = table = dict(zip(map_t, map_l))
+            if len(table) < len(map_t):
+                raise StructureError(f"action row at {key!r} repeats a map_t id")
         subst: dict = {}
-        for e in data["subst"]:
-            if set(e) != {"outer", "inners", "result"}:
+        for e in _json_array(data["subst"], "subst"):
+            if e.__class__ is not dict or e.keys() != _SUBST_KEYS:
                 raise StructureError("subst entries must have keys outer/inners/result")
-            o = e["outer"]
-            gkey = (str(o["x"]), tuple(str(a) for a in o["inputs"]), str(o["output"]))
-            inner = tuple((str(f["x"]), tuple(str(a) for a in f["inputs"]), str(f["id"]))
-                          for f in e["inners"])
-            skey = (gkey, str(o["id"]), inner)
+            gkey, gid, _, _ = ref(e["outer"], "outer")
+            fs = [ref(f, "inner") for f in _json_array(e["inners"], "subst inners")]
+            if tuple([f[3] for f in fs]) != gkey[1]:
+                raise StructureError(f"subst inner outputs {[f[3] for f in fs]} differ "
+                                     f"from the inputs of outer {gkey!r}")
+            skey = (gkey, gid, tuple([f[2] for f in fs]))
             _no_repeat(subst, skey, "subst")
-            subst[skey] = str(e["result"])
+            subst[skey] = _str_id(e["result"], "subst result")
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed multicategory JSON: {exc}") from exc
     if data["operad"] == "N" and data["action"]:

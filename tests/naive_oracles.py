@@ -338,8 +338,7 @@ def naive_check_colax_algebra(alg) -> bool:
             if comp.is_identity(phi):
                 continue
             for tup in itertools.product(objs, repeat=n):
-                c = alg.op_mor(phi, tup)
-                if base.src(c) != alg.m_obj(sx, tup) or base.tgt(c) != alg.m_obj(tx, tup):
+                if alg.op_mor(phi, tup) not in base.hom(alg.m_obj(sx, tup), alg.m_obj(tx, tup)):
                     return False
             for ms in itertools.product(mors, repeat=n):
                 srcs = tuple(base.src(f) for f in ms)
@@ -355,10 +354,9 @@ def naive_check_colax_algebra(alg) -> bool:
         comp_n = op.component(len(inner))
         comp_total = op.component(sum(ks))
         for blocks in blocks_of(objs, ks):
-            g = alg.gamma(x, inner, blocks)
             flat = tuple(a for blk in blocks for a in blk)
             tgt = alg.m_obj(x, tuple(alg.m_obj(xi, blk) for (xi, _), blk in zip(inner, blocks)))
-            if base.src(g) != alg.m_obj(cx, flat) or base.tgt(g) != tgt:
+            if alg.gamma(x, inner, blocks) not in base.hom(alg.m_obj(cx, flat), tgt):
                 return False
         for mor_blocks in blocks_of(mors, ks):
             src_blocks = tuple(tuple(base.src(f) for f in blk) for blk in mor_blocks)

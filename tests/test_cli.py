@@ -355,8 +355,21 @@ def _edited(data, edit):
     (_edited(multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2)),
              lambda d: d.update(objects=["x", 0])),
      "object must be a string id, got 0"),
+    (_edited(multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2)),
+             lambda d: d["homs"][0].update(maps=[0])),
+     "hom maps must be a string id, got 0"),
+    (_edited(multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2)),
+             lambda d: d["identities"].update(x=0)),
+     "identity of 'x' must be a string id, got 0"),
+    (_edited(multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2)),
+             lambda d: d["subst"][-1].update(outer=dict(d["subst"][-1]["outer"], id=1))),
+     "subst outer id must be a string id, got 1"),
+    (_edited(multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2)),
+             lambda d: d["subst"][-1].update(result=1)),
+     "subst result must be a string id, got 1"),
 ], ids=["objects-string", "integer-ids", "compose-integer", "unit-list", "lambda-integer",
-        "multicat-objects-string", "multicat-object-integer"])
+        "multicat-objects-string", "multicat-object-integer", "multicat-hom-integer",
+        "multicat-identity-integer", "multicat-subst-integer", "multicat-result-integer"])
 def test_ids_must_be_strings(tmp_path, capsys, data, message):
     code, out, _ = run(capsys, "check", write(tmp_path, "in.json", data))
     assert code == 2
@@ -420,6 +433,24 @@ def test_monoidal_tables_naming_unknown_ids_are_exit_2(tmp_path, capsys, edit, m
     assert out["error"] == message
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["subst"][0]["inners"][0].update(output="1"),
+     "subst inner outputs ['1'] differ from the inputs of outer ('l', ('0',), '0')"),
+    (lambda d: d["subst"][0]["outer"].update(colour="red"),
+     "subst outer entries must have keys x/inputs/output/id"),
+    (lambda d: d["action"][0].update(n=99), "action row n=99 is not the length 1 of its inputs"),
+    (lambda d: d["action"][0].update(map_t=["m00", "m00"], map_l=["m00", "m00"]),
+     "action row at ('t', ('0',), '0') repeats a map_t id"),
+], ids=["inner-output", "outer-unknown-key", "action-n", "action-repeated-map"])
+def test_malformed_multicat_rows_are_exit_2(tmp_path, capsys, edit, message):
+    # a parsed copy, in which no two rows share a reference dict
+    data = json.loads(json.dumps(multicat_to_json(monoidal_to_multicat(two_chain_fst(), 2))))
+    edit(data)
+    code, out, _ = run(capsys, "check", write(tmp_path, "in.json", data))
+    assert code == 2
+    assert out["error"] == message
+
+
 VALID_DOCUMENTS = [category_to_json(z2_category()), skewmon_to_json(z2_monoidal()),
                    multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2))]
 
@@ -444,7 +475,10 @@ def _positions(value, path=()):
 
 @st.composite
 def one_field_replaced(draw):
-    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCUMENTS)))
+    # A JSON round trip, not deepcopy: multicat_to_json shares one dict per
+    # multimap reference between subst rows, and deepcopy would keep that
+    # sharing, so one edit would change every row that names the reference.
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCUMENTS))))
     path = draw(st.sampled_from(list(_positions(doc))[1:]))
     parent = doc
     for key in path[:-1]:
@@ -476,7 +510,21 @@ JSON_LIKE = st.recursive(
     max_leaves=12)
 
 
-@given(value=JSON_LIKE)
+@st.composite
+def with_shared_containers(draw):
+    """A document in which one dict object and one list object each appear
+    at several depths, and more than once at some depth."""
+    shared_dict = draw(st.dictionaries(TEXT, JSON_LIKE, max_size=3))
+    shared_list = draw(st.lists(JSON_LIKE, max_size=3))
+    doc = draw(JSON_LIKE)
+    for shape in draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)):
+        doc = ([shared_dict, doc, shared_list],
+               {"d": shared_dict, "doc": doc},
+               {"l": [shared_list, shared_dict], "doc": [doc, shared_dict]})[shape]
+    return doc
+
+
+@given(value=JSON_LIKE | with_shared_containers())
 @settings(max_examples=300, deadline=None)
 def test_dumps_matches_the_stdlib_encoder(value):
     assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)

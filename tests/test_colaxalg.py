@@ -112,6 +112,17 @@ def test_op_mor_with_wrong_target_is_an_endpoint_violation():
         check_tmulticat(colax_to_multicat(mutant))
 
 
+@pytest.mark.parametrize("kind, key, law", [
+    ("m_mor", (TIGHT, ("e1", "e1")), "functor-endpoints"),
+    ("op_mor", (LAM, ("x",)), "op-mor-endpoints"),
+    ("gamma", (TIGHT, ((TIGHT, 1), (TIGHT, 1)), (("x",), ("x",))), "gamma-endpoints"),
+])
+def test_a_value_that_is_no_morphism_is_an_endpoint_violation(kind, key, law):
+    mutant = with_value(monoidal_to_colax(z2_monoidal(), 2), kind, key, "zz")
+    assert [v.law for v in check_colax_algebra(mutant)] == [law]
+    assert not naive_check_colax_algebra(mutant)
+
+
 def test_functor_identity_is_checked_at_every_arity():
     # An automorphism P of m_t(x, x) put after each binary Gamma (as P^-1)
     # and before each binary m_t (as P) leaves every substitution of the

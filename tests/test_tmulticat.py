@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from skewcat.catoperad import make_R_operad, make_terminal_operad
@@ -248,6 +250,15 @@ def test_json_round_trip(z2m):
     back = multicat_from_json(data)
     assert check_tmulticat(back) == []
     assert back.tables_equal(small)
+
+
+def test_writer_shares_equal_references():
+    data = multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2))
+    refs = [r for row in data["subst"] for r in (row["outer"], *row["inners"])]
+    first = {}
+    for r in refs:
+        assert first.setdefault(json.dumps(r, sort_keys=True), r) is r
+    assert len(first) < len(refs)
 
 
 def test_json_rejects_unknown_keys(fst3):
