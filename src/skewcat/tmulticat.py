@@ -155,13 +155,17 @@ class TMulticategory:
                    for j, b in enumerate(g.inputs))
         return self.substitute(g, fs)
 
-    def subst_keys(self) -> Iterator[tuple[MultiMap, tuple[MultiMap, ...]]]:
-        """Every substitution instance stored in the truncated fragment."""
+    def _maps_by_output(self) -> dict[str, list[MultiMap]]:
+        """The multimaps into each object, in ``all_maps`` order."""
         by_output: dict[str, list[MultiMap]] = {b: [] for b in self.objects}
         for m in self.all_maps():
             by_output[m.output].append(m)
+        return by_output
+
+    def subst_keys(self) -> Iterator[tuple[MultiMap, tuple[MultiMap, ...]]]:
+        """Every substitution instance stored in the truncated fragment."""
         fitting = {b: [tuple(m for m in ms if m.arity <= k) for k in range(self.max_arity + 1)]
-                   for b, ms in by_output.items()}
+                   for b, ms in self._maps_by_output().items()}
         for key in sorted(self.homs):
             if not key[1]:
                 continue
@@ -171,9 +175,7 @@ class TMulticategory:
 
     def generator_subst_keys(self) -> Iterator[tuple[MultiMap, tuple[MultiMap, ...]]]:
         """Substitutions with at most one non-identity inner multimap."""
-        by_output: dict[str, list[MultiMap]] = {b: [] for b in self.objects}
-        for mp in self.all_maps():
-            by_output[mp.output].append(mp)
+        by_output = self._maps_by_output()
         for key in sorted(self.homs):
             for g in self.maps(key):
                 n = g.arity
@@ -197,9 +199,8 @@ class TMulticategory:
         for g, fs in self.subst_keys():
             key = (g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs))
             subst[key] = self.substitute(g, fs).mid
-        cls = type(self)
-        return cls(self.operad, self.objects, self.max_arity, dict(self.homs),
-                   dict(self.identities), action_table=action, subst_table=subst)
+        return make_multicat(self.operad, self.objects, self.max_arity, self.homs,
+                             dict(self.identities), action_table=action, subst_table=subst)
 
     def tables_equal(self, other: "TMulticategory") -> bool:
         """Bit-exact comparison of the materialized content."""
@@ -254,9 +255,14 @@ def make_multicat(operad, objects, max_arity, homs, identities, **kw) -> TMultic
     cls = SkewMulticategory if operad.name == "R" else TMulticategory
     full_homs = {key: tuple(homs.get(key, ()))
                  for key in signatures(operad, tuple(objects), max_arity)}
-    for key in homs:
+    for key, mids in homs.items():
         if key not in full_homs:
             raise StructureError(f"hom signature {key!r} out of range")
+        if len(set(mids)) != len(mids):
+            raise StructureError(f"duplicate multimap ids in {key!r}")
+    for a in identities:
+        if a not in objects:
+            raise StructureError(f"identity given for {a!r}, which is not an object")
     for a in objects:
         if a not in identities:
             raise StructureError(f"object {a!r} has no identity multimap")
@@ -368,10 +374,8 @@ def _check_associativity(m: TMulticategory, keys) -> list[Violation]:
     out: list[Violation] = []
     bound = m.max_arity
     units = {m.identity(a) for a in m.objects}
-    by_output: dict[str, list[MultiMap]] = {b: [] for b in m.objects}
-    for mp in m.all_maps():
-        if mp not in units:
-            by_output[mp.output].append(mp)
+    by_output = {b: [mp for mp in ms if mp not in units]
+                 for b, ms in m._maps_by_output().items()}
 
     def fail(family: str, g: MultiMap, **details: str) -> None:
         out.append(Violation.of("subst-associativity", family=family, g=g.mid,
@@ -435,30 +439,12 @@ def _slot_choices(slots, budget, fitting):
 
 
 def _validate_structure(m: TMulticategory) -> list:
-    objset = set(m.objects)
-    comp_objs = {}
+    """The checks that need the operad components or the substitution
+    enumeration; ``make_multicat`` has already checked the signatures, the
+    map ids and the identities."""
     for n in range(m.max_arity + 1):
-        comp = m.operad.component(n)
-        if check_category(comp):
+        if check_category(m.operad.component(n)):
             raise StructureError(f"operad component {n} is not a category")
-        comp_objs[n] = set(comp.objects)
-    for key in signatures(m.operad, m.objects, m.max_arity):
-        if key not in m.homs:
-            raise StructureError(f"missing hom table entry for {key!r}")
-    for (x, inputs, output), mids in m.homs.items():
-        n = len(inputs)
-        if n > m.max_arity or x not in comp_objs.get(n, ()):
-            raise StructureError(f"bad hom signature {(x, inputs, output)!r}")
-        if not set(inputs) <= objset or output not in objset:
-            raise StructureError(f"hom signature {(x, inputs, output)!r} names unknown objects")
-        if len(set(mids)) != len(mids):
-            raise StructureError(f"duplicate multimap ids in {(x, inputs, output)!r}")
-    for a in m.objects:
-        if a not in m.identities:
-            raise StructureError(f"object {a!r} has no identity multimap")
-        ukey = (m.operad.unit, (a,), a)
-        if m.identities[a] not in m.homs.get(ukey, ()):
-            raise StructureError(f"identity of {a!r} is not in its unit hom")
     if m.action_table is not None:
         for (fmor, key), table in m.action_table.items():
             n = len(key[1])
@@ -618,6 +604,14 @@ class MulticatMorphism:
 
 
 def check_morphism(f: MulticatMorphism) -> list[Violation]:
+    """The identity, action and ∘ᵢ substitution equations that f breaks.
+
+    Substitution is checked on ``generator_subst_keys`` only.  That is
+    complete when both endpoints are lawful: every stored substitution is
+    then a ∘ᵢ fold within the bound (Markl, arXiv:math/0601129, §1), which f
+    preserves step by step.  On an endpoint that fails ``check_tmulticat`` a
+    substitution may differ from its fold; the tests' full sweep
+    (``tests/naive_oracles.py``) is the reference."""
     src, tgt = f.source, f.target
     if src.operad.name != tgt.operad.name or src.max_arity != tgt.max_arity:
         raise StructureError("morphism endpoints do not share operad and bound")
@@ -636,27 +630,38 @@ def check_morphism(f: MulticatMorphism) -> list[Violation]:
     for a in src.objects:
         if f.on_map(src.identity(a)) != tgt.identity(f.obj_map[a]):
             out.append(Violation.of("morphism-identity", obj=a))
-    for fmor, key in _action_sites(src, src.homs):
-        for mm_ in src.maps(key):
-            if f.on_map(src.act(fmor, mm_)) != tgt.act(fmor, f.on_map(mm_)):
-                out.append(Violation.of("morphism-action", phi=fmor, m=mm_.mid))
-    for g, fs in src.subst_keys():
-        lhs = f.on_map(src.substitute(g, fs))
-        rhs = tgt.substitute(f.on_map(g), tuple(f.on_map(x) for x in fs))
-        if lhs != rhs:
-            out.append(Violation.of("morphism-substitution", g=g.mid,
-                                    fs=str([x.mid for x in fs])))
+    out.extend(_broken_equations(src, tgt, f.on_map, _action_sites(src, src.homs),
+                                 src.generator_subst_keys()))
     return out
+
+
+def _broken_equations(src: TMulticategory, tgt: TMulticategory,
+                      image: Callable[[MultiMap], MultiMap | None],
+                      action_sites, subst_instances) -> Iterator[Violation]:
+    """The action equations at the given (phi, hom key) sites and the
+    substitution equations at the given (outer, inners) instances that the
+    hom-map assignment ``image`` breaks.  An equation that names a multimap
+    whose image is None is skipped."""
+    for fmor, key in action_sites:
+        for mm_ in src.maps(key):
+            lhs, arg = image(src.act(fmor, mm_)), image(mm_)
+            if lhs is not None and arg is not None and lhs != tgt.act(fmor, arg):
+                yield Violation.of("morphism-action", phi=fmor, m=mm_.mid)
+    for g, fs in subst_instances:
+        lhs, gi = image(src.substitute(g, fs)), image(g)
+        fsi = tuple(image(x) for x in fs)
+        if lhs is None or gi is None or any(x is None for x in fsi):
+            continue
+        if lhs != tgt.substitute(gi, fsi):
+            yield Violation.of("morphism-substitution", g=g.mid,
+                               fs=str([x.mid for x in fs]))
 
 
 def _hom_bijections(src_mids, tgt_mids, forced: dict[str, str]):
     """All bijections respecting the forced assignments, in a stable order."""
-    import itertools as it
     src_rest = [x for x in src_mids if x not in forced]
     tgt_rest = [y for y in tgt_mids if y not in set(forced.values())]
-    if len(src_mids) != len(tgt_mids):
-        return
-    for perm in it.permutations(tgt_rest):
+    for perm in itertools.permutations(tgt_rest):
         table = dict(forced)
         table.update(zip(src_rest, perm))
         yield table
@@ -670,7 +675,6 @@ def iso_search(m: TMulticategory, n: TMulticategory
     for inputs satisfying the multicategory laws this forces preservation of
     all substitutions, since every substitution factors through them.
     """
-    import itertools as it
     if m.operad.name != n.operad.name or m.max_arity != n.max_arity:
         return None
     if len(m.objects) != len(n.objects):
@@ -697,13 +701,12 @@ def iso_search(m: TMulticategory, n: TMulticategory
                 involved.append(key_index[okey])
             act_constraints[max(involved)].append((fmor, key))
         for g, fs in m.generator_subst_keys():
-            r = m.substitute(g, fs)
-            involved = {key_index[g.key], key_index[r.key],
+            involved = {key_index[g.key], key_index[m.substitute(g, fs).key],
                         *(key_index[f.key] for f in fs)}
-            sub_constraints[max(involved)].append((g, fs, r))
+            sub_constraints[max(involved)].append((g, fs))
 
     src_objs = sorted(m.objects)
-    for perm in it.permutations(sorted(n.objects)):
+    for perm in itertools.permutations(sorted(n.objects)):
         sigma = dict(zip(src_objs, perm))
         if any(len(m.homs[key]) != len(n.homs.get(
                 (key[0], tuple(sigma[a] for a in key[1]), sigma[key[2]]), ()))
@@ -736,43 +739,24 @@ def _assign_homs(m, n, sigma, keys, idx, assigned, act_constraints, sub_constrai
         forced[m.identities[key[2]]] = n.identities[sigma[key[2]]]
         if forced[m.identities[key[2]]] not in n.homs[tgt_key]:
             return None
-    for table in _hom_bijections(m.homs[key], n.homs[tgt_key], forced):
-        assigned[key] = table
-        if _constraints_hold(m, n, sigma, assigned, act_constraints[idx],
-                             sub_constraints[idx]):
-            res = _assign_homs(m, n, sigma, keys, idx + 1, assigned,
-                               act_constraints, sub_constraints)
-            if res is not None:
-                return res
-        del assigned[key]
-    return None
 
-
-def _constraints_hold(m, n, sigma, assigned, act_list, sub_list):
-    def image(mm_):
+    def image(mm_: MultiMap) -> MultiMap | None:
         table = assigned.get(mm_.key)
         if table is None:
             return None
         return MultiMap(mm_.x, tuple(sigma[a] for a in mm_.inputs),
                         sigma[mm_.output], table[mm_.mid])
 
-    for fmor, key in act_list:
-        for mm_ in m.maps(key):
-            src_img = image(mm_)
-            tgt_img = image(m.act(fmor, mm_))
-            if src_img is None or tgt_img is None:
-                continue
-            if n.act(fmor, src_img) != tgt_img:
-                return False
-    for g, fs, r in sub_list:
-        gi = image(g)
-        fsi = tuple(image(f) for f in fs)
-        ri = image(r)
-        if gi is None or ri is None or any(f is None for f in fsi):
-            continue
-        if n.substitute(gi, fsi) != ri:
-            return False
-    return True
+    for table in _hom_bijections(m.homs[key], n.homs[tgt_key], forced):
+        assigned[key] = table
+        broken = _broken_equations(m, n, image, act_constraints[idx], sub_constraints[idx])
+        if next(broken, None) is None:
+            res = _assign_homs(m, n, sigma, keys, idx + 1, assigned,
+                               act_constraints, sub_constraints)
+            if res is not None:
+                return res
+        del assigned[key]
+    return None
 
 
 # -- JSON ----------------------------------------------------------------------

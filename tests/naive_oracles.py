@@ -430,3 +430,32 @@ def naive_check_colax_algebra(alg) -> bool:
                 if inner_first is None or inner_first != outer_first:
                     return False
     return True
+
+
+def naive_is_morphism(f) -> bool:
+    """Whether the multicategory morphism f preserves identities, every
+    operad action and every stored substitution, by a sweep over each
+    (outer, inners) of ``naive_subst_keys`` of its source."""
+    src, tgt = f.source, f.target
+
+    def image(mm):
+        return tgt.mm(mm.x, tuple(f.obj_map[a] for a in mm.inputs),
+                      f.obj_map[mm.output], f.hom_maps[mm.key][mm.mid])
+
+    for a in src.objects:
+        if image(src.identity(a)) != tgt.identity(f.obj_map[a]):
+            return False
+    for (x, inputs, output), mids in src.homs.items():
+        comp = src.operad.component(len(inputs))
+        for phi, s, _ in comp.morphisms:
+            if s != x:
+                continue
+            for mid in mids:
+                mm = src.mm(x, inputs, output, mid)
+                if image(src.act(phi, mm)) != tgt.act(phi, image(mm)):
+                    return False
+    for g, fs in naive_subst_keys(src):
+        if image(src.substitute(g, fs)) != \
+           tgt.substitute(image(g), tuple(image(h) for h in fs)):
+            return False
+    return True

@@ -331,6 +331,30 @@ def test_identities_not_an_object_is_exit_2(tmp_path, capsys, kind):
     assert out["error"] == "identities must be a JSON object"
 
 
+def _ghost_identity(data):
+    data["identities"]["ghost"] = data["identities"][data["objects"][0]]
+
+
+def _repeated_map_id(data):
+    maps = next(h["maps"] for h in data["homs"] if h["maps"])
+    maps.append(maps[0])
+
+
+@pytest.mark.parametrize("command", [["check"], ["roundtrip"], ["convert", "--to", "monoidal"]],
+                         ids=["check", "roundtrip", "convert"])
+@pytest.mark.parametrize("edit, message", [
+    (_ghost_identity, "identity given for 'ghost', which is not an object"),
+    (_repeated_map_id, "duplicate multimap ids in")], ids=["ghost", "repeated"])
+def test_multicat_load_rejects_ghost_identity_and_repeated_map_id(
+        tmp_path, capsys, command, edit, message):
+    # rejected when the file is read, so also by the commands that run no check
+    data = multicat_to_json(monoidal_to_multicat(z2_monoidal(), 3))
+    edit(data)
+    code, out, _ = run(capsys, command[0], write(tmp_path, "mc.json", data), *command[1:])
+    assert code == 2
+    assert message in out["error"]
+
+
 def _edited(data, edit):
     edit(data)
     return data

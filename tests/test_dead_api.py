@@ -48,7 +48,8 @@ ALLOWED = {
         "oracle role: bit-exact comparison of materialized tables in the JSON "
         "and loose-part round-trip tests",
     "tmulticat.check_morphism":
-        "oracle role: certifies both maps of each pair that iso_search returns",
+        "oracle role: certifies both maps of each pair that iso_search returns, "
+        "on the ∘ᵢ keys, which is complete when both endpoints are lawful",
 }
 
 

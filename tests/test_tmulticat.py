@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -5,13 +6,15 @@ import pytest
 from skewcat.catoperad import make_R_operad, make_terminal_operad
 from skewcat.fincat import StructureError, check_category
 from skewcat.tmulticat import (
-    all_tight, check_morphism, check_tmulticat, from_tight_subsets, iso_search,
+    MulticatMorphism, all_tight, check_morphism, check_tmulticat, from_tight_subsets, iso_search,
     loose_part, make_multicat, multicat_from_json, multicat_to_json, signatures,
     terminal_multicat, underlying_category,
 )
-from skewcat.correspondence import monoidal_to_multicat
+from skewcat.correspondence import monoidal_to_multicat, multicat_to_monoidal
 from conftest import chain_category, two_chain_fst, two_chain_snd, z2_monoidal
-from naive_oracles import naive_check_multicat_over_n, naive_check_tmulticat, naive_subst_keys
+from naive_oracles import (
+    naive_check_multicat_over_n, naive_check_tmulticat, naive_is_morphism, naive_subst_keys,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +56,8 @@ def _subst_sites(mat):
         yield (gkey, gid, inner), rid, mat.homs[mat.substitute(g, fs).key]
 
 
-def _with_tables(mat, action, subst):
-    return make_multicat(mat.operad, mat.objects, mat.max_arity, mat.homs,
+def _with_tables(mat, action, subst, homs=None):
+    return make_multicat(mat.operad, mat.objects, mat.max_arity, homs or mat.homs,
                          mat.identities, action_table=action, subst_table=subst)
 
 
@@ -199,7 +202,6 @@ def test_from_tight_subsets_closure_violation_names_witness(z2m):
 
 def test_tightening_morphism_passes(fst3):
     # growing the tight class along identical loose data is a morphism
-    from skewcat.tmulticat import MulticatMorphism
     lp = loose_part(fst3)
     src = from_tight_subsets(
         lp, {((a,), a): frozenset([lp.identities[a]]) for a in lp.objects})
@@ -218,13 +220,51 @@ def test_self_iso_is_the_identity(fst3):
     assert bwd.obj_map == fwd.obj_map
 
 
+def _roundtrip_pair(structure, arity):
+    """iso_search's pair between the multicategory of structure and the one
+    rebuilt from its skew monoidal category, as ``roundtrip_multicat``
+    finds it."""
+    s = monoidal_to_multicat(structure(), arity)
+    return iso_search(s, monoidal_to_multicat(multicat_to_monoidal(s), arity))
+
+
 def test_iso_search_finds_self_iso(fst3, z2m):
-    for m in (fst3, z2m):
-        pair = iso_search(m, m)
+    pairs = [iso_search(m, m) for m in (fst3, z2m)]
+    # a copy whose homs list their ids in reverse, so the search must prune
+    mat = z2m.materialize()
+    reversed_homs = {key: mids[::-1] for key, mids in mat.homs.items()}
+    pairs.append(iso_search(z2m, _with_tables(mat, mat.action_table, mat.subst_table,
+                                              reversed_homs)))
+    # the round-trip pairs at the CLI's default arity
+    pairs += [_roundtrip_pair(st, 4) for st in (z2_monoidal, two_chain_fst, two_chain_snd)]
+    for pair in pairs:
         assert pair is not None
         fwd, bwd = pair
         assert check_morphism(fwd) == []
         assert check_morphism(bwd) == []
+
+
+@pytest.mark.parametrize("structure, mutants", [
+    (z2_monoidal, 21), (two_chain_fst, 0), (two_chain_snd, 0)])
+def test_check_morphism_agrees_with_the_full_sweep_on_every_mutant(structure, mutants):
+    # check_morphism checks substitution on the ∘ᵢ keys, the oracle on every
+    # stored key; a mutant sends one hom into its target hom differently
+    # (each other bijection, and each change of one entry)
+    fwd, _ = _roundtrip_pair(structure, 3)
+    assert check_morphism(fwd) == [] and naive_is_morphism(fwd)
+    count = 0
+    for key, table in sorted(fwd.hom_maps.items()):
+        ids = sorted(table)
+        for values in itertools.product(sorted(set(table.values())), repeat=len(ids)):
+            new = dict(zip(ids, values))
+            if new == table:
+                continue
+            mutant = MulticatMorphism(fwd.source, fwd.target, fwd.obj_map,
+                                      {**fwd.hom_maps, key: new})
+            assert (check_morphism(mutant) == []) == naive_is_morphism(mutant)
+            count += 1
+    # fst and snd have no hom of two or more maps at arity 3
+    assert count == mutants
 
 
 def test_iso_search_rejects_different_shapes(fst3):
