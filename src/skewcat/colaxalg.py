@@ -15,14 +15,15 @@ identity laws directly and every other law through the multicategory that
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable
 
 from .catoperad import TIGHT, CatOperad, dual_operad
 from .fincat import FinCategory, StructureError, Violation, preimage
 from .representability import (
-    ClassifierTable, NotLeftRepresentable, WeakRepResult, build_inductive_classifiers,
-    find_classifiers,
+    ClassifierTable, NotLeftRepresentable, build_inductive_classifiers, find_classifiers,
+    find_universal,
 )
 from .tmulticat import (
     MultiMap, SkewMulticategory, TMulticategory, check_tmulticat, make_multicat, signatures,
@@ -209,14 +210,15 @@ def has_strict_left_bracketing(alg: NormalColaxAlgebra) -> bool:
 
 # -- translation with multicategories -----------------------------------------
 
-def left_bracketed_classifier_table(s: SkewMulticategory, weak: WeakRepResult
-                                    ) -> ClassifierTable:
+def left_bracketed_classifier_table(s: SkewMulticategory) -> ClassifierTable:
     """Classifier choice that makes the translated algebra satisfy the strict
-    left-bracketing property: the nullary and tight binary classifiers of a
-    weak search of s, extended inductively to the rest."""
-    nullary, binary, missing = find_classifiers(s, weak)
-    if missing is not None:
-        raise NotLeftRepresentable(missing)
+    left-bracketing property: the nullary and tight binary classifiers of s,
+    extended inductively to the rest.  Only those 1 + n² signatures are
+    searched; NotLeftRepresentable names the first one without a
+    classifier, or says that one of them is not left universal."""
+    nullary, binary, failure = find_classifiers(s, functools.partial(find_universal, s))
+    if failure is not None:
+        raise NotLeftRepresentable(failure)
     return build_inductive_classifiers(s, nullary, binary)
 
 

@@ -6,10 +6,11 @@ From the monoidal side, a colax algebra is built first: the functors are
 left-bracketed tensor words (with a leading unit for the loose typing) and the
 substitution comparisons are synthesized from right unit insertions followed
 by reassociations, processing blocks right to left.  The multicategory is then
-read off from that algebra.  From the multicategory side, one weak search
-gives the nullary and tight binary classifiers; the algebra along their
-left-bracketed extension is read back as a skew monoidal category, its
-structure maps being the comparisons that the first direction synthesizes.
+read off from that algebra.  From the multicategory side, a search of the
+nullary and tight binary signatures gives their classifiers, which decide
+left representability; the algebra along their left-bracketed extension is
+read back as a skew monoidal category, its structure maps being the
+comparisons that the first direction synthesizes.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ from .colaxalg import (
     multicat_to_colax,
 )
 from .fincat import StructureError, Violation, is_bijection_onto, is_epimorphism, preimage
-from .representability import (
-    ClassifierTable, NotLeftRepresentable, _left_representable, find_closed_structure,
-    is_weakly_representable,
-)
+from .representability import ClassifierTable, NotLeftRepresentable, find_closed_structure
 from .skewmon import (
     SkewMonoidalCategory, is_closed_skew_monoidal, is_left_normal,
     left_bracketed_tensor, left_bracketed_tensor_mor, make_skew_monoidal,
@@ -150,15 +148,10 @@ def monoidal_to_multicat(c: SkewMonoidalCategory, max_arity: int = 4) -> SkewMul
 # -- skew multicategory -> colax algebra -> monoidal ------------------------------
 
 def _monoidal_classifiers(s: SkewMulticategory) -> ClassifierTable:
-    """The left-bracketed classifier table of a left representable s, read
-    off one weak search."""
+    """The left-bracketed classifier table of a left representable s."""
     if s.max_arity < 3:
         raise StructureError("need ternary homs to extract the associator")
-    weak = is_weakly_representable(s)
-    table = left_bracketed_classifier_table(s, weak)
-    if not _left_representable(s, weak):
-        raise NotLeftRepresentable("single-input extension fails")
-    return table
+    return left_bracketed_classifier_table(s)
 
 
 def multicat_to_monoidal(s: SkewMulticategory) -> SkewMonoidalCategory:

@@ -10,8 +10,10 @@ order with hom elements in stored order, so witnesses are deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .catoperad import LOOSE, TIGHT
 from .fincat import (
@@ -37,6 +39,42 @@ class ClassifierTable:
 
     def get(self, x: str, inputs: tuple[str, ...]) -> UniversalMultimap | None:
         return self.entries.get((x, tuple(inputs)))
+
+
+class _InductiveClassifierTable(ClassifierTable):
+    """The inductive extension of nullary and tight-binary classifiers (see
+    ``build_inductive_classifiers``).  Each entry is built from its
+    predecessor on its first lookup; ``entries``, the whole table, builds
+    every entry first."""
+
+    def __init__(self, s: SkewMulticategory, nullary: UniversalMultimap,
+                 binary: dict[tuple[str, str], UniversalMultimap]):
+        self._s = s
+        self._binary = binary
+        self._built = {(LOOSE, ()): nullary}
+        for a in s.objects:
+            self._built[(TIGHT, (a,))] = UniversalMultimap(TIGHT, (a,), a, s.identity(a))
+
+    def get(self, x: str, inputs: tuple[str, ...]) -> UniversalMultimap | None:
+        inputs = tuple(inputs)
+        u = self._built.get((x, inputs))
+        if u is None and x in (TIGHT, LOOSE) and 1 <= len(inputs) <= self._s.max_arity:
+            prev = self.get(x, inputs[:-1])
+            pair = None if prev is None else self._binary.get((prev.classifier, inputs[-1]))
+            if pair is not None:
+                theta = self._s.subst_after(pair.theta, 1, prev.theta)
+                u = self._built[(x, inputs)] = UniversalMultimap(x, inputs, pair.classifier,
+                                                                 theta)
+        return u
+
+    @property
+    def entries(self) -> dict[tuple[str, tuple[str, ...]], UniversalMultimap]:
+        objs = sorted(self._s.objects)
+        for n in range(1, self._s.max_arity + 1):
+            for x in (LOOSE,) if n == 1 else (TIGHT, LOOSE):
+                for inputs in itertools.product(objs, repeat=n):
+                    self.get(x, inputs)
+        return self._built
 
 
 def _tails_bijective(s: TMulticategory, theta: MultiMap, m: str,
@@ -121,46 +159,39 @@ def build_inductive_classifiers(s: SkewMulticategory,
     """Extend nullary and tight-binary classifiers to all arities: the unary
     tight classifier of an object is the object itself, and each higher
     classifier tensors one more input onto its predecessor by substituting
-    into the binary universal map at the first position.  The entries are
-    not checked to be universal here."""
+    into the binary universal map at the first position.  Each entry is
+    built on its first lookup.  The entries are not checked to be universal
+    here."""
     for a in s.objects:
         for b in s.objects:
             if (a, b) not in binary:
                 raise StructureError(f"missing tight binary classifier at {(a, b)!r}")
-    entries: dict[tuple[str, tuple[str, ...]], UniversalMultimap] = {(LOOSE, ()): nullary}
-    for a in s.objects:
-        entries[(TIGHT, (a,))] = UniversalMultimap(TIGHT, (a,), a, s.identity(a))
-    if s.max_arity >= 1:
-        for a in s.objects:
-            prev = nullary
-            pair = binary[(prev.classifier, a)]
-            theta = s.subst_after(pair.theta, 1, prev.theta)
-            entries[(LOOSE, (a,))] = UniversalMultimap(LOOSE, (a,), pair.classifier, theta)
-    for n in range(2, s.max_arity + 1):
-        for x in (TIGHT, LOOSE):
-            for inputs in itertools.product(sorted(s.objects), repeat=n):
-                prev = entries[(x, inputs[:-1])]
-                pair = binary[(prev.classifier, inputs[-1])]
-                theta = s.subst_after(pair.theta, 1, prev.theta)
-                entries[(x, inputs)] = UniversalMultimap(x, inputs, pair.classifier, theta)
-    return ClassifierTable(entries)
+    return _InductiveClassifierTable(s, nullary, binary)
 
 
-def find_classifiers(s: SkewMulticategory, weak: WeakRepResult):
-    """(nullary, binary, None): the nullary classifier, then the tight binary
-    ones keyed by input pair, looked up in a weak search of s.  The first
-    signature in that order with no classifier comes back third, with binary
-    None (and nullary None when the nullary one is missing)."""
-    nullary = weak.table.get(LOOSE, ())
+def find_classifiers(s: SkewMulticategory,
+                     lookup: Callable[[str, tuple[str, ...]], UniversalMultimap | None]):
+    """(nullary, binary, failure): the nullary classifier, then the tight
+    binary ones keyed by input pair, each looked up once in that order, and
+    the failure that decides left representability (arXiv:1708.06088;
+    Hermida, *Representable multicategories*, 2000, for the non-skew case).
+    The failure is the first signature with no classifier, with binary None
+    (and nullary None when the nullary one is missing); or
+    ``"single-input extension fails"`` when one of the classifiers found is
+    not left universal; or None.  ``lookup`` is ``find_universal`` on s or
+    the table of a weak search of s."""
+    nullary = lookup(LOOSE, ())
     if nullary is None:
         return None, None, (LOOSE, ())
     binary = {}
     for a in s.objects:
         for b in s.objects:
-            u = weak.table.get(TIGHT, (a, b))
+            u = lookup(TIGHT, (a, b))
             if u is None:
                 return nullary, None, (TIGHT, (a, b))
             binary[(a, b)] = u
+    if not all(_left_universal(s, u) for u in (nullary, *binary.values())):
+        return nullary, binary, "single-input extension fails"
     return nullary, binary, None
 
 
@@ -169,17 +200,17 @@ def _left_universal(s: SkewMulticategory, u: UniversalMultimap) -> bool:
 
 
 def _left_representable(s: SkewMulticategory, weak: WeakRepResult) -> bool:
-    """is_left_representable, read off a weak search that has already run."""
+    """Weak representability plus single-input extension of every universal
+    multimap, read off a weak search that has already run: the fourth
+    characterization of ``check_left_representability_equivalences``."""
     return weak.ok and all(_tails_bijective(s, u.theta, u.classifier, (1,))
                            for u in weak.table.entries.values())
 
 
 def is_left_representable(s: SkewMulticategory) -> bool:
-    """Weak representability plus single-input extension of every universal
-    multimap; equivalent to full left representability on the stored
-    fragment.  At arity 1 no input can be appended, so it is weak
-    representability alone."""
-    return _left_representable(s, is_weakly_representable(s))
+    """The nullary and tight binary classifiers exist and are left
+    universal; only those 1 + n² signatures are searched."""
+    return find_classifiers(s, functools.partial(find_universal, s))[2] is None
 
 
 @dataclass(frozen=True)
@@ -199,16 +230,14 @@ def check_left_representability_equivalences(s: SkewMulticategory) -> Equivalenc
     cond = {}
     cond["all_universals_left_universal"] = weak.ok and all(
         _left_universal(s, u) for u in weak.table.entries.values())
-    nullary, binary, missing = find_classifiers(s, weak)
-    if missing is None:
+    nullary, binary, failure = find_classifiers(s, weak.table.get)
+    if binary is not None:
         table = build_inductive_classifiers(s, nullary, binary)
         cond["inductive_classifiers_universal"] = all(
             _tails_bijective(s, u.theta, u.classifier, (0,)) for u in table.entries.values())
-        cond["classifiers_left_universal"] = all(
-            _left_universal(s, u) for u in (nullary, *binary.values()))
     else:
         cond["inductive_classifiers_universal"] = False
-        cond["classifiers_left_universal"] = False
+    cond["classifiers_left_universal"] = failure is None
     cond["weak_plus_single_extension"] = _left_representable(s, weak)
     violations = []
     if len(set(cond.values())) > 1:
@@ -315,12 +344,12 @@ def check_closed_representability_equivalences(s: SkewMulticategory) -> Equivale
     if closed is None:
         return EquivalenceReport({}, [Violation.of("not-closed")])
     weak = is_weakly_representable(s)
+    nullary, binary, failure = find_classifiers(s, weak.table.get)
     cond = {
-        "left_representable": _left_representable(s, weak),
+        "left_representable": failure is None,
         "weakly_representable": weak.ok,
+        "nullary_and_binary_classifiers": binary is not None,
     }
-    nullary, _, missing = find_classifiers(s, weak)
-    cond["nullary_and_binary_classifiers"] = missing is None
     cond["nullary_classifier_and_left_adjoints"] = (
         nullary is not None and _left_adjoint_ok(s, closed))
     violations = []
@@ -352,7 +381,7 @@ def analyze(s: SkewMulticategory) -> dict:
             for (b, c), h in sorted(closed.hom_obj.items())}
     return {
         "weakly_representable": weak.ok,
-        "left_representable": _left_representable(s, weak),
+        "left_representable": find_classifiers(s, weak.table.get)[2] is None,
         "closed": closed is not None,
         "closed_with_unit": closed is not None and weak.table.get(LOOSE, ()) is not None,
         "witnesses": witnesses,

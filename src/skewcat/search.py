@@ -4,6 +4,12 @@ Candidates are generated in a fixed lexicographic order (unit, then the tensor
 object table, then the tensor morphism table, then the three component
 tables) and filtered through the full checker, so the output list is
 deterministic for a given input category.
+
+The tensor does not depend on the unit, so its functors are enumerated once
+per base category.  The object table is assigned one cell at a time, in the
+same lexicographic order, and a partial table is dropped as soon as a pair of
+morphisms whose end cells are both fixed has no candidate image: an empty
+hom, or an identity pair whose image could not be an identity.
 """
 
 from __future__ import annotations
@@ -17,28 +23,47 @@ from .skewmon import SkewMonoidalCategory, check_skew_monoidal, make_skew_monoid
 def _tensor_functors(base: FinCategory):
     objs = sorted(base.objects)
     obj_pairs = [(a, b) for a in objs for b in objs]
+    cell = {pair: i for i, pair in enumerate(obj_pairs)}
     mors = sorted(m for m, _, _ in base.morphisms)
     mor_pairs = [(f, g) for f in mors for g in mors]
-    for obj_assign in itertools.product(objs, repeat=len(obj_pairs)):
-        tensor_obj = dict(zip(obj_pairs, obj_assign))
-        per_pair = []
-        ok = True
-        for f, g in mor_pairs:
-            src = tensor_obj[(base.src(f), base.src(g))]
-            tgt = tensor_obj[(base.tgt(f), base.tgt(g))]
-            opts = base.hom(src, tgt)
+    # the morphism pairs whose end cells are all fixed once cell i is
+    ends = [[] for _ in obj_pairs]
+    for f, g in mor_pairs:
+        src = (base.src(f), base.src(g))
+        tgt = (base.tgt(f), base.tgt(g))
+        ends[max(cell[src], cell[tgt])].append((f, g, src, tgt))
+    assign: list[str] = []
+    opts: dict[tuple[str, str], tuple[str, ...]] = {}
+
+    def fits(pairs) -> bool:
+        """Record the candidate images of the given morphism pairs under
+        the partial object table; False as soon as one has none."""
+        for f, g, src, tgt in pairs:
+            s, t = assign[cell[src]], assign[cell[tgt]]
+            o = base.hom(s, t)
             if base.is_identity(f) and base.is_identity(g):
-                opts = (base.id_of(src),) if src == tgt else ()
-            if not opts:
-                ok = False
-                break
-            per_pair.append(opts)
-        if not ok:
-            continue
-        for mor_assign in itertools.product(*per_pair):
-            tensor_mor = dict(zip(mor_pairs, mor_assign))
-            if _functorial(base, tensor_obj, tensor_mor):
-                yield tensor_obj, tensor_mor
+                o = (base.id_of(s),) if s == t else ()
+            if not o:
+                return False
+            opts[(f, g)] = o
+        return True
+
+    def extend():
+        i = len(assign)
+        if i == len(obj_pairs):
+            tensor_obj = dict(zip(obj_pairs, assign))
+            for mor_assign in itertools.product(*(opts[fg] for fg in mor_pairs)):
+                tensor_mor = dict(zip(mor_pairs, mor_assign))
+                if _functorial(base, tensor_obj, tensor_mor):
+                    yield tensor_obj, tensor_mor
+            return
+        for value in objs:
+            assign.append(value)
+            if fits(ends[i]):
+                yield from extend()
+            assign.pop()
+
+    yield from extend()
 
 
 def _functorial(base, tensor_obj, tensor_mor) -> bool:
@@ -54,9 +79,10 @@ def _functorial(base, tensor_obj, tensor_mor) -> bool:
 def enumerate_skew_structures(base: FinCategory) -> list[SkewMonoidalCategory]:
     """Every skew monoidal structure on the given category, in canonical order."""
     objs = sorted(base.objects)
+    functors = list(_tensor_functors(base))
     found = []
     for unit in objs:
-        for tensor_obj, tensor_mor in _tensor_functors(base):
+        for tensor_obj, tensor_mor in functors:
             def t(a, b):
                 return tensor_obj[(a, b)]
 

@@ -459,3 +459,55 @@ def naive_is_morphism(f) -> bool:
            tgt.substitute(image(g), tuple(image(h) for h in fs)):
             return False
     return True
+
+
+def naive_tensor_functors(base):
+    """Every tensor functor on base, as (object table, morphism table), by
+    whole-table generate-and-test: each object table in lexicographic order,
+    then each morphism table whose every pair lands in its hom (an identity
+    pair on an identity), kept when it preserves composition."""
+    objs = sorted(base.objects)
+    obj_pairs = [(a, b) for a in objs for b in objs]
+    mors = sorted(m for m, _, _ in base.morphisms)
+    mor_pairs = [(f, g) for f in mors for g in mors]
+    ends = {m: (s, t) for m, s, t in base.morphisms}
+    for obj_assign in itertools.product(objs, repeat=len(obj_pairs)):
+        tensor_obj = dict(zip(obj_pairs, obj_assign))
+        per_pair = []
+        for f, g in mor_pairs:
+            src = tensor_obj[(ends[f][0], ends[g][0])]
+            tgt = tensor_obj[(ends[f][1], ends[g][1])]
+            if f == base.identity[ends[f][0]] and g == base.identity[ends[g][0]]:
+                opts = [base.identity[src]] if src == tgt else []
+            else:
+                opts = [m for m, s, t in base.morphisms if (s, t) == (src, tgt)]
+            per_pair.append(opts)
+        if not all(per_pair):
+            continue
+        for mor_assign in itertools.product(*per_pair):
+            tensor_mor = dict(zip(mor_pairs, mor_assign))
+            if all(tensor_mor[(h1, h2)] ==
+                   base.compose.get((tensor_mor[(g1, g2)], tensor_mor[(f1, f2)]))
+                   for (g1, f1), h1 in base.compose.items()
+                   for (g2, f2), h2 in base.compose.items()):
+                yield tensor_obj, tensor_mor
+
+
+def naive_inductive_classifiers(s, nullary, binary) -> dict:
+    """The whole inductive classifier table, built eagerly arity by arity:
+    the tight unary classifier of a is a with its identity, and each other
+    entry substitutes its predecessor into the binary classifier of
+    (predecessor's classifier, last input) at the first position."""
+    table = {("l", ()): (nullary.classifier, nullary.theta)}
+    for a in s.objects:
+        table[("t", (a,))] = (a, s.identity(a))
+    for n in range(1, s.max_arity + 1):
+        for x in ("t", "l"):
+            if (x, n) == ("t", 1):
+                continue
+            for inputs in itertools.product(sorted(s.objects), repeat=n):
+                prev_classifier, prev_theta = table[(x, inputs[:-1])]
+                pair = binary[(prev_classifier, inputs[-1])]
+                table[(x, inputs)] = (pair.classifier,
+                                      s.subst_after(pair.theta, 1, prev_theta))
+    return table

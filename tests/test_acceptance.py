@@ -20,7 +20,7 @@ from skewcat.fincat import FinCategory, check_category, is_epimorphism
 from skewcat.representability import (
     check_closed_representability_equivalences,
     check_left_representability_equivalences, find_closed_structure,
-    is_left_representable, is_weakly_representable,
+    is_left_representable,
 )
 from skewcat.search import enumerate_skew_structures
 from skewcat.skewmon import check_skew_monoidal, monoidal_iso_search
@@ -138,7 +138,7 @@ def test_criterion_5_closed_equivalences(corpus):
 def test_criterion_6_colax_translation(corpus):
     with criterion(6, "colax algebra translation"):
         for _, s in corpus:
-            table = left_bracketed_classifier_table(s, is_weakly_representable(s))
+            table = left_bracketed_classifier_table(s)
             alg = multicat_to_colax(s, table)
             assert has_strict_left_bracketing(alg) == is_left_representable(s)
             back = colax_to_multicat(alg)

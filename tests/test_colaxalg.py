@@ -29,7 +29,7 @@ def z2m():
 
 def left_bracketed_algebra(s):
     """The algebra along the left-bracketed classifiers of s."""
-    return multicat_to_colax(s, left_bracketed_classifier_table(s, is_weakly_representable(s)))
+    return multicat_to_colax(s, left_bracketed_classifier_table(s))
 
 
 def with_rules(alg, **rules):

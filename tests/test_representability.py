@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 
 from skewcat.catoperad import LOOSE, TIGHT, make_R_operad
@@ -5,16 +8,18 @@ from skewcat.fincat import check_functor
 from skewcat.representability import (
     analyze, build_inductive_classifiers,
     check_closed_representability_equivalences,
-    check_left_representability_equivalences, find_closed_structure,
-    _left_universal, _tails_bijective, find_universal, is_left_representable,
-    is_weakly_representable,
+    check_left_representability_equivalences, find_classifiers, find_closed_structure,
+    NotLeftRepresentable, _left_representable, _left_universal, _tails_bijective,
+    find_universal, is_left_representable, is_weakly_representable,
 )
-from skewcat.correspondence import monoidal_to_multicat
+from skewcat.correspondence import monoidal_to_multicat, multicat_to_monoidal
+from skewcat.search import enumerate_skew_structures
 from skewcat.tmulticat import (
     check_tmulticat, from_tight_subsets, loose_part, make_multicat,
     terminal_multicat, underlying_category,
 )
-from conftest import two_chain_fst
+from conftest import chain_category, two_chain_fst, z2_category, z2_monoidal
+from naive_oracles import naive_inductive_classifiers
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +37,15 @@ def only_identities_tight():
     lp = loose_part(monoidal_to_multicat(two_chain_fst(), 3))
     tight = {((a,), a): frozenset([lp.identities[a]]) for a in lp.objects}
     return from_tight_subsets(lp, tight)
+
+
+@pytest.fixture(scope="module")
+def search_structures():
+    """Every structure that the search finds on the 1-, 2- and 3-chains and
+    on the one-object group of order two."""
+    return [c for base in (chain_category(1), chain_category(2), chain_category(3),
+                           z2_category())
+            for c in enumerate_skew_structures(base)]
 
 
 def first_input_tightness(max_arity=3):
@@ -53,6 +67,29 @@ def first_input_tightness(max_arity=3):
                          {a: "m" for a in objects},
                          action_rule=lambda phi, mm_: "m",
                          subst_rule=lambda g, fs: "m")
+
+
+def two_ternary_maps():
+    """One object at arity 3; one multimap of each arity below 3 and two
+    ternary ones, p and q, tight and loose alike.  A ternary composite is the
+    ternary map it contains unchanged, and p otherwise.  Lawful, with nullary
+    and binary classifiers that are not left universal: substituting the
+    binary one into itself reaches p alone."""
+    r = make_R_operad()
+    mids = {0: ("u",), 1: ("i",), 2: ("b",), 3: ("p", "q")}
+    homs = {(x, ("*",) * n, "*"): mids[n] for n in mids for x in r.component(n).objects}
+
+    def subst_rule(g, fs):
+        n = sum(f.arity for f in fs)
+        whole = [f.mid for f in fs if f.arity == 3]
+        if n == 3 and whole:
+            return whole[0]
+        if n == 3 and all(f.arity == 1 for f in fs):
+            return g.mid
+        return mids[n][0]
+
+    return make_multicat(r, ("*",), 3, homs, {"*": "i"},
+                         action_rule=lambda phi, mm_: mm_.mid, subst_rule=subst_rule)
 
 
 def _tuples(objs, n):
@@ -86,16 +123,20 @@ def test_weak_representability(fst, terminal):
     assert is_weakly_representable(terminal).ok
 
 
-def test_emptied_hom_reports_failure(fst):
+def emptied_nullary_homs():
+    """fst at arity 2 with every loose nullary hom emptied."""
     small = monoidal_to_multicat(two_chain_fst(), 2).materialize()
     homs = {k: (() if k[0] == LOOSE and k[1] == () else v)
             for k, v in small.homs.items()}
     subst = {key: v for key, v in small.subst_table.items()
              if all(len(f[1]) > 0 or f[0] != LOOSE for f in key[2])}
-    mutant = make_multicat(small.operad, small.objects, 2, homs,
-                           small.identities, action_table=small.action_table,
-                           subst_table=subst)
-    res = is_weakly_representable(mutant)
+    return make_multicat(small.operad, small.objects, 2, homs,
+                         small.identities, action_table=small.action_table,
+                         subst_table=subst)
+
+
+def test_emptied_hom_reports_failure(fst):
+    res = is_weakly_representable(emptied_nullary_homs())
     assert not res.ok
     assert res.failure == (LOOSE, ())
 
@@ -229,3 +270,46 @@ def test_analyze_record(fst, only_identities_tight):
     rec2 = analyze(only_identities_tight)
     assert not rec2["weakly_representable"]
     assert "failure" in rec2["witnesses"]
+
+
+def test_left_representability_agrees_with_the_weak_search(search_structures,
+                                                           only_identities_tight):
+    # the decision from the nullary and binary classifiers against weak
+    # representability plus single-input extension of every universal
+    z2_variants = [z2_monoidal(*v) for v in itertools.product((0, 1), repeat=3)]
+    instances = [monoidal_to_multicat(c, n) for c in (*search_structures, *z2_variants)
+                 for n in (3, 4)]
+    instances += [only_identities_tight, emptied_nullary_homs(), two_ternary_maps()]
+    assert len(instances) == 2 * (36 + 8) + 3
+    verdicts = []
+    for s in instances:
+        weak = is_weakly_representable(s)
+        expected = _left_representable(s, weak)
+        assert is_left_representable(s) == expected
+        assert (find_classifiers(s, weak.table.get)[2] is None) == expected
+        verdicts.append(expected)
+    assert not any(verdicts[-3:]) and sum(verdicts) >= 2 * 36
+
+
+def test_classifiers_that_do_not_extend_fail_left_representability():
+    s = two_ternary_maps()
+    assert check_tmulticat(s) == []
+    assert find_classifiers(s, functools.partial(find_universal, s))[2] == \
+        "single-input extension fails"
+    with pytest.raises(NotLeftRepresentable) as err:
+        multicat_to_monoidal(s)
+    assert err.value.missing == "single-input extension fails"
+
+
+def test_on_demand_classifier_table_equals_the_eager_build(search_structures):
+    for c in search_structures:
+        s = monoidal_to_multicat(c, 4)
+        nullary, binary, failure = find_classifiers(s, functools.partial(find_universal, s))
+        assert failure is None
+        eager = naive_inductive_classifiers(s, nullary, binary)
+        table = build_inductive_classifiers(s, nullary, binary)
+        # a deep entry first, so that it builds its predecessors on demand
+        deepest = max(eager, key=lambda key: len(key[1]))
+        assert (table.get(*deepest).classifier, table.get(*deepest).theta) == eager[deepest]
+        assert {key: (u.classifier, u.theta) for key, u in table.entries.items()} == eager
+        assert all(key == (u.x, u.inputs) for key, u in table.entries.items())

@@ -1,9 +1,15 @@
+import functools
 import itertools
 
-from skewcat.search import enumerate_skew_structures
-from skewcat.skewmon import check_skew_monoidal, make_skew_monoidal
+import pytest
+
+from skewcat.search import _tensor_functors, enumerate_skew_structures
+from skewcat.skewmon import check_skew_monoidal, make_skew_monoidal, skewmon_to_json
 from conftest import chain_category, z2_category
-from naive_oracles import naive_skew_monoidal_ok
+from naive_oracles import naive_skew_monoidal_ok, naive_tensor_functors
+
+ORDER_BASES = [pytest.param(functools.partial(chain_category, n), id=f"{n}-chain")
+               for n in (1, 2, 3)] + [pytest.param(z2_category, id="z2")]
 
 
 def blind_enumerate(base):
@@ -77,3 +83,34 @@ def test_enumeration_is_deterministic():
     one = [skewmon_to_json(c) for c in enumerate_skew_structures(chain_category(2))]
     two = [skewmon_to_json(c) for c in enumerate_skew_structures(chain_category(2))]
     assert one == two
+
+
+@pytest.mark.parametrize("make_base", ORDER_BASES)
+def test_pruned_tensor_functors_in_the_whole_table_order(make_base):
+    base = make_base()
+    assert list(_tensor_functors(base)) == list(naive_tensor_functors(base))
+
+
+@pytest.mark.parametrize("make_base", ORDER_BASES)
+def test_structures_in_the_whole_table_order(make_base):
+    # per unit, every whole-table tensor functor, then the component tables
+    # in lexicographic order, filtered by the naive all-diagrams oracle
+    base = make_base()
+    objs = sorted(base.objects)
+    triples = [(a, b, c) for a in objs for b in objs for c in objs]
+    functors = list(naive_tensor_functors(base))
+    expected = []
+    for unit in objs:
+        for t_obj, t_mor in functors:
+            lam_opts = [base.hom(t_obj[(unit, a)], a) for a in objs]
+            rho_opts = [base.hom(a, t_obj[(a, unit)]) for a in objs]
+            al_opts = [base.hom(t_obj[(t_obj[(a, b)], c)], t_obj[(a, t_obj[(b, c)])])
+                       for a, b, c in triples]
+            for lam, rho, al in itertools.product(itertools.product(*lam_opts),
+                                                  itertools.product(*rho_opts),
+                                                  itertools.product(*al_opts)):
+                cand = make_skew_monoidal(base, t_obj, t_mor, unit, dict(zip(triples, al)),
+                                          dict(zip(objs, lam)), dict(zip(objs, rho)))
+                if naive_skew_monoidal_ok(cand):
+                    expected.append(skewmon_to_json(cand))
+    assert [skewmon_to_json(c) for c in enumerate_skew_structures(base)] == expected

@@ -267,6 +267,25 @@ def test_check_morphism_agrees_with_the_full_sweep_on_every_mutant(structure, mu
     assert count == mutants
 
 
+def test_check_morphism_reports_a_broken_action_alone(z2m):
+    # the copy's action sends one tight map to the other map of its loose
+    # hom; its substitution table is the original's, so the identity hom
+    # maps break an action equation and no substitution equation
+    mat = z2m.materialize()
+    (fmor, key), table = sorted(mat.action_table.items())[0]
+    mid = sorted(table)[0]
+    loose = (mat.operad.component(len(key[1])).tgt(fmor), key[1], key[2])
+    other = next(o for o in mat.homs[loose] if o != table[mid])
+    copy = _with_tables(mat, {**mat.action_table, (fmor, key): {**table, mid: other}},
+                        mat.subst_table)
+    f = MulticatMorphism(mat, copy, {a: a for a in mat.objects},
+                         {k: {m: m for m in mids} for k, mids in mat.homs.items()})
+    laws = {v.law for v in check_morphism(f)}
+    assert "morphism-action" in laws
+    assert "morphism-substitution" not in laws
+    assert not naive_is_morphism(f)
+
+
 def test_iso_search_rejects_different_shapes(fst3):
     other = terminal_multicat(make_R_operad(), 3, ("0", "1"))
     assert iso_search(fst3, other) is None
