@@ -77,6 +77,28 @@ class _InductiveClassifierTable(ClassifierTable):
         return self._built
 
 
+def _hom_bijection(source: tuple[MultiMap, ...], target: tuple[str, ...],
+                   image: Callable[[MultiMap], str]) -> bool:
+    """Whether image carries the source hom bijectively onto the target hom.
+
+    Precondition: each image is a member of target, or computing it raises.
+    ``substitute`` type-checks its result against its hom, so a substitution
+    meets it.  Then unequal sizes fail, and sizes of at most one pass
+    without evaluating anything.  ``check`` and ``analyze`` of a
+    multicategory file run ``_validate_structure``, which evaluates every
+    stored row, before they search; ``monoidal_to_multicat`` composes
+    morphisms of a category that has passed ``check_skew_monoidal``.
+    ``convert --to monoidal`` and ``roundtrip`` of a multicategory file run
+    no such gate, so the rows they skip go unread.  No law checker calls
+    this: checkers evaluate every instance.
+    """
+    if len(source) != len(target):
+        return False
+    if len(target) <= 1:
+        return True
+    return is_bijection_onto([image(h) for h in source], target)
+
+
 def _tails_bijective(s: TMulticategory, theta: MultiMap, m: str,
                      ks: range | tuple[int, ...]) -> bool:
     """Substituting theta at the first position carries the unit-typed
@@ -94,8 +116,9 @@ def _tails_bijective(s: TMulticategory, theta: MultiMap, m: str,
         rx = s.operad.subst_obj(e, (theta.x,) + (e,) * k, (theta.arity,) + (1,) * k)
         for tail in itertools.product(sorted(s.objects), repeat=k):
             for c in s.objects:
-                images = [s.subst_after(h, 1, theta).mid for h in s.maps((e, (m,) + tail, c))]
-                if not is_bijection_onto(images, s.hom(rx, theta.inputs + tail, c)):
+                if not _hom_bijection(tuple(s.maps((e, (m,) + tail, c))),
+                                      s.hom(rx, theta.inputs + tail, c),
+                                      lambda h: s.subst_after(h, 1, theta).mid):
                     return False
     return True
 
@@ -262,8 +285,8 @@ def _closed_pair_ok(s: SkewMulticategory, h: str, b: str, c: str, e: MultiMap) -
         for x in comp.objects:
             rx = s.operad.subst_obj(TIGHT, (x, TIGHT), (n, 1))
             for inputs in itertools.product(sorted(s.objects), repeat=n):
-                images = [s.subst_after(e, 1, f).mid for f in s.maps((x, inputs, h))]
-                if not is_bijection_onto(images, s.hom(rx, inputs + (b,), c)):
+                if not _hom_bijection(tuple(s.maps((x, inputs, h))), s.hom(rx, inputs + (b,), c),
+                                      lambda f: s.subst_after(e, 1, f).mid):
                     return False
     return True
 

@@ -511,3 +511,40 @@ def naive_inductive_classifiers(s, nullary, binary) -> dict:
                 table[(x, inputs)] = (pair.classifier,
                                       s.subst_after(pair.theta, 1, prev_theta))
     return table
+
+
+def _naive_bijective(images, target) -> bool:
+    return len(images) == len(set(images)) == len(target) and set(images) == set(target)
+
+
+def naive_tails_bijective(s, theta, m, ks) -> bool:
+    """``representability._tails_bijective`` evaluating every substitution:
+    for each tail length k in ks that stays within the bound, each tail and
+    each output c, h ∘₁ theta over the unit-typed h out of (m, *tail) hits
+    every member of theta's represented hom with the tail appended once."""
+    e = s.operad.unit
+    for k in ks:
+        if k > s.max_arity - max(1, theta.arity):
+            continue
+        rx = s.operad.subst_obj(e, (theta.x,) + (e,) * k, (theta.arity,) + (1,) * k)
+        for tail in itertools.product(sorted(s.objects), repeat=k):
+            for c in s.objects:
+                images = [s.subst_after(h, 1, theta).mid for h in s.maps((e, (m,) + tail, c))]
+                if not _naive_bijective(images, s.hom(rx, theta.inputs + tail, c)):
+                    return False
+    return True
+
+
+def naive_closed_pair_ok(s, h, b, c, e) -> bool:
+    """``representability._closed_pair_ok`` evaluating every substitution:
+    for each type x and inputs below the bound, e ∘₁ f over the f into h
+    hits every member of the hom that e represents, out of the inputs with
+    b appended, once."""
+    for n in range(s.max_arity):
+        for x in s.operad.component(n).objects:
+            rx = s.operad.subst_obj("t", (x, "t"), (n, 1))
+            for inputs in itertools.product(sorted(s.objects), repeat=n):
+                images = [s.subst_after(e, 1, f).mid for f in s.maps((x, inputs, h))]
+                if not _naive_bijective(images, s.hom(rx, inputs + (b,), c)):
+                    return False
+    return True

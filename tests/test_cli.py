@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewcat import representability
 from skewcat.cli import _dumps, main
 from skewcat.fincat import category_to_json
 from skewcat.skewmon import skewmon_from_json, skewmon_to_json
-from skewcat.tmulticat import from_tight_subsets, loose_part, multicat_to_json
-from skewcat.correspondence import monoidal_to_multicat
+from skewcat.tmulticat import (
+    TMulticategory, from_tight_subsets, loose_part, multicat_from_json, multicat_to_json,
+)
+from skewcat.correspondence import monoidal_to_multicat, multicat_to_monoidal
 from conftest import chain_category, two_chain_fst, two_chain_snd, z2_category, z2_monoidal
+from naive_oracles import naive_closed_pair_ok, naive_tails_bijective
 
 
 def write(tmp_path, name, data):
@@ -102,6 +106,42 @@ def test_unlawful_multicat_with_no_preimage_is_not_left_representable(tmp_path, 
     code, out, _ = run(capsys, "roundtrip", path)
     assert code == 1
     assert out == {"isomorphic": False, "left_representable": False, "witness": None}
+
+
+def test_out_of_hom_result_in_a_row_convert_skips_is_exit_2(tmp_path, capsys, monkeypatch):
+    # convert --to monoidal decides hom bijections of at most one element by
+    # their sizes, so it no longer reads some rows that evaluating every
+    # substitution read; check and analyze still evaluate every stored row
+    data = multicat_to_json(monoidal_to_multicat(two_chain_fst(), 3))
+
+    def rows_read_by_convert():
+        read = set()
+        substitute = TMulticategory.substitute
+
+        def recorded(self, g, fs):
+            if fs:
+                read.add((g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs)))
+            return substitute(self, g, fs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(TMulticategory, "substitute", recorded)
+            multicat_to_monoidal(multicat_from_json(data))
+        return read
+
+    read = rows_read_by_convert()
+    with monkeypatch.context() as mp:
+        mp.setattr(representability, "_tails_bijective", naive_tails_bijective)
+        mp.setattr(representability, "_closed_pair_ok", naive_closed_pair_ok)
+        skipped = min(rows_read_by_convert() - read)
+    row = next(r for r in data["subst"]
+               if ((r["outer"]["x"], tuple(r["outer"]["inputs"]), r["outer"]["output"]),
+                   r["outer"]["id"],
+                   tuple((f["x"], tuple(f["inputs"]), f["id"]) for f in r["inners"])) == skipped)
+    row["result"] = "planted"
+    path = write(tmp_path, "planted.json", data)
+    for argv in (["check", path], ["analyze", path]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and "'planted'" in out["error"]
 
 
 def test_translations_reject_pentagon_mutant(tmp_path, capsys):

@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from skewcat.catoperad import LOOSE, TIGHT, make_R_operad
+from skewcat import fincat, representability
+from skewcat.catoperad import LOOSE, TIGHT, make_R_operad, operad_by_name
 from skewcat.fincat import check_functor
 from skewcat.representability import (
     analyze, build_inductive_classifiers,
@@ -12,14 +13,20 @@ from skewcat.representability import (
     NotLeftRepresentable, _left_representable, _left_universal, _tails_bijective,
     find_universal, is_left_representable, is_weakly_representable,
 )
-from skewcat.correspondence import monoidal_to_multicat, multicat_to_monoidal
+from skewcat.correspondence import (
+    monoidal_to_multicat, multicat_to_monoidal, roundtrip_monoidal,
+)
 from skewcat.search import enumerate_skew_structures
 from skewcat.tmulticat import (
-    check_tmulticat, from_tight_subsets, loose_part, make_multicat,
-    terminal_multicat, underlying_category,
+    TMulticategory, all_tight, check_tmulticat, from_tight_subsets, loose_part,
+    make_multicat, terminal_multicat, underlying_category,
 )
-from conftest import chain_category, two_chain_fst, z2_category, z2_monoidal
-from naive_oracles import naive_inductive_classifiers
+from conftest import (
+    chain_category, two_chain_fst, two_chain_snd, z2_category, z2_monoidal,
+)
+from naive_oracles import (
+    naive_closed_pair_ok, naive_inductive_classifiers, naive_tails_bijective,
+)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +96,19 @@ def two_ternary_maps():
         return mids[n][0]
 
     return make_multicat(r, ("*",), 3, homs, {"*": "i"},
+                         action_rule=lambda phi, mm_: mm_.mid, subst_rule=subst_rule)
+
+
+def boolean_product(max_arity=3):
+    """One object x over the terminal operad; every hom is ("0", "1"), the
+    identity is "1", and a substitution is the Boolean product (AND) of the
+    multimaps it composes.  Substituting "0" anywhere gives "0"."""
+    homs = {(TIGHT, ("x",) * n, "x"): ("0", "1") for n in range(max_arity + 1)}
+
+    def subst_rule(g, fs):
+        return "1" if all(f.mid == "1" for f in (g, *fs)) else "0"
+
+    return make_multicat(operad_by_name("N"), ("x",), max_arity, homs, {"x": "1"},
                          action_rule=lambda phi, mm_: mm_.mid, subst_rule=subst_rule)
 
 
@@ -313,3 +333,79 @@ def test_on_demand_classifier_table_equals_the_eager_build(search_structures):
         assert (table.get(*deepest).classifier, table.get(*deepest).theta) == eager[deepest]
         assert {key: (u.classifier, u.theta) for key, u in table.entries.items()} == eager
         assert all(key == (u.x, u.inputs) for key, u in table.entries.items())
+
+
+def _search_results(s):
+    """Everything the representability searches answer about s: the weak
+    table and its failure, the classifier decision, the closed structure,
+    the analyzer record and both equivalence reports."""
+    weak = is_weakly_representable(s)
+    closed = find_closed_structure(s)
+    return ({key: (u.classifier, u.theta) for key, u in weak.table.entries.items()},
+            weak.failure,
+            find_classifiers(s, functools.partial(find_universal, s)),
+            None if closed is None else (closed.hom_obj, closed.evaluation),
+            analyze(s),
+            check_left_representability_equivalences(s),
+            check_closed_representability_equivalences(s))
+
+
+def test_size_rule_agrees_with_the_evaluating_oracle(search_structures, only_identities_tight,
+                                                     monkeypatch):
+    z2_variants = [z2_monoidal(*v) for v in itertools.product((0, 1), repeat=3)]
+    instances = [monoidal_to_multicat(c, n) for c in (*search_structures, *z2_variants)
+                 for n in (3, 4)]
+    instances += [only_identities_tight, emptied_nullary_homs(), all_tight(boolean_product()),
+                  monoidal_to_multicat(two_chain_fst(), 4),
+                  monoidal_to_multicat(two_chain_snd(), 4)]
+    sized = [_search_results(s) for s in instances]
+    monkeypatch.setattr(representability, "_tails_bijective", naive_tails_bijective)
+    monkeypatch.setattr(representability, "_closed_pair_ok", naive_closed_pair_ok)
+    evaluated = [_search_results(s) for s in instances]
+    assert evaluated == sized
+    # both verdicts occur, so the comparison is not between constant answers
+    assert {r[4]["left_representable"] for r in sized} == {True, False}
+    assert {r[4]["closed"] for r in sized} == {True, False}
+
+
+def test_a_non_injective_substitution_map_rejects_its_multimap(monkeypatch):
+    m = boolean_product()
+    s = all_tight(m)
+    assert check_tmulticat(m) == [] and check_tmulticat(s) == []
+    zero, one = s.maps((TIGHT, ("x", "x"), "x"))
+    # h ∘₁ "0" sends both members of the two-element unary hom to "0"
+    answers = []
+
+    def recorded(images, target):
+        answers.append(fincat.is_bijection_onto(images, target))
+        return answers[-1]
+
+    monkeypatch.setattr(representability, "is_bijection_onto", recorded)
+    assert not _tails_bijective(s, zero, "x", (0,))
+    assert answers == [False]
+    u = find_universal(s, TIGHT, ("x", "x"))
+    assert (u.classifier, u.theta) == ("x", one)
+    assert not naive_tails_bijective(s, zero, "x", (0,))
+    assert naive_tails_bijective(s, one, "x", (0,))
+    monkeypatch.setattr(representability, "_tails_bijective", naive_tails_bijective)
+    assert find_universal(s, TIGHT, ("x", "x")) == u
+
+
+def test_substitution_counts_of_the_three_chain_searches(monkeypatch):
+    # deterministic work: 36,791 and 16,358 calls when every hom bijection
+    # was decided by evaluating its substitutions
+    structures = enumerate_skew_structures(chain_category(3))
+    calls = [0]
+    substitute = TMulticategory.substitute
+
+    def counted(self, g, fs):
+        calls[0] += 1
+        return substitute(self, g, fs)
+
+    monkeypatch.setattr(TMulticategory, "substitute", counted)
+    for c in structures:
+        analyze(monoidal_to_multicat(c, 4))
+    analyzed = calls[0]
+    for c in structures:
+        roundtrip_monoidal(c, 4)
+    assert (len(structures), analyzed, calls[0] - analyzed) == (29, 1416, 6380)
