@@ -15,8 +15,8 @@ is a fold of ∘ᵢ.
 
 Multimap ids are strings unique within their own hom set; distinct hom sets
 may reuse ids (a multimap is always addressed together with its signature).
-Substitution and operad actions may be backed by explicit tables or by a rule
-evaluated on demand and cached; the logical content is the same.
+The operad action and substitution are rules evaluated on demand; the file
+reader wraps its stored tables as rules.
 """
 
 from __future__ import annotations
@@ -56,24 +56,16 @@ class TMulticategory:
     def __init__(self, operad: CatOperad, objects: tuple[str, ...], max_arity: int,
                  homs: dict[HomKey, tuple[str, ...]],
                  identities: dict[str, str],
-                 action_table: dict[tuple[str, HomKey], dict[str, str]] | None = None,
-                 action_rule: Callable[[str, MultiMap], str] | None = None,
-                 subst_table: dict | None = None,
-                 subst_rule: Callable[[MultiMap, tuple[MultiMap, ...]], str] | None = None):
+                 action_rule: Callable[[str, MultiMap], str],
+                 subst_rule: Callable[[MultiMap, tuple[MultiMap, ...]], str]):
         self.operad = operad
         self.objects = tuple(objects)
         self.max_arity = max_arity
         self.homs = homs
         self.identities = identities
-        self.action_table = action_table
         self.action_rule = action_rule
-        self.subst_table = subst_table
         self.subst_rule = subst_rule
         self._subst_cache: dict = {}
-        if action_table is None and action_rule is None:
-            raise StructureError("need an action table or rule")
-        if subst_table is None and subst_rule is None:
-            raise StructureError("need a substitution table or rule")
 
     # -- signatures ------------------------------------------------------
 
@@ -107,15 +99,7 @@ class TMulticategory:
             raise StructureError(f"{fmor!r} does not start at {m.x!r}")
         if comp.is_identity(fmor):
             return m
-        y = comp.tgt(fmor)
-        if self.action_table is not None:
-            table = self.action_table.get((fmor, m.key))
-            if table is None or m.mid not in table:
-                raise StructureError(f"no action entry for {fmor!r} at {m.key!r}")
-            mid = table[m.mid]
-        else:
-            mid = self.action_rule(fmor, m)
-        return self.mm(y, m.inputs, m.output, mid)
+        return self.mm(comp.tgt(fmor), m.inputs, m.output, self.action_rule(fmor, m))
 
     def substitute(self, g: MultiMap, fs: tuple[MultiMap, ...]) -> MultiMap:
         if not fs:
@@ -137,14 +121,7 @@ class TMulticategory:
             raise StructureError(f"substitution result arity {sum(ks)} exceeds bound")
         x = self.operad.subst_obj(g.x, tuple(f.x for f in fs), ks)
         inputs = tuple(a for f in fs for a in f.inputs)
-        if self.subst_table is not None:
-            tkey = (g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs))
-            if tkey not in self.subst_table:
-                raise StructureError(f"no substitution entry for {tkey!r}")
-            mid = self.subst_table[tkey]
-        else:
-            mid = self.subst_rule(g, fs)
-        result = self.mm(x, inputs, g.output, mid)
+        result = self.mm(x, inputs, g.output, self.subst_rule(g, fs))
         self._subst_cache[key] = result
         return result
 
@@ -191,24 +168,21 @@ class TMulticategory:
                                    for j in range(n))
                         yield g, fs
 
-    def materialize(self) -> "TMulticategory":
-        """Copy with fully populated action and substitution tables."""
+    def materialize(self) -> tuple[dict, dict]:
+        """The action table, (phi, hom key) -> {id: image id} at each action
+        site, and the substitution table, (outer key, outer id, ((x, inputs,
+        id) of each inner)) -> result id at each of ``subst_keys``."""
         action = {(fmor, key): {m.mid: self.act(fmor, m).mid for m in self.maps(key)}
-                  for fmor, key in _action_sites(self, sorted(self.homs))}
+                  for fmor, key in _action_sites(self.operad, self.max_arity, sorted(self.homs))}
         subst = {}
         for g, fs in self.subst_keys():
             key = (g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs))
             subst[key] = self.substitute(g, fs).mid
-        return make_multicat(self.operad, self.objects, self.max_arity, self.homs,
-                             dict(self.identities), action_table=action, subst_table=subst)
+        return action, subst
 
     def tables_equal(self, other: "TMulticategory") -> bool:
-        """Bit-exact comparison of the materialized content."""
-        a, b = self.materialize(), other.materialize()
-        return (a.operad.name == b.operad.name and a.objects == b.objects
-                and a.max_arity == b.max_arity and a.homs == b.homs
-                and a.identities == b.identities and a.action_table == b.action_table
-                and a.subst_table == b.subst_table)
+        """Bit-exact comparison of the materialized content: equal files."""
+        return multicat_to_json(self) == multicat_to_json(other)
 
 
 def signatures(operad: CatOperad, objects: tuple[str, ...], max_arity: int
@@ -222,11 +196,11 @@ def signatures(operad: CatOperad, objects: tuple[str, ...], max_arity: int
                     yield (x, inputs, output)
 
 
-def _action_sites(m: TMulticategory, keys) -> Iterator[tuple[str, HomKey]]:
-    """(phi, key) for each non-identity operad morphism phi, arity by arity,
-    and each hom key among keys at the source of phi."""
-    for n in range(m.max_arity + 1):
-        comp = m.operad.component(n)
+def _action_sites(operad: CatOperad, max_arity: int, keys) -> Iterator[tuple[str, HomKey]]:
+    """(phi, key) for each non-identity operad morphism phi, arity by arity
+    up to max_arity, and each hom key among keys at the source of phi."""
+    for n in range(max_arity + 1):
+        comp = operad.component(n)
         for phi, s, _ in comp.morphisms:
             if comp.is_identity(phi):
                 continue
@@ -439,38 +413,13 @@ def _slot_choices(slots, budget, fitting):
 
 
 def _validate_structure(m: TMulticategory) -> list:
-    """The checks that need the operad components or the substitution
-    enumeration; ``make_multicat`` has already checked the signatures, the
-    map ids and the identities."""
+    """Check the operad components and evaluate every substitution key;
+    ``make_multicat`` has already checked the signatures, the map ids and
+    the identities, and the file reader the key of every stored row."""
     for n in range(m.max_arity + 1):
         if check_category(m.operad.component(n)):
             raise StructureError(f"operad component {n} is not a category")
-    if m.action_table is not None:
-        for (fmor, key), table in m.action_table.items():
-            n = len(key[1])
-            comp = m.operad.component(n)
-            if not comp.has_morphism(fmor) or comp.is_identity(fmor):
-                raise StructureError(f"action keyed by bad morphism {fmor!r}")
-            if comp.src(fmor) != key[0]:
-                raise StructureError(f"action source mismatch at {key!r}")
-            tgt_key = (comp.tgt(fmor), key[1], key[2])
-            if set(table) != set(m.homs.get(key, ())):
-                raise StructureError(f"action domain mismatch at {key!r}")
-            if not set(table.values()) <= set(m.homs.get(tgt_key, ())):
-                raise StructureError(f"action image escapes {tgt_key!r}")
-        for fmor, key in _action_sites(m, m.homs):
-            if (fmor, key) not in m.action_table:
-                raise StructureError(f"missing action entry {fmor!r} at {key!r}")
     keys = list(m.subst_keys())
-    if m.subst_table is not None:
-        expected_keys = {(g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs))
-                         for g, fs in keys}
-        stored = set(m.subst_table)
-        if stored != expected_keys:
-            extra = sorted(stored - expected_keys)[:3]
-            missing = sorted(expected_keys - stored)[:3]
-            raise StructureError(
-                f"substitution table domain mismatch; extra={extra} missing={missing}")
     for g, fs in keys:
         m.substitute(g, fs)  # raises if an entry is absent or lands outside its hom
     return keys
@@ -630,7 +579,8 @@ def check_morphism(f: MulticatMorphism) -> list[Violation]:
     for a in src.objects:
         if f.on_map(src.identity(a)) != tgt.identity(f.obj_map[a]):
             out.append(Violation.of("morphism-identity", obj=a))
-    out.extend(_broken_equations(src, tgt, f.on_map, _action_sites(src, src.homs),
+    out.extend(_broken_equations(src, tgt, f.on_map,
+                                 _action_sites(src.operad, src.max_arity, src.homs),
                                  src.generator_subst_keys()))
     return out
 
@@ -694,7 +644,7 @@ def iso_search(m: TMulticategory, n: TMulticategory
     sub_constraints: list[list] = [[] for _ in hom_keys]
     if not thin:
         # constraints indexed by the last hom (in assignment order) they mention
-        for fmor, key in _action_sites(m, hom_keys):
+        for fmor, key in _action_sites(m.operad, m.max_arity, hom_keys):
             okey = (m.operad.component(len(key[1])).tgt(fmor), key[1], key[2])
             involved = [key_index[key]]
             if okey in key_index:
@@ -771,12 +721,12 @@ def multicat_to_json(m: TMulticategory) -> dict:
     per distinct (x, inputs, output, id) reference, so that ``cli._dumps``
     renders each once.  A caller that edits an ``outer`` or inner in place
     must copy it first; replacing a row's ``result`` is safe."""
-    mat = m if m.action_table is not None and m.subst_table is not None else m.materialize()
+    images, results = m.materialize()
     homs = [{"x": x, "inputs": list(inputs), "output": output, "maps": list(mids)}
-            for (x, inputs, output), mids in sorted(mat.homs.items()) if mids]
+            for (x, inputs, output), mids in sorted(m.homs.items()) if mids]
     action = []
-    for (fmor, (x, inputs, output)), table in sorted(mat.action_table.items()):
-        src_ids = list(mat.homs[(x, inputs, output)])
+    for (fmor, (x, inputs, output)), table in sorted(images.items()):
+        src_ids = list(m.homs[(x, inputs, output)])
         action.append({"n": len(inputs), "inputs": list(inputs), "output": output,
                        "map_t": src_ids, "map_l": [table[i] for i in src_ids]})
     refs: dict[tuple[str, tuple[str, ...], str, str], dict] = {}
@@ -789,18 +739,18 @@ def multicat_to_json(m: TMulticategory) -> dict:
         return obj
 
     subst = []
-    for (gkey, gid, inner), rid in sorted(mat.subst_table.items()):
+    for (gkey, gid, inner), rid in sorted(results.items()):
         subst.append({
             "outer": ref(*gkey, gid),
             "inners": [ref(fx, fi, gkey[1][i], fid) for i, (fx, fi, fid) in enumerate(inner)],
             "result": rid,
         })
     return {
-        "operad": mat.operad.name,
-        "max_arity": mat.max_arity,
-        "objects": list(mat.objects),
+        "operad": m.operad.name,
+        "max_arity": m.max_arity,
+        "objects": list(m.objects),
         "homs": homs,
-        "identities": dict(mat.identities),
+        "identities": dict(m.identities),
         "action": action,
         "subst": subst,
     }
@@ -815,11 +765,14 @@ def _str_ids(values, what: str) -> tuple[str, ...]:
 
 def multicat_from_json(data: dict) -> TMulticategory:
     """Read a multicategory, requiring string ids and exactly the documented
-    keys in every row.
+    keys in every row, and check each stored row's key as it is read (the
+    README lists the checks).  The tables are wrapped as rules; a missing
+    ``subst`` row or an out-of-hom result shows when its key is evaluated.
 
-    Each distinct ``outer``/inner reference is type-checked once and its
-    parsed form shared by every ``subst`` row that names it: a file repeats
-    a few hundred references tens of thousands of times."""
+    Each distinct ``outer``/inner reference is type-checked and looked up in
+    its hom once, and its parsed form shared by every ``subst`` row that
+    names it: a file repeats a few hundred references tens of thousands of
+    times."""
     if not isinstance(data, dict) or set(data) != _MC_KEYS:
         raise StructureError(f"multicategory object must have exactly the keys {sorted(_MC_KEYS)}")
     if data["operad"] not in ("R", "N"):
@@ -827,9 +780,12 @@ def multicat_from_json(data: dict) -> TMulticategory:
     op = operad_by_name(data["operad"])
     max_arity = arity_bound(data["max_arity"], "max_arity")
     refs: dict[tuple, tuple] = {}
+    # A reference outside its hom is reported after its row's inner outputs
+    # are checked; reading stops at that row, so a non-empty list means it.
+    outside: list[str] = []
 
     def ref(o, what: str) -> tuple:
-        """(signature, id, (x, inputs, id), output) of a multimap reference."""
+        """(signature, id, (x, inputs, id), output, arity) of a reference."""
         try:
             inputs = o["inputs"]
             # the class of inputs is part of the key: a string would give the
@@ -845,7 +801,10 @@ def multicat_from_json(data: dict) -> TMulticategory:
             _str_ids(o["inputs"], f"subst {what} inputs")
             for name in ("x", "output", "id"):
                 _str_id(o[name], f"subst {what} {name}")
-            parsed = refs[raw] = ((x, inputs, output), mid, (x, inputs, mid), output)
+            sig = (x, inputs, output)
+            if mid not in homs.get(sig, ()):
+                outside.append(f"subst {what} {mid!r} is not in hom {sig!r}")
+            parsed = refs[raw] = (sig, mid, (x, inputs, mid), output, len(inputs))
         return parsed
 
     try:
@@ -860,8 +819,12 @@ def multicat_from_json(data: dict) -> TMulticategory:
             homs[hkey] = _str_ids(h["maps"], "hom maps")
         identities = {k: _str_id(v, f"identity of {k!r}")
                       for k, v in _json_object(data["identities"], "identities").items()}
+        rows = _json_array(data["action"], "action")
+        if rows and data["operad"] == "N":
+            raise StructureError("terminal-operad multicategories carry no actions")
+        sites = set(_action_sites(op, max_arity, list(signatures(op, objects, max_arity))))
         action: dict[tuple[str, HomKey], dict[str, str]] = {}
-        for e in _json_array(data["action"], "action"):
+        for e in rows:
             if not isinstance(e, dict) or set(e) != {"n", "inputs", "output", "map_t", "map_l"}:
                 raise StructureError("action entries must have keys n/inputs/output/map_t/map_l")
             inputs = _str_ids(e["inputs"], "action inputs")
@@ -877,21 +840,55 @@ def multicat_from_json(data: dict) -> TMulticategory:
             action[(LAM, key)] = table = dict(zip(map_t, map_l))
             if len(table) < len(map_t):
                 raise StructureError(f"action row at {key!r} repeats a map_t id")
+            if (LAM, key) not in sites:
+                raise StructureError(f"action row at {key!r} names no tight signature "
+                                     f"of arity 1 to {max_arity}")
+            loose = (LOOSE, inputs, key[2])
+            if set(table) != set(homs.get(key, ())) or not set(map_l) <= set(homs.get(loose, ())):
+                raise StructureError(f"action row at {key!r} does not map its hom into {loose!r}")
+        if len(action) < len(sites):
+            raise StructureError(f"no action row at {min(sites - action.keys())[1]!r}")
         subst: dict = {}
         for e in _json_array(data["subst"], "subst"):
             if e.__class__ is not dict or e.keys() != _SUBST_KEYS:
                 raise StructureError("subst entries must have keys outer/inners/result")
-            gkey, gid, _, _ = ref(e["outer"], "outer")
+            gkey, gid, _, _, _ = ref(e["outer"], "outer")
             fs = [ref(f, "inner") for f in _json_array(e["inners"], "subst inners")]
-            if tuple([f[3] for f in fs]) != gkey[1]:
-                raise StructureError(f"subst inner outputs {[f[3] for f in fs]} differ "
+            if not fs:
+                raise StructureError(f"subst row of outer {gid!r} at {gkey!r} has no inners")
+            _, _, inner, outputs, arities = zip(*fs)
+            if outputs != gkey[1]:
+                raise StructureError(f"subst inner outputs {list(outputs)} differ "
                                      f"from the inputs of outer {gkey!r}")
-            skey = (gkey, gid, tuple([f[2] for f in fs]))
+            if outside:
+                raise StructureError(outside[0])
+            if sum(arities) > max_arity:
+                raise StructureError(f"subst row of outer {gid!r} at {gkey!r} has inners of "
+                                     f"total arity {sum(arities)}, above max_arity {max_arity}")
+            skey = (gkey, gid, inner)
             _no_repeat(subst, skey, "subst")
             subst[skey] = _str_id(e["result"], "subst result")
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed multicategory JSON: {exc}") from exc
-    if data["operad"] == "N" and data["action"]:
-        raise StructureError("terminal-operad multicategories carry no actions")
-    return make_multicat(op, objects, max_arity, homs, identities,
-                         action_table=action, subst_table=subst)
+    return make_multicat(op, objects, max_arity, homs, identities, **_table_rules(action, subst))
+
+
+def _table_rules(action: dict, subst: dict) -> dict[str, Callable]:
+    """The rules of ``make_multicat`` that look up tables in the format of
+    ``TMulticategory.materialize``.  A missing key raises a
+    ``StructureError`` that names it."""
+
+    def action_rule(fmor: str, m: MultiMap) -> str:
+        image = action.get((fmor, m.key), {}).get(m.mid)
+        if image is None:
+            raise StructureError(f"no action entry for {fmor!r} at {m.key!r}")
+        return image
+
+    def subst_rule(g: MultiMap, fs: tuple[MultiMap, ...]) -> str:
+        key = (g.key, g.mid, tuple([(f.x, f.inputs, f.mid) for f in fs]))
+        mid = subst.get(key)
+        if mid is None:
+            raise StructureError(f"no substitution entry for {key!r}")
+        return mid
+
+    return {"action_rule": action_rule, "subst_rule": subst_rule}

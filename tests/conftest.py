@@ -5,6 +5,7 @@ import pytest
 
 from skewcat.fincat import FinCategory
 from skewcat.skewmon import make_skew_monoidal
+from skewcat.tmulticat import make_multicat
 
 
 def chain_category(size: int) -> FinCategory:
@@ -76,6 +77,18 @@ def z2_monoidal(alpha: int = 0, lam: int = 0, rho: int = 0):
     return make_skew_monoidal(base, t_obj, t_mor, "x",
                               {("x", "x", "x"): f"e{alpha}"},
                               {"x": f"e{lam}"}, {"x": f"e{rho}"})
+
+
+def with_tables(m, action, subst, homs=None):
+    """A copy of m whose action and substitution look up tables in the format
+    of ``TMulticategory.materialize``: with m's own tables and one entry
+    changed, a one-entry mutant of m."""
+    def subst_rule(g, fs):
+        return subst[(g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs))]
+
+    return make_multicat(m.operad, m.objects, m.max_arity, m.homs if homs is None else homs,
+                         m.identities, action_rule=lambda phi, f: action[(phi, f.key)][f.mid],
+                         subst_rule=subst_rule)
 
 
 @pytest.fixture

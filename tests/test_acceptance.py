@@ -29,7 +29,7 @@ from skewcat.tmulticat import (
 )
 from conftest import (
     chain_category, parallel_pair_category, two_chain_fst, two_chain_snd,
-    z2_category, z2_monoidal,
+    with_tables, z2_category, z2_monoidal,
 )
 from naive_oracles import (
     naive_check_category, naive_check_multicat_over_n, naive_is_epi,
@@ -186,19 +186,14 @@ def test_criterion_8_oracle_agreement():
 
 
 def _break_one_substitution(m):
-    from skewcat.tmulticat import make_multicat
-    mat = m.materialize()
-    table = dict(mat.subst_table)
+    action, table = m.materialize()
     for key, rid in sorted(table.items()):
         gkey = key[0]
-        g = mat.mm(*gkey, key[1])
-        fs = tuple(mat.mm(fx, fi, gkey[1][i], fid)
+        g = m.mm(*gkey, key[1])
+        fs = tuple(m.mm(fx, fi, gkey[1][i], fid)
                    for i, (fx, fi, fid) in enumerate(key[2]))
-        hom = mat.homs[mat.substitute(g, fs).key]
+        hom = m.homs[m.substitute(g, fs).key]
         others = [x for x in hom if x != rid]
         if others:
-            table[key] = others[0]
-            return make_multicat(mat.operad, mat.objects, mat.max_arity,
-                                 mat.homs, mat.identities,
-                                 action_table=mat.action_table, subst_table=table)
+            return with_tables(m, action, {**table, key: others[0]})
     raise AssertionError("nothing to break")

@@ -515,6 +515,76 @@ def test_malformed_multicat_rows_are_exit_2(tmp_path, capsys, edit, message):
     assert out["error"] == message
 
 
+MULTICAT_COMMANDS = [["check"], ["analyze"], ["convert", "--to", "monoidal"], ["roundtrip"]]
+
+
+@pytest.mark.parametrize("command", MULTICAT_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("inputs, named", [
+    (["ghost"], "('t', ('ghost',), '0')"),
+    (["0"] * 4, "('t', ('0', '0', '0', '0'), '0')"),
+], ids=["unknown-object", "past-max-arity"])
+def test_action_row_outside_the_signatures_is_exit_2(tmp_path, capsys, command, inputs,
+                                                      named):
+    # an empty row maps its (absent) tight hom into any loose hom, so only
+    # its key can tell that no such signature exists at max_arity 3
+    data = json.loads(json.dumps(multicat_to_json(monoidal_to_multicat(two_chain_fst(), 3))))
+    data["action"].append({"n": len(inputs), "inputs": inputs, "output": "0",
+                           "map_t": [], "map_l": []})
+    code, out, _ = run(capsys, *command, write(tmp_path, "in.json", data))
+    assert code == 2
+    assert named in out["error"]
+
+
+def _hom_ref(data, x, inputs, output):
+    """A reference to the first multimap of a hom of a multicategory document."""
+    hom = next(h for h in data["homs"]
+               if (h["x"], h["inputs"], h["output"]) == (x, inputs, output))
+    return {"x": x, "inputs": inputs, "output": output, "id": hom["maps"][0]}
+
+
+def _overfull_row(data):
+    """A subst row of binary inners into a binary outer: result arity 4 > 3."""
+    outer = _hom_ref(data, "t", ["0", "0"], "0")
+    inner = _hom_ref(data, "t", ["0", "0"], "0")
+    data["subst"].append({"outer": outer, "inners": [inner, dict(inner)],
+                          "result": outer["id"]})
+
+
+def _nullary_row(data):
+    outer = _hom_ref(data, "l", [], "0")
+    data["subst"].append({"outer": outer, "inners": [], "result": outer["id"]})
+
+
+def _short_map_t(data):
+    row = next(r for r in data["action"] if r["map_t"])
+    del row["map_t"][0], row["map_l"][0]
+
+
+@pytest.mark.parametrize("edit, on_read", [
+    (lambda d: d["subst"].pop(), False),
+    (lambda d: d["subst"][0]["inners"][0].update(id="ghost"), True),
+    (_overfull_row, True),
+    (_nullary_row, True),
+    (lambda d: d["action"].pop(0), True),
+    (_short_map_t, True),
+    (lambda d: d["action"][0]["map_l"].__setitem__(0, "ghost"), True),
+], ids=["dropped-subst", "inner-outside-hom", "inner-arities-over-bound",
+        "nullary-outer-without-inners", "dropped-action", "map_t-misses-an-id",
+        "map_l-outside-loose-hom"])
+def test_malformed_stored_tables_are_exit_2(tmp_path, capsys, edit, on_read):
+    # check evaluates every substitution key, so it sees a dropped subst row;
+    # convert and roundtrip read only the rows their searches ask for, so a
+    # missing row that is never asked for goes unseen there
+    data = json.loads(json.dumps(multicat_to_json(monoidal_to_multicat(two_chain_fst(), 3))))
+    edit(data)
+    path = write(tmp_path, "in.json", data)
+    code, out, _ = run(capsys, "check", path)
+    assert code == 2 and out["error"]
+    if on_read:
+        for command in (["convert", "--to", "monoidal"], ["roundtrip"]):
+            assert run(capsys, *command, path)[:2] == (2, out)
+
+
 VALID_DOCUMENTS = [category_to_json(z2_category()), skewmon_to_json(z2_monoidal()),
                    multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2))]
 

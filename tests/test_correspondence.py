@@ -18,11 +18,11 @@ from skewcat.skewmon import (
     unit_absorption,
 )
 from skewcat.tmulticat import (
-    all_tight, check_tmulticat, from_tight_subsets, iso_search, loose_part, make_multicat,
+    all_tight, check_tmulticat, from_tight_subsets, iso_search, loose_part,
     terminal_multicat,
 )
 from conftest import (
-    chain_category, two_chain_fst, two_chain_snd, z2_category, z2_monoidal,
+    chain_category, two_chain_fst, two_chain_snd, with_tables, z2_category, z2_monoidal,
 )
 from test_skewmon import chain_monoidal
 
@@ -143,14 +143,13 @@ def test_adjunction_counit_mutant_is_reported(args):
     # swapping the two results of h o eta, for h in T(x; x) and eta the loose
     # classifier of x, moves the counit; the left unit map, which substitutes
     # the binary classifier and then the nullary one, does not move with it
-    s = monoidal_to_multicat(z2_monoidal(*args), 3).materialize()
+    s = monoidal_to_multicat(z2_monoidal(*args), 3)
     eta = s.mm(LOOSE, ("x",), "x", "e0")
     assert check_loose_classifier_adjunction(s) == []
     inner = ((LOOSE, ("x",), eta.mid),)
     k0, k1 = (((TIGHT, ("x",), "x"), h, inner) for h in ("e0", "e1"))
-    subst = {**s.subst_table, k0: s.subst_table[k1], k1: s.subst_table[k0]}
-    mutant = make_multicat(s.operad, s.objects, s.max_arity, s.homs, s.identities,
-                           action_table=s.action_table, subst_table=subst)
+    action, subst = s.materialize()
+    mutant = with_tables(s, action, {**subst, k0: subst[k1], k1: subst[k0]})
     counit = [v for v in check_loose_classifier_adjunction(mutant)
               if v.law.startswith("adjunction-counit")]
     assert [(v.law, dict(v.details)["a"]) for v in counit] == [("adjunction-counit", "x")]

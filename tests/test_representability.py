@@ -22,7 +22,7 @@ from skewcat.tmulticat import (
     make_multicat, terminal_multicat, underlying_category,
 )
 from conftest import (
-    chain_category, two_chain_fst, two_chain_snd, z2_category, z2_monoidal,
+    chain_category, two_chain_fst, two_chain_snd, with_tables, z2_category, z2_monoidal,
 )
 from naive_oracles import (
     naive_closed_pair_ok, naive_inductive_classifiers, naive_tails_bijective,
@@ -145,14 +145,13 @@ def test_weak_representability(fst, terminal):
 
 def emptied_nullary_homs():
     """fst at arity 2 with every loose nullary hom emptied."""
-    small = monoidal_to_multicat(two_chain_fst(), 2).materialize()
+    small = monoidal_to_multicat(two_chain_fst(), 2)
     homs = {k: (() if k[0] == LOOSE and k[1] == () else v)
             for k, v in small.homs.items()}
-    subst = {key: v for key, v in small.subst_table.items()
+    action, subst = small.materialize()
+    subst = {key: v for key, v in subst.items()
              if all(len(f[1]) > 0 or f[0] != LOOSE for f in key[2])}
-    return make_multicat(small.operad, small.objects, 2, homs,
-                         small.identities, action_table=small.action_table,
-                         subst_table=subst)
+    return with_tables(small, action, subst, homs)
 
 
 def test_emptied_hom_reports_failure(fst):

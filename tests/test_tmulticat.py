@@ -11,7 +11,7 @@ from skewcat.tmulticat import (
     terminal_multicat, underlying_category,
 )
 from skewcat.correspondence import monoidal_to_multicat, multicat_to_monoidal
-from conftest import chain_category, two_chain_fst, two_chain_snd, z2_monoidal
+from conftest import chain_category, two_chain_fst, two_chain_snd, with_tables, z2_monoidal
 from naive_oracles import (
     naive_check_multicat_over_n, naive_check_tmulticat, naive_is_morphism, naive_subst_keys,
 )
@@ -46,48 +46,41 @@ def test_z2_derived_passes(z2m):
     assert check_tmulticat(z2m) == []
 
 
-def _subst_sites(mat):
-    """(table key, stored result, result hom) of each substitution entry of a
-    materialized instance."""
-    for (gkey, gid, inner), rid in sorted(mat.subst_table.items()):
-        g = mat.mm(*gkey, gid)
-        fs = tuple(mat.mm(fx, fi, gkey[1][i], fid)
+def _subst_sites(m, subst):
+    """(table key, stored result, result hom) of each entry of the
+    substitution table subst of m."""
+    for (gkey, gid, inner), rid in sorted(subst.items()):
+        g = m.mm(*gkey, gid)
+        fs = tuple(m.mm(fx, fi, gkey[1][i], fid)
                    for i, (fx, fi, fid) in enumerate(inner))
-        yield (gkey, gid, inner), rid, mat.homs[mat.substitute(g, fs).key]
-
-
-def _with_tables(mat, action, subst, homs=None):
-    return make_multicat(mat.operad, mat.objects, mat.max_arity, homs or mat.homs,
-                         mat.identities, action_table=action, subst_table=subst)
+        yield (gkey, gid, inner), rid, m.homs[m.substitute(g, fs).key]
 
 
 def _mutate_subst(m, pick):
     """Materialize, then redirect one substitution entry to a different member
     of the same hom set; pick(key, current, hom) chooses the new value."""
-    mat = m.materialize()
-    for key, rid, hom in _subst_sites(mat):
+    action, subst = m.materialize()
+    for key, rid, hom in _subst_sites(m, subst):
         new = pick(key, rid, hom)
         if new is not None:
-            return _with_tables(mat, mat.action_table,
-                                {**mat.subst_table, key: new}), key
+            return with_tables(m, action, {**subst, key: new}), key
     raise AssertionError("no mutable entry found")
 
 
 def _one_entry_mutants(m):
     """Every copy of m with one substitution or action entry redirected to
     another member of the same hom set."""
-    mat = m.materialize()
-    for key, rid, hom in _subst_sites(mat):
+    action, subst = m.materialize()
+    for key, rid, hom in _subst_sites(m, subst):
         for other in hom:
             if other != rid:
-                yield _with_tables(mat, mat.action_table, {**mat.subst_table, key: other})
-    for (fmor, key), table in sorted(mat.action_table.items()):
-        tgt = mat.operad.component(len(key[1])).tgt(fmor)
+                yield with_tables(m, action, {**subst, key: other})
+    for (fmor, key), table in sorted(action.items()):
+        tgt = m.operad.component(len(key[1])).tgt(fmor)
         for mid, image in sorted(table.items()):
-            for other in mat.homs[(tgt, key[1], key[2])]:
+            for other in m.homs[(tgt, key[1], key[2])]:
                 if other != image:
-                    action = {**mat.action_table, (fmor, key): {**table, mid: other}}
-                    yield _with_tables(mat, action, mat.subst_table)
+                    yield with_tables(m, {**action, (fmor, key): {**table, mid: other}}, subst)
 
 
 def test_identity_law_mutant_names_the_multimap(z2m):
@@ -231,10 +224,8 @@ def _roundtrip_pair(structure, arity):
 def test_iso_search_finds_self_iso(fst3, z2m):
     pairs = [iso_search(m, m) for m in (fst3, z2m)]
     # a copy whose homs list their ids in reverse, so the search must prune
-    mat = z2m.materialize()
-    reversed_homs = {key: mids[::-1] for key, mids in mat.homs.items()}
-    pairs.append(iso_search(z2m, _with_tables(mat, mat.action_table, mat.subst_table,
-                                              reversed_homs)))
+    reversed_homs = {key: mids[::-1] for key, mids in z2m.homs.items()}
+    pairs.append(iso_search(z2m, with_tables(z2m, *z2m.materialize(), reversed_homs)))
     # the round-trip pairs at the CLI's default arity
     pairs += [_roundtrip_pair(st, 4) for st in (z2_monoidal, two_chain_fst, two_chain_snd)]
     for pair in pairs:
@@ -271,15 +262,14 @@ def test_check_morphism_reports_a_broken_action_alone(z2m):
     # the copy's action sends one tight map to the other map of its loose
     # hom; its substitution table is the original's, so the identity hom
     # maps break an action equation and no substitution equation
-    mat = z2m.materialize()
-    (fmor, key), table = sorted(mat.action_table.items())[0]
+    action, subst = z2m.materialize()
+    (fmor, key), table = sorted(action.items())[0]
     mid = sorted(table)[0]
-    loose = (mat.operad.component(len(key[1])).tgt(fmor), key[1], key[2])
-    other = next(o for o in mat.homs[loose] if o != table[mid])
-    copy = _with_tables(mat, {**mat.action_table, (fmor, key): {**table, mid: other}},
-                        mat.subst_table)
-    f = MulticatMorphism(mat, copy, {a: a for a in mat.objects},
-                         {k: {m: m for m in mids} for k, mids in mat.homs.items()})
+    loose = (z2m.operad.component(len(key[1])).tgt(fmor), key[1], key[2])
+    other = next(o for o in z2m.homs[loose] if o != table[mid])
+    copy = with_tables(z2m, {**action, (fmor, key): {**table, mid: other}}, subst)
+    f = MulticatMorphism(z2m, copy, {a: a for a in z2m.objects},
+                         {k: {m: m for m in mids} for k, mids in z2m.homs.items()})
     laws = {v.law for v in check_morphism(f)}
     assert "morphism-action" in laws
     assert "morphism-substitution" not in laws
