@@ -8,9 +8,10 @@ component morphism, and substitution comparisons from each composite functor
 into the corresponding nesting.  The unit functor is the identity by
 construction, which is what "normal" means here.
 
-``check_colax_algebra`` checks the endpoints of the structure and the
-identity laws directly and every other law through the multicategory that
-``colax_to_multicat`` builds from the algebra.
+``check_colax_algebra`` checks the endpoints of the structure, the identity
+laws and the laws at the values the multicategory never reads directly, and
+every other law through the multicategory that ``colax_to_multicat`` builds
+from the algebra, whose substitution rule is evaluated on ∘ᵢ keys.
 """
 
 from __future__ import annotations
@@ -124,45 +125,61 @@ def _shapes(alg: NormalColaxAlgebra):
 
 
 def check_colax_algebra(alg: NormalColaxAlgebra) -> list[Violation]:
-    """Endpoint violations if there are any; otherwise the identity laws that
-    the corresponding multicategory cannot see, then the violations of
+    """Endpoint violations if there are any; otherwise the laws at the values
+    that the corresponding multicategory cannot see, then the violations of
     ``check_tmulticat(colax_to_multicat(alg))``.
 
-    The endpoints checked are those of every value of m_mor, ``op_mor`` and
-    Gamma: all the values the multicategory reads, so every composite it
-    forms exists; a value that is no morphism of the base category fails
-    it.  Its multimaps of type x out of ``inputs`` into b are the maps
-    m_x(inputs) -> b, it acts by precomposing ``op_mor``, and it substitutes
-    by g(f1..fn) = Gamma ; m_x(f1..fn) ; g.  By Yoneda each colax
-    law is a multicategory law with an identity as the outer map, given
-    m_x(1..1) = 1 and U = 1 for U the Gamma at unary unit inners:
-    ``identity-left`` at the identity of m_x(tup) is the outer counit law;
-    associativity with identity inner and deep maps is coassociativity, with
-    identity inners and unit-typed unary deep maps naturality of Gamma, and
-    with unit-typed unary inner and deep maps functoriality of m_x;
-    ``subst-naturality`` with identity inners is naturality of Gamma in the
-    operad slots, and with unit-typed unary inners naturality of ``op_mor``.
+    The endpoints checked are those of every value of m_mor and ``op_mor``
+    and of Gamma at the shapes the multicategory reads, so every composite
+    it forms exists; a value that is no morphism of the base category fails
+    it.  Gamma at any other shape is checked against the values it reads
+    (below), which fixes its endpoints too.  Its multimaps of type x
+    out of ``inputs`` into b are the maps m_x(inputs) -> b, it acts by
+    precomposing ``op_mor``, and it substitutes by g(f1..fn) = Gamma ;
+    m_x(f1..fn) ; g on ∘ᵢ keys, folding the rest.  By Yoneda each colax law
+    is a multicategory law with an identity as the outer map, given
+    m_x(1..1) = 1, U = 1 for U the Gamma at unary unit inners, and that the
+    formula agrees with the fold at every key: ``identity-left`` at the
+    identity of m_x(tup) is the outer counit law; associativity with
+    identity inner and deep maps is coassociativity, with identity inners
+    and unit-typed unary deep maps naturality of Gamma, and with unit-typed
+    unary inner and deep maps functoriality of m_x in one slot and, through
+    the parallel family, the interchange of two slots; ``subst-naturality``
+    with identity inners is naturality of Gamma in the operad slots, and
+    with unit-typed unary inners naturality of ``op_mor``.
 
-    The multicategory reads m_mor only after Gamma, so it cannot see
-    m_x(1..1) = 1: for an automorphism P of m_x(c), x not the unit, putting
-    P^-1 after each Gamma into m_x(c) and P before each m_x(f) out of m_x(c)
-    changes no substitution.  ``functor-identity`` is therefore checked at
-    every arity, and then ``identity-right`` (U ; m_x(1..1) = 1) gives U = 1.
-    Nor does it read the arity-0 Gamma(x; (); ()), since substituting no
-    inner maps returns the outer map unchanged, so ``counit-inner`` is
-    checked there.  The test suite cross-checks the verdict against nested
-    quantification of every law (``tests/naive_oracles.py``)."""
+    The multicategory reads m_mor only at tuples with at most one
+    non-identity slot, and Gamma only at shapes with at most one inner other
+    than the unary unit.  The other values are checked against the ones it
+    reads, which makes the formula agree with the fold, by induction on the
+    number of such slots: ``functor-composition`` asks that m_x(f1..fn) be
+    the composite of its one-slot images, left to right, and
+    ``gamma-coassociativity`` that Gamma at such a shape be the comparison of
+    the fold's last step, at the leftmost inner i of positive arity (else
+    the leftmost nullary one), followed by Gamma at the shape with a unit at
+    i.  Nor does the multicategory see m_x(1..1) = 1: for an automorphism P
+    of m_x(c), x not the unit, putting P^-1 after each Gamma into m_x(c) and
+    P before each m_x(f) out of m_x(c) changes no ∘ᵢ substitution.
+    ``functor-identity`` is therefore checked at every arity, and then
+    ``identity-right`` (U ; m_x(1..1) = 1) gives U = 1.  Nor does it read
+    the arity-0 Gamma(x; (); ()), since substituting no inner maps returns
+    the outer map unchanged, so ``counit-inner`` is checked there.  The test
+    suite cross-checks the verdict against nested quantification of every
+    law (``tests/naive_oracles.py``)."""
     base = alg.base
     objs = base.objects
     mors = [m for m, _, _ in base.morphisms]
+    unit = (alg.operad.unit, 1)
     out: list[Violation] = []
+    functor: dict[tuple[str, tuple[str, ...]], str] = {}  # every value of m_mor
     for n in range(alg.max_arity + 1):
         comp = alg.operad.component(n)
         for x in comp.objects:
             for ms in itertools.product(mors, repeat=n):
                 srcs = tuple(base.src(g) for g in ms)
                 tgts = tuple(base.tgt(g) for g in ms)
-                if alg.m_mor(x, ms) not in base.hom(alg.m_obj(x, srcs), alg.m_obj(x, tgts)):
+                value = functor[x, ms] = alg.m_mor(x, ms)
+                if value not in base.hom(alg.m_obj(x, srcs), alg.m_obj(x, tgts)):
                     out.append(Violation.of("functor-endpoints", x=x, fs=str(ms)))
         for phi, sx, tx in comp.morphisms:
             if comp.is_identity(phi):
@@ -170,9 +187,15 @@ def check_colax_algebra(alg: NormalColaxAlgebra) -> list[Violation]:
             for tup in itertools.product(objs, repeat=n):
                 if alg.op_mor(phi, tup) not in base.hom(alg.m_obj(sx, tup), alg.m_obj(tx, tup)):
                     out.append(Violation.of("op-mor-endpoints", phi=phi, objs=str(tup)))
-    for x, inner in _shapes(alg):
+    # each shape with the slots of its inners other than the unary unit
+    shapes = [(x, inner, [i for i, yk in enumerate(inner) if yk != unit])
+              for x, inner in _shapes(alg)]
+    gammas: dict[tuple, str] = {}  # every value of Gamma
+    for x, inner, moved in shapes:
         for blocks in _blocks(objs, tuple(k for _, k in inner)):
-            if alg.gamma(x, inner, blocks) not in base.hom(*alg.gamma_endpoints(x, inner, blocks)):
+            value = gammas[x, inner, blocks] = alg.gamma(x, inner, blocks)
+            if len(moved) < 2 and \
+               value not in base.hom(*alg.gamma_endpoints(x, inner, blocks)):
                 out.append(Violation.of("gamma-endpoints", x=x, inner=str(inner),
                                         blocks=str(blocks)))
     if out:
@@ -181,9 +204,39 @@ def check_colax_algebra(alg: NormalColaxAlgebra) -> list[Violation]:
     for n in range(alg.max_arity + 1):
         for x in alg.operad.component(n).objects:
             for tup in itertools.product(objs, repeat=n):
-                if alg.m_mor(x, tuple(base.id_of(a) for a in tup)) != \
+                if functor[x, tuple(base.id_of(a) for a in tup)] != \
                    base.id_of(alg.m_obj(x, tup)):
                     out.append(Violation.of("functor-identity", x=x, objs=str(tup)))
+    for (x, ms), value in functor.items():
+        moved = [i for i, f in enumerate(ms) if not base.is_identity(f)]
+        if len(moved) < 2:
+            continue
+        steps = []  # one slot at a time, left to right
+        for i in moved:
+            # slots left of i are at their targets, the others at their sources
+            tup = [base.id_of(base.tgt(f) if j < i else base.src(f)) for j, f in enumerate(ms)]
+            tup[i] = ms[i]
+            steps.append(functor[x, tuple(tup)])
+        if value != base.comp_seq(*steps):
+            out.append(Violation.of("functor-composition", x=x, fs=str(ms)))
+    for x, inner, moved in shapes:
+        if len(moved) < 2:
+            continue
+        # the last step of the fold: the leftmost inner i of positive arity,
+        # or else the leftmost nullary one, into the shape with a unit at i
+        i = next((j for j in moved if inner[j][1]), moved[0])
+        rest = inner[:i] + (unit,) + inner[i + 1:]
+        x_rest = alg.operad.subst_obj(x, tuple(y for y, _ in rest), tuple(k for _, k in rest))
+        slot = i - moved.index(i)
+        for blocks in _blocks(objs, tuple(k for _, k in inner)):
+            rest_blocks = blocks[:i] + ((alg.m_obj(inner[i][0], blocks[i]),),) + blocks[i + 1:]
+            flat = tuple(a for blk in rest_blocks for a in blk)
+            step = gammas[x_rest,
+                          tuple(inner[i] if j == slot else unit for j in range(len(flat))),
+                          tuple(blocks[i] if j == slot else (a,) for j, a in enumerate(flat))]
+            if gammas[x, inner, blocks] != base.comp_seq(step, gammas[x, rest, rest_blocks]):
+                out.append(Violation.of("gamma-coassociativity", x=x, inner=str(inner),
+                                        blocks=str(blocks)))
     for x in alg.operad.component(0).objects:
         if alg.gamma(x, (), ()) != base.id_of(alg.m_obj(x, ())):
             out.append(Violation.of("counit-inner", x=x, objs="()"))
@@ -281,7 +334,8 @@ def multicat_to_colax(m: TMulticategory, table: ClassifierTable) -> NormalColaxA
 
 def colax_to_multicat(alg: NormalColaxAlgebra) -> TMulticategory:
     """Multihoms are underlying-category homs out of the functor values;
-    substitution post-composes the functor image and the comparison map."""
+    substitution on a ∘ᵢ key post-composes the functor image and the
+    comparison map, and ``substitute`` folds the other keys."""
     base = alg.base
     op = dual_operad(alg.operad)
     homs = {(x, inputs, b): base.hom(alg.m_obj(x, inputs), b)

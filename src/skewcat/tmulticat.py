@@ -4,23 +4,27 @@ Hom sets are stored for every signature (operad object x at arity n, an input
 tuple, an output) with n up to a truncation bound ``max_arity``; substitution
 entries exist whenever the concatenated arity stays within the bound.
 
-``check_tmulticat`` checks the identity laws on every multimap, and naturality
-and associativity on the partial compositions g ∘ᵢ f (``subst_after``): the
-sequential and parallel associativity of ∘ᵢ wherever every stage stays within
-the bound, and the agreement of each stored substitution with its ∘ᵢ fold.
+A multicategory is given by its partial compositions g ∘ᵢ f with units
+(Markl, *Operads and PROPs*, arXiv:math/0601129, §1): the substitution rule is
+evaluated only on ∘ᵢ keys, those with at most one non-identity inner, and
+every other substitution is their memoised fold.  ``check_tmulticat`` checks
+the identity laws on every multimap, and naturality and the sequential and
+parallel associativity of ∘ᵢ wherever every stage stays within the bound.
 For unital multicategories this is equivalent to associativity of full
-substitution (Markl, *Operads and PROPs*, arXiv:math/0601129, §1): each ∘ᵢ
-law is full associativity with identity inners, and every full substitution
-is a fold of ∘ᵢ.
+substitution: each ∘ᵢ law is full associativity with identity inners, and
+full substitution is a fold of ∘ᵢ.
 
 Multimap ids are strings unique within their own hom set; distinct hom sets
 may reuse ids (a multimap is always addressed together with its signature).
 The operad action and substitution are rules evaluated on demand; the file
-reader wraps its stored tables as rules.
+reader wraps its stored tables as rules.  A file stores every substitution,
+so its rows with two or more non-identity inners are data that
+``check_tmulticat`` compares with the fold; ``substitute`` never reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -57,7 +61,11 @@ class TMulticategory:
                  homs: dict[HomKey, tuple[str, ...]],
                  identities: dict[str, str],
                  action_rule: Callable[[str, MultiMap], str],
-                 subst_rule: Callable[[MultiMap, tuple[MultiMap, ...]], str]):
+                 subst_rule: Callable[[MultiMap, tuple[MultiMap, ...]], str],
+                 stored_subst: dict | None = None):
+        """``subst_rule`` is asked only for ∘ᵢ keys.  ``stored_subst`` is a
+        file's substitution table in the format of ``materialize``: data
+        for ``check_tmulticat`` to check, never read by ``substitute``."""
         self.operad = operad
         self.objects = tuple(objects)
         self.max_arity = max_arity
@@ -65,7 +73,11 @@ class TMulticategory:
         self.identities = identities
         self.action_rule = action_rule
         self.subst_rule = subst_rule
+        self.stored_subst = stored_subst
         self._subst_cache: dict = {}
+        self._units = {a: MultiMap(operad.unit, (a,), a, identities[a]) for a in self.objects}
+        # the (x, inputs, id) of the identity of each object, as in a substitution key
+        self._unit_keys = {a: (u.x, u.inputs, u.mid) for a, u in self._units.items()}
 
     # -- signatures ------------------------------------------------------
 
@@ -86,7 +98,7 @@ class TMulticategory:
         return MultiMap(x, tuple(inputs), output, mid)
 
     def identity(self, a: str) -> MultiMap:
-        return MultiMap(self.operad.unit, (a,), a, self.identities[a])
+        return self._units[a]
 
     # -- structure -------------------------------------------------------
 
@@ -102,12 +114,23 @@ class TMulticategory:
         return self.mm(comp.tgt(fmor), m.inputs, m.output, self.action_rule(fmor, m))
 
     def substitute(self, g: MultiMap, fs: tuple[MultiMap, ...]) -> MultiMap:
+        """g(f1..fn): the rule on a ∘ᵢ key, the ∘ᵢ fold on any other."""
         if not fs:
             if g.arity != 0:
                 raise StructureError("wrong number of inner multimaps")
             return g
-        key = (g.x, g.inputs, g.output, g.mid,
-               tuple((f.x, f.inputs, f.mid) for f in fs))
+        return self._substitute(g, fs)
+
+    def _substitute(self, g: MultiMap, fs: tuple[MultiMap, ...]) -> MultiMap:
+        """``substitute`` at non-empty inners, memoised per key.
+
+        The fold substitutes the nullary inners first, then the others, each
+        group right to left, so that every stage stays within the bound.  Its
+        last step substitutes the leftmost inner i of positive arity, or else
+        the leftmost nullary one, into the fold of the same key with an
+        identity at i; every inner left of i is an identity or nullary, so
+        that step is at slot i less the nullary inners left of it."""
+        key = (g.x, g.inputs, g.output, g.mid, tuple([(f.x, f.inputs, f.mid) for f in fs]))
         hit = self._subst_cache.get(key)
         if hit is not None:
             return hit
@@ -116,20 +139,31 @@ class TMulticategory:
         for f, b in zip(fs, g.inputs):
             if f.output != b:
                 raise StructureError(f"inner output {f.output!r} does not match slot {b!r}")
-        ks = tuple(f.arity for f in fs)
-        if sum(ks) > self.max_arity:
-            raise StructureError(f"substitution result arity {sum(ks)} exceeds bound")
-        x = self.operad.subst_obj(g.x, tuple(f.x for f in fs), ks)
-        inputs = tuple(a for f in fs for a in f.inputs)
-        result = self.mm(x, inputs, g.output, self.subst_rule(g, fs))
+        total = sum(f.arity for f in fs)
+        if total > self.max_arity:
+            raise StructureError(f"substitution result arity {total} exceeds bound")
+        unit_keys = self._unit_keys
+        moved = [i for i, (f, b) in enumerate(zip(key[4], g.inputs)) if f != unit_keys[b]]
+        if len(moved) < 2:
+            x = self.operad.subst_obj(g.x, tuple([f.x for f in fs]),
+                                      tuple([f.arity for f in fs]))
+            inputs = tuple([a for f in fs for a in f.inputs])
+            result = self.mm(x, inputs, g.output, self.subst_rule(g, fs))
+        else:
+            units = self._units
+            i = next((j for j in moved if fs[j].arity), moved[0])
+            rest = self._substitute(g, fs[:i] + (units[g.inputs[i]],) + fs[i + 1:])
+            slot = i - moved.index(i)
+            result = self._substitute(rest, tuple([fs[i] if j == slot else units[a]
+                                                   for j, a in enumerate(rest.inputs)]))
         self._subst_cache[key] = result
         return result
 
     def subst_after(self, g: MultiMap, i: int, f: MultiMap) -> MultiMap:
         """The partial composition g ∘ᵢ f: substitute f into position i
         (1-based), identities elsewhere."""
-        fs = tuple(f if j == i - 1 else self.identity(b)
-                   for j, b in enumerate(g.inputs))
+        fs = tuple([f if j == i - 1 else self._units[b]
+                    for j, b in enumerate(g.inputs)])
         return self.substitute(g, fs)
 
     def _maps_by_output(self) -> dict[str, list[MultiMap]]:
@@ -259,7 +293,8 @@ def terminal_multicat(operad: CatOperad, max_arity: int = 4,
 
 def check_tmulticat(m: TMulticategory) -> list[Violation]:
     """Identity laws and action functoriality on every stored multimap;
-    naturality and associativity on the ∘ᵢ fragment.
+    naturality and associativity on the ∘ᵢ fragment; and the rows of a
+    file's substitution table against the ∘ᵢ fold.
 
     Naturality is checked one operad variable at a time on the substitutions
     with at most one non-identity inner (``generator_subst_keys``); the joint
@@ -268,14 +303,19 @@ def check_tmulticat(m: TMulticategory) -> list[Violation]:
     ``subst-associativity`` with a ``family`` detail, is checked as sequential
     (g ∘ᵢ f) ∘_{i+j-1} h = g ∘ᵢ (f ∘ⱼ h) and parallel (g ∘ᵢ f) ∘_{j+k-1} h =
     (g ∘ⱼ h) ∘ᵢ f for i < j and f of arity k, on every instance whose stages
-    stay within the bound, and as the agreement of every stored substitution
-    with two or more non-identity inners with its ∘ᵢ fold.  Each of these is
-    an instance of full associativity with identity inners, so a lawful
-    multicategory passes; conversely every stored substitution is a fold of
-    ∘ᵢ steps that the two laws rearrange (Markl, arXiv:math/0601129, §1).
-    The test suite cross-checks the verdict against nested full
-    quantification (``tests/naive_oracles.py``)."""
-    keys = _validate_structure(m)
+    stay within the bound.  Each of these is an instance of full
+    associativity with identity inners, so a lawful multicategory passes;
+    conversely full substitution is the fold of ∘ᵢ steps, which the two laws
+    rearrange (Markl, arXiv:math/0601129, §1).
+
+    Only ∘ᵢ keys are evaluated.  A multicategory read from a file also
+    stores a row for every other substitution: each row must exist and its
+    result lie in the hom of its signature (else ``StructureError``), and a
+    row with two or more non-identity inners into a hom of two or more
+    elements that differs from the fold is family ``fold``.  The test suite
+    cross-checks the verdict against nested full quantification
+    (``tests/naive_oracles.py``)."""
+    off_fold = _validate_structure(m)
     out: list[Violation] = []
 
     # action functoriality: composites of non-identity morphisms
@@ -336,18 +376,20 @@ def check_tmulticat(m: TMulticategory) -> list[Violation]:
     # subsingleton the comparison is forced by the totality checks above and
     # the enumeration can be skipped.
     if any(len(mids) > 1 for mids in m.homs.values()):
-        out.extend(_check_associativity(m, keys))
+        out.extend(_check_associativity(m))
+    for g, fs in off_fold:
+        out.append(Violation.of("subst-associativity", family="fold", g=g.mid,
+                                key=str(g.key), fs=str([f.mid for f in fs])))
     return out
 
 
-def _check_associativity(m: TMulticategory, keys) -> list[Violation]:
-    """Sequential and parallel associativity of ∘ᵢ, and agreement of each
-    stored substitution with two or more non-identity inners with its ∘ᵢ
-    fold.  An instance counts when every stage stays within the bound.
-    Instances with an identity for f or h follow from the identity laws."""
+def _check_associativity(m: TMulticategory) -> list[Violation]:
+    """Sequential and parallel associativity of ∘ᵢ.  An instance counts when
+    every stage stays within the bound.  Instances with an identity for f or
+    h follow from the identity laws."""
     out: list[Violation] = []
     bound = m.max_arity
-    units = {m.identity(a) for a in m.objects}
+    units = set(m._units.values())
     by_output = {b: [mp for mp in ms if mp not in units]
                  for b, ms in m._maps_by_output().items()}
 
@@ -381,20 +423,6 @@ def _check_associativity(m: TMulticategory, keys) -> list[Violation]:
                         if m.subst_after(gf, j + kf - 1, h) != \
                            m.subst_after(m.subst_after(g, j, h), i, f):
                             fail("parallel", g, i=str(i), f=f.mid, j=str(j), h=h.mid)
-
-    # Fold: nullary inners first, then the rest, each group right to left, so
-    # that every stage stays within max(arity of g, arity of the result).
-    for g, fs in keys:
-        moved = [(i, f) for i, f in enumerate(fs, 1) if f not in units]
-        if len(moved) < 2:
-            continue
-        nullary = [i for i, f in moved if f.arity == 0]
-        r = g
-        for i, f in sorted(moved, key=lambda p: (p[1].arity > 0, -p[0])):
-            shift = sum(1 for p in nullary if p < i) if f.arity else 0
-            r = m.subst_after(r, i - shift, f)
-        if r != m.substitute(g, fs):
-            fail("fold", g, fs=str([f.mid for f in fs]))
     return out
 
 
@@ -412,17 +440,59 @@ def _slot_choices(slots, budget, fitting):
             yield (h,) + tail
 
 
-def _validate_structure(m: TMulticategory) -> list:
-    """Check the operad components and evaluate every substitution key;
-    ``make_multicat`` has already checked the signatures, the map ids and
-    the identities, and the file reader the key of every stored row."""
+def _subst_key_count(m: TMulticategory) -> int:
+    """The number of ``subst_keys``, counted by arity slot by slot."""
+    into: dict[tuple[str, int], int] = {}  # (output, arity) -> multimaps
+    for (_, inputs, b), mids in m.homs.items():
+        into[b, len(inputs)] = into.get((b, len(inputs)), 0) + len(mids)
+
+    @functools.cache
+    def choices(slots: tuple[str, ...], budget: int) -> int:
+        if not slots:
+            return 1
+        return sum(into.get((slots[0], k), 0) * choices(slots[1:], budget - k)
+                   for k in range(budget + 1))
+
+    return sum(len(mids) * choices(inputs, m.max_arity)
+               for (_, inputs, _), mids in m.homs.items() if inputs)
+
+
+def _validate_structure(m: TMulticategory) -> list[tuple[MultiMap, tuple[MultiMap, ...]]]:
+    """Check the operad components, evaluate every ∘ᵢ key, and check a
+    file's stored substitution rows; ``make_multicat`` has already checked
+    the signatures, the map ids and the identities, and the file reader the
+    key of every stored row.  Returns the stored keys with two or more
+    non-identity inners, into a hom of two or more elements, whose row
+    differs from the fold, in ``subst_keys`` order."""
     for n in range(m.max_arity + 1):
         if check_category(m.operad.component(n)):
             raise StructureError(f"operad component {n} is not a category")
-    keys = list(m.subst_keys())
-    for g, fs in keys:
+    for g, fs in m.generator_subst_keys():
         m.substitute(g, fs)  # raises if an entry is absent or lands outside its hom
-    return keys
+    rows = m.stored_subst
+    if rows is None:
+        return []
+    if len(rows) != _subst_key_count(m):
+        # the reader admits only valid keys, once each, so one is missing
+        missing = next(k for g, fs in m.subst_keys()
+                       if (k := (g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs)))
+                       not in rows)
+        raise StructureError(f"no substitution entry for {missing!r}")
+    subst_obj, homs, unit_keys = m.operad.subst_obj, m.homs, m._unit_keys
+    off_fold = set()
+    for (gkey, gid, inner), rid in rows.items():
+        sig = (subst_obj(gkey[0], tuple([f[0] for f in inner]),
+                         tuple([len(f[1]) for f in inner])),
+               tuple([a for f in inner for a in f[1]]), gkey[2])
+        hom = homs.get(sig, ())
+        if rid not in hom:
+            raise StructureError(f"no multimap {rid!r} in hom {sig!r}")
+        if len(hom) > 1 and sum(f != unit_keys[b] for f, b in zip(inner, gkey[1])) > 1:
+            g = MultiMap(*gkey, gid)
+            fs = tuple(MultiMap(x, inputs, b, mid) for (x, inputs, mid), b in zip(inner, gkey[1]))
+            if m.substitute(g, fs).mid != rid:
+                off_fold.add((g, fs))
+    return [key for key in m.subst_keys() if key in off_fold] if off_fold else []
 
 
 # -- underlying category -----------------------------------------------------
@@ -468,7 +538,10 @@ def underlying_category(m: TMulticategory) -> FinCategory:
 def from_tight_subsets(m: TMulticategory, tight: dict[tuple[tuple[str, ...], str], frozenset]
                        ) -> SkewMulticategory:
     """Refine an ordinary multicategory by a class of tight multimaps closed
-    under substitution in the first position."""
+    under substitution in the first position.  Closure is checked on the ∘ᵢ
+    keys with a tight outer map and a tight first inner; the identities are
+    tight, so that covers g ∘ᵢ f for i > 1, and every other substitution
+    with both tight is a fold of those steps."""
     if m.operad.name != "N":
         raise StructureError("input must be typed over the terminal operad")
     r = operad_by_name("R")
@@ -484,8 +557,8 @@ def from_tight_subsets(m: TMulticategory, tight: dict[tuple[tuple[str, ...], str
     def is_tight(mm_: MultiMap) -> bool:
         return mm_.arity > 0 and mm_.mid in tight.get((mm_.inputs, mm_.output), frozenset())
 
-    for g, fs in m.subst_keys():
-        if is_tight(g) and fs and is_tight(fs[0]):
+    for g, fs in m.generator_subst_keys():
+        if is_tight(g) and is_tight(fs[0]):
             res = m.substitute(g, fs)
             if not is_tight(res):
                 raise StructureError(
@@ -555,11 +628,12 @@ class MulticatMorphism:
 def check_morphism(f: MulticatMorphism) -> list[Violation]:
     """The identity, action and ∘ᵢ substitution equations that f breaks.
 
-    Substitution is checked on ``generator_subst_keys`` only.  That is
-    complete when both endpoints are lawful: every stored substitution is
-    then a ∘ᵢ fold within the bound (Markl, arXiv:math/0601129, §1), which f
-    preserves step by step.  On an endpoint that fails ``check_tmulticat`` a
-    substitution may differ from its fold; the tests' full sweep
+    Substitution is checked on ``generator_subst_keys`` only, the keys on
+    which either endpoint evaluates its rule.  Every other substitution is
+    the fold of ∘ᵢ steps within the bound (Markl, arXiv:math/0601129, §1),
+    and on lawful endpoints f preserves it step by step.  Rows that a file
+    stores for those substitutions are checked against the fold by
+    ``check_tmulticat``, not here; the tests' full sweep
     (``tests/naive_oracles.py``) is the reference."""
     src, tgt = f.source, f.target
     if src.operad.name != tgt.operad.name or src.max_arity != tgt.max_arity:
@@ -662,8 +736,7 @@ def iso_search(m: TMulticategory, n: TMulticategory
                 (key[0], tuple(sigma[a] for a in key[1]), sigma[key[2]]), ()))
                for key in m.homs):
             continue
-        found = _assign_homs(m, n, sigma, hom_keys, 0, {},
-                             act_constraints, sub_constraints)
+        found = _assign_homs(m, n, sigma, hom_keys, act_constraints, sub_constraints)
         if found is not None:
             fwd = MulticatMorphism(m, n, sigma,
                                    {k: found.get(k, {}) for k in m.homs})
@@ -679,16 +752,12 @@ def iso_search(m: TMulticategory, n: TMulticategory
     return None
 
 
-def _assign_homs(m, n, sigma, keys, idx, assigned, act_constraints, sub_constraints):
-    if idx == len(keys):
-        return dict(assigned)
-    key = keys[idx]
-    tgt_key = (key[0], tuple(sigma[a] for a in key[1]), sigma[key[2]])
-    forced = {}
-    if key[0] == m.operad.unit and len(key[1]) == 1 and key[1][0] == key[2]:
-        forced[m.identities[key[2]]] = n.identities[sigma[key[2]]]
-        if forced[m.identities[key[2]]] not in n.homs[tgt_key]:
-            return None
+def _assign_homs(m, n, sigma, keys, act_constraints, sub_constraints):
+    """A bijection per hom key, in order, that breaks none of the constraints
+    indexed by its key, found depth first; or None.  The walk keeps one
+    iterator of candidate tables per assigned key instead of recursing, so
+    its depth is the number of keys, not the interpreter's stack."""
+    assigned: dict[HomKey, dict[str, str]] = {}
 
     def image(mm_: MultiMap) -> MultiMap | None:
         table = assigned.get(mm_.key)
@@ -697,16 +766,31 @@ def _assign_homs(m, n, sigma, keys, idx, assigned, act_constraints, sub_constrai
         return MultiMap(mm_.x, tuple(sigma[a] for a in mm_.inputs),
                         sigma[mm_.output], table[mm_.mid])
 
-    for table in _hom_bijections(m.homs[key], n.homs[tgt_key], forced):
-        assigned[key] = table
-        broken = _broken_equations(m, n, image, act_constraints[idx], sub_constraints[idx])
-        if next(broken, None) is None:
-            res = _assign_homs(m, n, sigma, keys, idx + 1, assigned,
-                               act_constraints, sub_constraints)
-            if res is not None:
-                return res
-        del assigned[key]
-    return None
+    def candidates(idx: int) -> Iterator[bool]:
+        """Leaves each table for keys[idx] that breaks no constraint in
+        ``assigned`` while the walk goes deeper, and removes it when done."""
+        key = keys[idx]
+        tgt_key = (key[0], tuple(sigma[a] for a in key[1]), sigma[key[2]])
+        forced = {}
+        if key[0] == m.operad.unit and len(key[1]) == 1 and key[1][0] == key[2]:
+            forced[m.identities[key[2]]] = n.identities[sigma[key[2]]]
+            if forced[m.identities[key[2]]] not in n.homs[tgt_key]:
+                return
+        for table in _hom_bijections(m.homs[key], n.homs[tgt_key], forced):
+            assigned[key] = table
+            broken = _broken_equations(m, n, image, act_constraints[idx], sub_constraints[idx])
+            if next(broken, None) is None:
+                yield True
+        assigned.pop(key, None)
+
+    stack: list[Iterator[bool]] = []
+    while len(stack) < len(keys):
+        stack.append(candidates(len(stack)))
+        while not next(stack[-1], False):
+            stack.pop()
+            if not stack:
+                return None
+    return dict(assigned)
 
 
 # -- JSON ----------------------------------------------------------------------
@@ -766,8 +850,10 @@ def _str_ids(values, what: str) -> tuple[str, ...]:
 def multicat_from_json(data: dict) -> TMulticategory:
     """Read a multicategory, requiring string ids and exactly the documented
     keys in every row, and check each stored row's key as it is read (the
-    README lists the checks).  The tables are wrapped as rules; a missing
-    ``subst`` row or an out-of-hom result shows when its key is evaluated.
+    README lists the checks).  The tables are wrapped as rules, whose
+    substitution rule is asked only for ∘ᵢ rows; a missing ∘ᵢ row or an
+    out-of-hom result shows when its key is evaluated, and the whole
+    ``subst`` table is kept for ``check_tmulticat`` to check.
 
     Each distinct ``outer``/inner reference is type-checked and looked up in
     its hom once, and its parsed form shared by every ``subst`` row that
@@ -809,6 +895,9 @@ def multicat_from_json(data: dict) -> TMulticategory:
 
     try:
         objects = tuple(_str_id(x, "object") for x in _json_array(data["objects"], "objects"))
+        if len(set(objects)) < len(objects):
+            repeated = next(a for i, a in enumerate(objects) if a in objects[:i])
+            raise StructureError(f"duplicate object id {repeated!r}")
         homs: dict[HomKey, tuple[str, ...]] = {}
         for h in _json_array(data["homs"], "homs"):
             if not isinstance(h, dict) or set(h) != {"x", "inputs", "output", "maps"}:
@@ -870,7 +959,8 @@ def multicat_from_json(data: dict) -> TMulticategory:
             subst[skey] = _str_id(e["result"], "subst result")
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed multicategory JSON: {exc}") from exc
-    return make_multicat(op, objects, max_arity, homs, identities, **_table_rules(action, subst))
+    return make_multicat(op, objects, max_arity, homs, identities, stored_subst=subst,
+                         **_table_rules(action, subst))
 
 
 def _table_rules(action: dict, subst: dict) -> dict[str, Callable]:

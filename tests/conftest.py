@@ -81,14 +81,15 @@ def z2_monoidal(alpha: int = 0, lam: int = 0, rho: int = 0):
 
 def with_tables(m, action, subst, homs=None):
     """A copy of m whose action and substitution look up tables in the format
-    of ``TMulticategory.materialize``: with m's own tables and one entry
-    changed, a one-entry mutant of m."""
+    of ``TMulticategory.materialize``, as the file reader's do: its ∘ᵢ rows
+    are read as the rule and the whole table is stored for checking.  With
+    m's own tables and one entry changed, a one-entry mutant of m."""
     def subst_rule(g, fs):
         return subst[(g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs))]
 
     return make_multicat(m.operad, m.objects, m.max_arity, m.homs if homs is None else homs,
                          m.identities, action_rule=lambda phi, f: action[(phi, f.key)][f.mid],
-                         subst_rule=subst_rule)
+                         subst_rule=subst_rule, stored_subst=subst)
 
 
 @pytest.fixture

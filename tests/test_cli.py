@@ -111,7 +111,7 @@ def test_unlawful_multicat_with_no_preimage_is_not_left_representable(tmp_path, 
 def test_out_of_hom_result_in_a_row_convert_skips_is_exit_2(tmp_path, capsys, monkeypatch):
     # convert --to monoidal decides hom bijections of at most one element by
     # their sizes, so it no longer reads some rows that evaluating every
-    # substitution read; check and analyze still evaluate every stored row
+    # substitution read; check and analyze still check every stored row
     data = multicat_to_json(monoidal_to_multicat(two_chain_fst(), 3))
 
     def rows_read_by_convert():
@@ -395,6 +395,17 @@ def test_multicat_load_rejects_ghost_identity_and_repeated_map_id(
     assert message in out["error"]
 
 
+@pytest.mark.parametrize("command", [["check"], ["analyze"], ["roundtrip"],
+                                     ["convert", "--to", "monoidal"]],
+                         ids=["check", "analyze", "roundtrip", "convert"])
+def test_multicat_load_rejects_a_repeated_object(tmp_path, capsys, command):
+    data = multicat_to_json(monoidal_to_multicat(two_chain_fst(), 2))
+    data["objects"].append(data["objects"][0])
+    code, out, _ = run(capsys, command[0], write(tmp_path, "mc.json", data), *command[1:])
+    assert code == 2
+    assert out["error"] == f"duplicate object id {data['objects'][0]!r}"
+
+
 def _edited(data, edit):
     edit(data)
     return data
@@ -572,8 +583,8 @@ def _short_map_t(data):
         "nullary-outer-without-inners", "dropped-action", "map_t-misses-an-id",
         "map_l-outside-loose-hom"])
 def test_malformed_stored_tables_are_exit_2(tmp_path, capsys, edit, on_read):
-    # check evaluates every substitution key, so it sees a dropped subst row;
-    # convert and roundtrip read only the rows their searches ask for, so a
+    # check counts the stored subst rows, so it sees a dropped one; convert
+    # and roundtrip read only the ∘ᵢ rows their searches ask for, so a
     # missing row that is never asked for goes unseen there
     data = json.loads(json.dumps(multicat_to_json(monoidal_to_multicat(two_chain_fst(), 3))))
     edit(data)

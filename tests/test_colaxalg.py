@@ -126,7 +126,10 @@ def test_a_value_that_is_no_morphism_is_an_endpoint_violation(kind, key, law):
 def test_functor_identity_is_checked_at_every_arity():
     # An automorphism P of m_t(x, x) put after each binary Gamma (as P^-1)
     # and before each binary m_t (as P) leaves every substitution of the
-    # multicategory unchanged; only m_t(1, 1) = P shows the fault.
+    # multicategory unchanged.  m_t(1, 1) = P shows the fault, and so do the
+    # binary values the multicategory does not read: m_t(e1, e1) = P is not
+    # m_t(e1, 1) ; m_t(1, e1) = P ; P, and Gamma at two unary loose inners is
+    # not the composite of the two single-inner comparisons.
     alg = monoidal_to_colax(z2_monoidal(), 2)
     seq = alg.base.comp_seq
 
@@ -141,7 +144,8 @@ def test_functor_identity_is_checked_at_every_arity():
     mutant = with_rules(alg, m_mor=m_mor, gamma=gamma)
     assert check_tmulticat(colax_to_multicat(mutant)) == []
     assert not naive_check_colax_algebra(mutant)
-    assert [v.law for v in check_colax_algebra(mutant)] == ["functor-identity"]
+    assert [v.law for v in check_colax_algebra(mutant)] == \
+        ["functor-identity", "functor-composition", "gamma-coassociativity"]
 
 
 def oracle_reads(alg):

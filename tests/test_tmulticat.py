@@ -1,19 +1,24 @@
 import itertools
 import json
+import sys
 
 import pytest
 
-from skewcat.catoperad import make_R_operad, make_terminal_operad
+from skewcat.catoperad import make_R_operad, make_terminal_operad, operad_by_name
+from skewcat.colaxalg import colax_to_multicat
 from skewcat.fincat import StructureError, check_category
 from skewcat.tmulticat import (
     MulticatMorphism, all_tight, check_morphism, check_tmulticat, from_tight_subsets, iso_search,
     loose_part, make_multicat, multicat_from_json, multicat_to_json, signatures,
     terminal_multicat, underlying_category,
 )
-from skewcat.correspondence import monoidal_to_multicat, multicat_to_monoidal
+from skewcat.correspondence import (
+    monoidal_to_colax, monoidal_to_multicat, multicat_to_monoidal, roundtrip_multicat,
+)
 from conftest import chain_category, two_chain_fst, two_chain_snd, with_tables, z2_monoidal
 from naive_oracles import (
-    naive_check_multicat_over_n, naive_check_tmulticat, naive_is_morphism, naive_subst_keys,
+    naive_check_multicat_over_n, naive_check_tmulticat, naive_fold, naive_is_morphism,
+    naive_subst_keys,
 )
 
 
@@ -371,15 +376,12 @@ def test_json_rejects_duplicate_rows(kind):
 
 def _folded(bound, values, unit, circ):
     """One object over the terminal operad, hom ``values`` at every arity, and
-    full substitution defined as the ∘ᵢ fold of ``circ(g id, g arity, i, f)``
-    (nullary inners first, then the rest, each group right to left)."""
+    g ∘ᵢ f given by ``circ(g id, g arity, i, f)``: the rule answers ∘ᵢ keys,
+    and ``substitute`` folds every other substitution from them."""
     def subst_rule(g, fs):
-        mid, arity = g.mid, g.arity
-        for i in sorted(range(len(fs)), key=lambda i: (fs[i].arity > 0, -i)):
-            shift = sum(1 for f in fs[:i] if f.arity == 0) if fs[i].arity else 0
-            mid = circ(mid, arity, i + 1 - shift, fs[i])
-            arity += fs[i].arity - 1
-        return mid
+        moved = [i for i, f in enumerate(fs) if (f.arity, f.mid) != (1, unit)]
+        i = moved[0] if moved else 0
+        return circ(g.mid, g.arity, i + 1, fs[i])
 
     op = make_terminal_operad()
     homs = {key: values for key in signatures(op, ("*",), bound)}
@@ -391,21 +393,118 @@ def _families(m):
     return {(v.law, dict(v.details).get("family")) for v in check_tmulticat(m)}
 
 
-def test_parallel_family_alone_catches_a_noncommuting_composition():
+def _noncommuting():
     # ∘ᵢ multiplies ids in the monoid {1, a, b} with xy = y for x, y != 1:
-    # associative, so sequential instances and folds hold, but composing in
-    # two different slots does not commute
-    m = _folded(2, ("1", "a", "b"), "1", lambda g, n, i, f: g if f.mid == "1" else f.mid)
-    assert _families(m) == {("subst-associativity", "parallel")}
-    assert not naive_check_tmulticat(m)
+    # associative, so sequential instances hold, but composing in two
+    # different slots does not commute
+    return _folded(2, ("1", "a", "b"), "1", lambda g, n, i, f: g if f.mid == "1" else f.mid)
 
 
-def test_sequential_family_alone_catches_a_nonassociative_composition():
+def _nonassociative():
     # ∘ᵢ adds ids mod 2, plus their product when a ternary map goes into a
     # unary one: unital, and only sequential instances can tell
     def circ(g, n, i, f):
         return str((int(g) + int(f.mid) + (n == 1 and f.arity == 3) * int(g) * int(f.mid)) % 2)
 
-    m = _folded(3, ("0", "1"), "0", circ)
+    return _folded(3, ("0", "1"), "0", circ)
+
+
+def test_parallel_family_alone_catches_a_noncommuting_composition():
+    m = _noncommuting()
+    assert _families(m) == {("subst-associativity", "parallel")}
+    assert not naive_check_tmulticat(m)
+
+
+def test_sequential_family_alone_catches_a_nonassociative_composition():
+    m = _nonassociative()
     assert _families(m) == {("subst-associativity", "sequential")}
     assert not naive_check_tmulticat(m)
+
+
+@pytest.mark.parametrize("build", [_noncommuting, _nonassociative])
+def test_substitute_folds_in_the_order_of_the_naive_fold(build):
+    # ∘ᵢ is not associative here, so the order of the fold shows in its value
+    m = build()
+    units = {m.identity(a) for a in m.objects}
+    moved = [(g, fs) for g, fs in m.subst_keys() if any(f not in units for f in fs)]
+    assert any(sum(f not in units for f in fs) >= 2 for _, fs in moved)
+    for g, fs in moved:
+        assert m.substitute(g, fs) == naive_fold(m, g, fs)
+
+
+# structure -> its number of substitution keys at arities 3 and 4
+FORMULA_CASES = {"fst": (two_chain_fst(), {3: 10031, 4: 190032}),
+                 "snd": (two_chain_snd(), {3: 2970, 4: 39344}),
+                 **{f"z2_{a}{l}{r}": (z2_monoidal(a, l, r), {3: 2472, 4: 25400})
+                    for a, l, r in itertools.product((0, 1), repeat=3)}}
+
+
+@pytest.mark.parametrize("arity", [3, 4])
+@pytest.mark.parametrize("name", list(FORMULA_CASES))
+def test_substitute_is_the_colax_formula_on_every_key(name, arity):
+    # the rule is evaluated on ∘ᵢ keys and the fold gives the rest; written
+    # out in full, substitution is Gamma ; m_x(f1..fn) ; g at every key, for
+    # the lawful structures and the unlawful Z/2 variants alike
+    structure, counts = FORMULA_CASES[name]
+    alg = monoidal_to_colax(structure, arity)
+    m = colax_to_multicat(alg)
+    base = alg.base
+    count = 0
+    for g, fs in m.subst_keys():
+        gamma = alg.gamma(g.x, tuple((f.x, f.arity) for f in fs), tuple(f.inputs for f in fs))
+        formula = base.comp_seq(gamma, alg.m_mor(g.x, tuple(f.mid for f in fs)), g.mid)
+        assert m.substitute(g, fs).mid == formula
+        count += 1
+    assert count == counts[arity]
+
+
+def _generator_row(data):
+    """The subst row of a Z/2 document that substitutes the generator into
+    both slots of the tight binary generator: two non-identity inners."""
+    return next(r for r in data["subst"]
+                if (r["outer"]["x"], r["outer"]["id"], len(r["outer"]["inputs"])) == ("t", "e1", 2)
+                and all((f["x"], f["id"], len(f["inputs"])) == ("t", "e1", 1)
+                        for f in r["inners"]))
+
+
+def _row_key(m, row):
+    o = row["outer"]
+    return (m.mm(o["x"], tuple(o["inputs"]), o["output"], o["id"]),
+            tuple(m.mm(f["x"], tuple(f["inputs"]), f["output"], f["id"]) for f in row["inners"]))
+
+
+@pytest.mark.parametrize("edit, error", [
+    ("swap", None), ("drop", "no substitution entry"), ("plant", "'planted'")])
+def test_stored_full_rows_are_checked_and_never_read(edit, error):
+    # a row with two non-identity inners is data: substitute folds that key
+    # from ∘ᵢ rows, and check_tmulticat compares the row with the fold
+    data = json.loads(json.dumps(multicat_to_json(monoidal_to_multicat(z2_monoidal(), 3))))
+    row = _generator_row(data)
+    fold = row["result"]
+    if edit == "drop":
+        data["subst"].remove(row)
+    else:
+        row["result"] = {"swap": "e0" if fold == "e1" else "e1", "plant": "planted"}[edit]
+    m = multicat_from_json(data)
+    assert m.substitute(*_row_key(m, row)).mid == fold
+    if error is None:
+        assert [(v.law, dict(v.details)["family"]) for v in check_tmulticat(m)] == \
+            [("subst-associativity", "fold")]
+        assert not naive_check_tmulticat(m)
+    else:
+        with pytest.raises(StructureError, match=error):
+            check_tmulticat(m)
+
+
+def test_iso_search_and_roundtrip_walk_thousands_of_homs_at_the_default_limit():
+    # the hom assignment walks one hom after another; done by recursion it
+    # needed a frame per non-empty hom
+    t = terminal_multicat(operad_by_name("R"), 4, ("a", "b", "c", "d"))
+    assert sum(1 for mids in t.homs.values() if mids) == 2724
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert iso_search(t, t) is not None
+        assert roundtrip_multicat(t).isomorphic
+    finally:
+        sys.setrecursionlimit(limit)
