@@ -4,7 +4,7 @@ structures."""
 
 from .fincat import (
     FinCategory, Functor, StructureError, Violation, check_category, check_functor,
-    product_category, opposite_category, is_epimorphism,
+    opposite_category, is_epimorphism,
 )
 from .catoperad import (
     CatOperad, make_terminal_operad, make_R_operad, make_L_operad,

@@ -214,40 +214,7 @@ def check_functor(fun: Functor) -> list[Violation]:
     return out
 
 
-# -- product / opposite ----------------------------------------------------
-
-def pair_id(x: str, y: str) -> str:
-    return f"({x},{y})"
-
-
-def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
-    """Componentwise product; pair ids are rendered as "(x,y)".
-
-    Ids containing parentheses or commas would make the rendering ambiguous,
-    so they are rejected.
-    """
-    for name in (*c.objects, *d.objects,
-                 *(m for m, _, _ in c.morphisms), *(m for m, _, _ in d.morphisms)):
-        if any(ch in name for ch in "(),"):
-            raise StructureError(f"id {name!r} cannot be used in a product")
-    for cat in (c, d):
-        for obj in cat.objects:
-            if obj not in cat.identity:
-                raise StructureError(f"object {obj!r} has no identity")
-    objects = tuple(pair_id(a, b) for a in c.objects for b in d.objects)
-    morphisms = tuple(
-        (pair_id(f, g), pair_id(fs, gs), pair_id(ft, gt))
-        for f, fs, ft in c.morphisms
-        for g, gs, gt in d.morphisms
-    )
-    identity = {pair_id(a, b): pair_id(c.id_of(a), d.id_of(b))
-                for a in c.objects for b in d.objects}
-    compose = {}
-    for (g1, f1), h1 in c.compose.items():
-        for (g2, f2), h2 in d.compose.items():
-            compose[(pair_id(g1, g2), pair_id(f1, f2))] = pair_id(h1, h2)
-    return FinCategory(objects, morphisms, identity, compose)
-
+# -- opposite ----------------------------------------------------------------
 
 def opposite_category(c: FinCategory) -> FinCategory:
     morphisms = tuple((m, t, s) for m, s, t in c.morphisms)

@@ -16,10 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .catoperad import LOOSE, TIGHT
-from .fincat import (
-    Functor, StructureError, Violation, is_bijection_onto, opposite_category, pair_id,
-    preimage, product_category,
-)
+from .fincat import StructureError, Violation, is_bijection_onto, preimage
 from .tmulticat import (
     MultiMap, SkewMulticategory, TMulticategory, underlying_category, underlying_with_maps,
 )
@@ -275,7 +272,7 @@ def check_left_representability_equivalences(s: SkewMulticategory) -> Equivalenc
 class ClosedStructure:
     hom_obj: dict[tuple[str, str], str]
     evaluation: dict[tuple[str, str], MultiMap]
-    hom_functor: Functor                       # opposite(A) x A -> A
+    hom_mor: dict[tuple[str, str], str]        # (u, v) -> [u, v], contravariant in u
     cat_maps: dict                             # underlying-category morphism -> MultiMap
 
 
@@ -293,8 +290,9 @@ def _closed_pair_ok(s: SkewMulticategory, h: str, b: str, c: str, e: MultiMap) -
 
 def find_closed_structure(s: SkewMulticategory) -> ClosedStructure | None:
     """Internal homs with tight evaluation maps, then the induced hom functor
-    on the underlying category obtained by factoring unary actions on the
-    evaluation through the defining bijections."""
+    Aᵒᵖ × A → A on the underlying category, as a table on pairs of
+    morphisms, obtained by factoring unary actions on the evaluation through
+    the defining bijections."""
     hom_obj: dict[tuple[str, str], str] = {}
     evaluation: dict[tuple[str, str], MultiMap] = {}
     for b in sorted(s.objects):
@@ -313,14 +311,9 @@ def find_closed_structure(s: SkewMulticategory) -> ClosedStructure | None:
             evaluation[(b, c)] = found[1]
 
     cat, to_mm = underlying_with_maps(s)
-    op = opposite_category(cat)
-    prod = product_category(op, cat)
-    obj_map = {pair_id(b, c): hom_obj[(b, c)] for b in cat.objects for c in cat.objects}
-    mor_map = {}
-    for u in (m for m, _, _ in op.morphisms):
-        ub1, ub2 = cat.src(u), cat.tgt(u)  # u: ub1 -> ub2 in A
-        for v in (m for m, _, _ in cat.morphisms):
-            vc1, vc2 = cat.src(v), cat.tgt(v)
+    hom_mor = {}
+    for u, ub1, ub2 in cat.morphisms:  # u: ub1 -> ub2 in A
+        for v, vc1, vc2 in cat.morphisms:
             e_src = evaluation[(ub2, vc1)]
             target = s.substitute(to_mm[v], (s.subst_after(e_src, 2, to_mm[u]),))
             # the unique w: [ub2, vc1] -> [ub1, vc2] with e(w, 1_ub1) equal to target
@@ -329,9 +322,8 @@ def find_closed_structure(s: SkewMulticategory) -> ClosedStructure | None:
                          lambda w: s.subst_after(e_tgt, 1, to_mm[w]), target)
             if w is None:
                 raise StructureError("evaluation bijection has no preimage; structure is not closed")
-            mor_map[pair_id(u, v)] = w
-    functor = Functor(prod, cat, obj_map, mor_map)
-    return ClosedStructure(hom_obj, evaluation, functor, to_mm)
+            hom_mor[(u, v)] = w
+    return ClosedStructure(hom_obj, evaluation, hom_mor, to_mm)
 
 
 def _left_adjoint_ok(s: SkewMulticategory, closed: ClosedStructure) -> bool:
@@ -350,7 +342,7 @@ def _represents(s, closed, cat, p, a, b) -> bool:
         for c in s.objects:
             images = []
             for g in cat.hom(p, c):
-                w = closed.hom_functor.mor_map[pair_id(cat.id_of(b), g)]
+                w = closed.hom_mor[(cat.id_of(b), g)]
                 images.append(cat.compose.get((w, u)))
             if not is_bijection_onto(images, cat.hom(a, closed.hom_obj[(b, c)])):
                 ok = False

@@ -17,7 +17,9 @@ from __future__ import annotations
 import itertools
 
 from .fincat import FinCategory
-from .skewmon import SkewMonoidalCategory, check_skew_monoidal, make_skew_monoidal
+from .skewmon import (
+    SkewMonoidalCategory, check_skew_monoidal, make_skew_monoidal, tensor_composition_failures,
+)
 
 
 def _tensor_functors(base: FinCategory):
@@ -54,7 +56,7 @@ def _tensor_functors(base: FinCategory):
             tensor_obj = dict(zip(obj_pairs, assign))
             for mor_assign in itertools.product(*(opts[fg] for fg in mor_pairs)):
                 tensor_mor = dict(zip(mor_pairs, mor_assign))
-                if _functorial(base, tensor_obj, tensor_mor):
+                if next(tensor_composition_failures(base, tensor_mor), None) is None:
                     yield tensor_obj, tensor_mor
             return
         for value in objs:
@@ -64,16 +66,6 @@ def _tensor_functors(base: FinCategory):
             assign.pop()
 
     yield from extend()
-
-
-def _functorial(base, tensor_obj, tensor_mor) -> bool:
-    for (g1, f1), h1 in base.compose.items():
-        for (g2, f2), h2 in base.compose.items():
-            lhs = tensor_mor[(h1, h2)]
-            step = base.compose.get((tensor_mor[(g1, g2)], tensor_mor[(f1, f2)]))
-            if lhs != step:
-                return False
-    return True
 
 
 def enumerate_skew_structures(base: FinCategory) -> list[SkewMonoidalCategory]:

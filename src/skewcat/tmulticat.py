@@ -498,16 +498,20 @@ def _validate_structure(m: TMulticategory) -> list[tuple[MultiMap, tuple[MultiMa
 # -- underlying category -----------------------------------------------------
 
 def underlying_with_maps(m: TMulticategory):
-    """The category of unit-typed unary multimaps, plus id translations."""
+    """The category of unit-typed unary multimaps, plus id translations.  A
+    morphism is named by its map id, or, when map ids repeat across homs, by
+    "a>b:mid" with \\, > and : backslash-escaped in a and b."""
     e = m.operad.unit
     mids = []
     for a in m.objects:
         for b in m.objects:
             mids.extend(m.hom(e, (a,), b))
     plain = len(set(mids)) == len(mids)
+    esc = {a: a.replace("\\", "\\\\").replace(">", "\\>").replace(":", "\\:")
+           for a in m.objects}
 
     def name(a, b, mid):
-        return mid if plain else f"{a}>{b}:{mid}"
+        return mid if plain else f"{esc[a]}>{esc[b]}:{mid}"
 
     morphisms = []
     to_mm: dict[str, MultiMap] = {}

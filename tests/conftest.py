@@ -1,9 +1,13 @@
 """Shared instances: chain posets, the two-element cyclic group as a one-object
-category, and reference skew monoidal structures on them."""
+category, and reference skew monoidal structures on them.  Also the two
+constructions that make lawful structures from lawful ones, for use as
+metamorphic oracles: the product and the reversed opposite."""
+
+import json
 
 import pytest
 
-from skewcat.fincat import FinCategory
+from skewcat.fincat import FinCategory, opposite_category
 from skewcat.skewmon import make_skew_monoidal
 from skewcat.tmulticat import make_multicat
 
@@ -77,6 +81,73 @@ def z2_monoidal(alpha: int = 0, lam: int = 0, rho: int = 0):
     return make_skew_monoidal(base, t_obj, t_mor, "x",
                               {("x", "x", "x"): f"e{alpha}"},
                               {"x": f"e{lam}"}, {"x": f"e{rho}"})
+
+
+def pair(x: str, y: str) -> str:
+    """An id for the pair (x, y); distinct pairs of strings get distinct ids."""
+    return json.dumps([x, y])
+
+
+def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
+    """C × D, componentwise, with pairs named by ``pair``."""
+    return FinCategory(
+        tuple(pair(a, b) for a in c.objects for b in d.objects),
+        tuple((pair(f, g), pair(fs, gs), pair(ft, gt))
+              for f, fs, ft in c.morphisms for g, gs, gt in d.morphisms),
+        {pair(a, b): pair(c.id_of(a), d.id_of(b)) for a in c.objects for b in d.objects},
+        {(pair(g1, g2), pair(f1, f2)): pair(h1, h2)
+         for (g1, f1), h1 in c.compose.items() for (g2, f2), h2 in d.compose.items()})
+
+
+def product_monoidal(c, d):
+    """C × D with tensor, unit, α, λ and ρ taken componentwise."""
+    def pairs(xs, ys):
+        return [(x, y) for x in xs for y in ys]
+
+    objs = pairs(c.base.objects, d.base.objects)
+    mors = pairs([m for m, _, _ in c.base.morphisms], [m for m, _, _ in d.base.morphisms])
+    return make_skew_monoidal(
+        product_category(c.base, d.base),
+        {(pair(*x), pair(*y)): pair(c.t_obj(x[0], y[0]), d.t_obj(x[1], y[1]))
+         for x in objs for y in objs},
+        {(pair(*f), pair(*g)): pair(c.t_mor(f[0], g[0]), d.t_mor(f[1], g[1]))
+         for f in mors for g in mors},
+        pair(c.unit, d.unit),
+        {(pair(*x), pair(*y), pair(*z)): pair(c.alpha[(x[0], y[0], z[0])],
+                                              d.alpha[(x[1], y[1], z[1])])
+         for x in objs for y in objs for z in objs},
+        {pair(*x): pair(c.lambda_[x[0]], d.lambda_[x[1]]) for x in objs},
+        {pair(*x): pair(c.rho[x[0]], d.rho[x[1]]) for x in objs})
+
+
+def reversed_opposite(c):
+    """Cᵒᵖ with a ⊙ b = b ⊗ a and the same unit: α_{a,b,d} is C's α_{d,b,a},
+    λ is C's ρ and ρ is C's λ.  Taking it twice gives C back."""
+    objs = c.base.objects
+    mors = [m for m, _, _ in c.base.morphisms]
+    return make_skew_monoidal(
+        opposite_category(c.base),
+        {(a, b): c.t_obj(b, a) for a in objs for b in objs},
+        {(f, g): c.t_mor(g, f) for f in mors for g in mors},
+        c.unit,
+        {(a, b, d): m for (d, b, a), m in c.alpha.items()},
+        dict(c.rho), dict(c.lambda_))
+
+
+def renamed(c, obj: dict, mor: dict):
+    """c with every object id x replaced by obj[x] and morphism id f by mor[f]."""
+    base = c.base
+    return make_skew_monoidal(
+        FinCategory(tuple(obj[a] for a in base.objects),
+                    tuple((mor[m], obj[s], obj[t]) for m, s, t in base.morphisms),
+                    {obj[a]: mor[i] for a, i in base.identity.items()},
+                    {(mor[g], mor[f]): mor[h] for (g, f), h in base.compose.items()}),
+        {(obj[a], obj[b]): obj[v] for (a, b), v in c.tensor_obj.items()},
+        {(mor[f], mor[g]): mor[v] for (f, g), v in c.tensor_mor.items()},
+        obj[c.unit],
+        {tuple(obj[x] for x in key): mor[v] for key, v in c.alpha.items()},
+        {obj[a]: mor[v] for a, v in c.lambda_.items()},
+        {obj[a]: mor[v] for a, v in c.rho.items()})
 
 
 def with_tables(m, action, subst, homs=None):

@@ -141,21 +141,13 @@ def naive_check_multicat_over_n(m) -> bool:
 def naive_skew_monoidal_ok(c) -> bool:
     """All naturality squares and the five coherence diagrams, by raw lookups."""
     base = c.base
-    t_obj = {}
-    t_mor = {}
-    for a in base.objects:
-        for b in base.objects:
-            t_obj[(a, b)] = c.tensor.obj_map[f"({a},{b})"]
     mors = [m for m, _, _ in base.morphisms]
-    for f in mors:
-        for g in mors:
-            t_mor[(f, g)] = c.tensor.mor_map[f"({f},{g})"]
 
     def o(a, b):
-        return t_obj[(a, b)]
+        return c.tensor_obj[(a, b)]
 
     def t(f, g):
-        return t_mor[(f, g)]
+        return c.tensor_mor[(f, g)]
 
     def cmp(*fs):
         acc = fs[0]

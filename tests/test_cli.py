@@ -2,6 +2,7 @@ import copy
 import gc
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,16 @@ from skewcat import representability
 from skewcat.cli import _dumps, main
 from skewcat.fincat import category_to_json
 from skewcat.skewmon import skewmon_from_json, skewmon_to_json
+from skewcat.catoperad import make_R_operad
 from skewcat.tmulticat import (
     TMulticategory, from_tight_subsets, loose_part, multicat_from_json, multicat_to_json,
+    terminal_multicat,
 )
 from skewcat.correspondence import monoidal_to_multicat, multicat_to_monoidal
-from conftest import chain_category, two_chain_fst, two_chain_snd, z2_category, z2_monoidal
-from naive_oracles import naive_closed_pair_ok, naive_tails_bijective
+from conftest import (
+    chain_category, renamed, two_chain_fst, two_chain_snd, z2_category, z2_monoidal,
+)
+from naive_oracles import naive_closed_pair_ok, naive_skew_monoidal_ok, naive_tails_bijective
 
 
 def write(tmp_path, name, data):
@@ -857,3 +862,109 @@ def _golden_digests(tmp_path, capsys) -> dict[str, str]:
 
 def test_outputs_match_golden_digests(tmp_path, capsys):
     assert _golden_digests(tmp_path, capsys) == GOLDEN
+
+
+# sha256 over "<exit code>\n<stdout>" of `skewcat check` on every one-cell
+# mutant of the tensor tables of fst, snd and Z/2, in the order of
+# _tensor_cell_mutants.  It pins the tensor's functor-law report byte for byte.
+TENSOR_MUTANTS_DIGEST = "3eca2d780fb9e83118f0b6a6880958e8a3ca9f95a51de1cf81131db86701a73f"
+
+
+def _tensor_cell_mutants():
+    """(label, document) for each cell of the tensor object and morphism
+    tables set to every other object or morphism of the base."""
+    for label, structure in (("fst", two_chain_fst()), ("snd", two_chain_snd()),
+                             ("z2", z2_monoidal())):
+        doc = skewmon_to_json(structure)
+        values = {"objects": doc["category"]["objects"],
+                  "morphisms": [m["id"] for m in doc["category"]["morphisms"]]}
+        for table, ids in values.items():
+            for row, cell in enumerate(doc["tensor"][table]):
+                for value in ids:
+                    if value != cell[2]:
+                        mutant = copy.deepcopy(doc)
+                        mutant["tensor"][table][row][2] = value
+                        yield f"{label} {table} {row} {value}", mutant
+
+
+def test_tensor_cell_mutants_match_digest_and_naive_oracle(tmp_path, capsys):
+    digest = hashlib.sha256()
+    verdicts = []
+    for label, doc in _tensor_cell_mutants():
+        code = main(["check", write(tmp_path, "mutant.json", doc)])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        if code != 2:
+            verdicts.append((label, code == 0, naive_skew_monoidal_ok(skewmon_from_json(doc))))
+    assert [v for v in verdicts if v[1] != v[2]] == []
+    assert len(verdicts) == 48
+    assert digest.hexdigest() == TENSOR_MUTANTS_DIGEST
+
+
+# A structure under two spellings of its ids: plain, and with the characters
+# "(", ")" and ",".  Both spellings sort alike, so every output of the second
+# is the output of the first with the ids respelled.
+SPELLINGS = {
+    "z2": (z2_monoidal, {"x": ("AX", "a,b")}, {"e0": ("E0", "e(0)"), "e1": ("E1", "e(1)")}),
+    "fst": (two_chain_fst, {"0": ("P", "a,("), "1": ("Q", "b)")},
+            {"m00": ("mPP", "f(a,a)"), "m01": ("mPQ", "f(a,b)"), "m11": ("mQQ", "f(b,b)")}),
+}
+
+
+def _spelled(name, which):
+    make, obj, mor = SPELLINGS[name]
+    return renamed(make(), {k: v[which] for k, v in obj.items()},
+                   {k: v[which] for k, v in mor.items()})
+
+
+def _respell(name, text):
+    _, obj, mor = SPELLINGS[name]
+    table = dict((*obj.values(), *mor.values()))
+    pattern = "|".join(sorted(table, key=len, reverse=True))
+    return re.sub(rf"\b(?:{pattern})\b", lambda m: table[m.group()], text)
+
+
+@pytest.mark.parametrize("name", sorted(SPELLINGS))
+def test_ids_with_parentheses_and_commas_behave_like_plain_ids(tmp_path, capsys, name):
+    outputs = []
+    for which in (0, 1):
+        out = {}
+
+        def go(label, *argv):
+            out[label] = (main(list(argv)), capsys.readouterr().out)
+            return out[label][1]
+
+        structure = _spelled(name, which)
+        d = tmp_path / str(which)
+        d.mkdir()
+        mon = write(d, "mon.json", skewmon_to_json(structure))
+        go("check", "check", mon)
+        go("analyze", "analyze", mon, "--max-arity", "3")
+        go("roundtrip", "roundtrip", mon, "--max-arity", "3")
+        (d / "multi.json").write_text(
+            go("convert", "convert", mon, "--to", "multicat", "--max-arity", "3"))
+        multi = str(d / "multi.json")
+        go("convert back", "convert", multi, "--to", "monoidal")
+        go("check multicat", "check", multi)
+        go("analyze multicat", "analyze", multi)
+        go("roundtrip multicat", "roundtrip", multi)
+        base = write(d, "base.json", category_to_json(structure.base))
+        go("search", "search", "--objects", base, "--emit", str(d / "found"))
+        for f in sorted((d / "found").iterdir()):
+            out[f"emit {f.name}"] = (None, f.read_text())
+        outputs.append(out)
+    plain, spelled = outputs
+    assert all(code == 0 for code, _ in spelled.values() if code is not None)
+    assert {k: (code, _respell(name, text)) for k, (code, text) in plain.items()} == spelled
+
+
+def test_object_ids_with_separators_name_distinct_underlying_morphisms(tmp_path, capsys):
+    # map ids repeat across homs, so underlying morphisms are named "a>b:m";
+    # unescaped, "a" -> "a>a" and "a>a" -> "a" would both be "a>a>a:m"
+    path = write(tmp_path, "t.json",
+                 multicat_to_json(terminal_multicat(make_R_operad(), 3, ("a", "a>a"))))
+    for command in ("check", "analyze", "roundtrip"):
+        assert run(capsys, command, path)[0] == 0
+    code, out, _ = run(capsys, "convert", path, "--to", "monoidal")
+    assert code == 0
+    assert sorted(m["id"] for m in out["category"]["morphisms"]) == [
+        "a>a:m", "a>a\\>a:m", "a\\>a>a:m", "a\\>a>a\\>a:m"]

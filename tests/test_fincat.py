@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from skewcat.fincat import (
     FinCategory, Functor, StructureError,
     check_category, check_functor, is_epimorphism,
-    opposite_category, product_category,
+    opposite_category,
     category_from_json, category_to_json,
 )
-from conftest import chain_category, parallel_pair_category, z2_category
+from conftest import chain_category, pair, parallel_pair_category, product_category, z2_category
 from naive_oracles import naive_check_category, naive_is_epi
 
 
@@ -91,7 +91,7 @@ def test_nonfunctorial_map_reports_composition(z2):
     # (f,g) -> f·g preserves identities but is no homomorphism out of the product
     bad = Functor(square, z2,
                   {o: "x" for o in square.objects},
-                  {f"(e{a},e{b})": f"e{a * b}"
+                  {pair(f"e{a}", f"e{b}"): f"e{a * b}"
                    for a in (0, 1) for b in (0, 1)})
     rep = check_functor(bad)
     assert any(v.law == "functor-composition" for v in rep)

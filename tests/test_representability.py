@@ -5,7 +5,6 @@ import pytest
 
 from skewcat import fincat, representability
 from skewcat.catoperad import LOOSE, TIGHT, make_R_operad, operad_by_name
-from skewcat.fincat import check_functor
 from skewcat.representability import (
     analyze, build_inductive_classifiers,
     check_closed_representability_equivalences,
@@ -209,7 +208,24 @@ def test_closed_structure(fst):
     closed = find_closed_structure(fst)
     assert closed is not None
     assert closed.hom_obj == {(b, c): c for b in fst.objects for c in fst.objects}
-    assert check_functor(closed.hom_functor) == []
+    # [-, -] is a functor Aᵒᵖ × A -> A on the underlying category A, both
+    # here and on Z/2, where it is not thin
+    z2 = monoidal_to_multicat(z2_monoidal(), 3)
+    z2_closed = find_closed_structure(z2)
+    assert z2_closed.hom_mor[("e1", "e0")] == "e1"
+    for closed, cat in ((closed, underlying_category(fst)),
+                        (z2_closed, underlying_category(z2))):
+        hom, mors = closed.hom_mor, cat.morphisms
+        for u, b1, b2 in mors:
+            for v, c1, c2 in mors:
+                assert (cat.src(hom[(u, v)]), cat.tgt(hom[(u, v)])) == (
+                    closed.hom_obj[(b2, c1)], closed.hom_obj[(b1, c2)])
+        for b in cat.objects:
+            for c in cat.objects:
+                assert hom[(cat.id_of(b), cat.id_of(c))] == cat.id_of(closed.hom_obj[(b, c)])
+        for (u2, u1), u in cat.compose.items():
+            for (v2, v1), v in cat.compose.items():
+                assert hom[(u, v)] == cat.comp(hom[(u1, v2)], hom[(u2, v1)])
 
 
 def test_closed_structure_terminal(terminal):

@@ -5,7 +5,7 @@ import pytest
 
 from skewcat.search import _tensor_functors, enumerate_skew_structures
 from skewcat.skewmon import check_skew_monoidal, make_skew_monoidal, skewmon_to_json
-from conftest import chain_category, z2_category
+from conftest import chain_category, renamed, reversed_opposite, z2_category
 from naive_oracles import naive_skew_monoidal_ok, naive_tensor_functors
 
 ORDER_BASES = [pytest.param(functools.partial(chain_category, n), id=f"{n}-chain")
@@ -114,3 +114,22 @@ def test_structures_in_the_whole_table_order(make_base):
                 if naive_skew_monoidal_ok(cand):
                     expected.append(skewmon_to_json(cand))
     assert [skewmon_to_json(c) for c in enumerate_skew_structures(base)] == expected
+
+
+def _tables(c):
+    return (c.unit, *(tuple(sorted(t.items()))
+                      for t in (c.tensor_obj, c.tensor_mor, c.alpha, c.lambda_, c.rho)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_search_output_is_closed_under_reversed_opposite(n):
+    # Cᵒᵖ of the n-chain is the n-chain again once i is renamed n-1-i
+    base = chain_category(n)
+    flip = {str(i): str(n - 1 - i) for i in range(n)}
+    mor = {m: f"m{flip[t]}{flip[s]}" for m, s, t in base.morphisms}
+    found = enumerate_skew_structures(base)
+    tables = {_tables(c) for c in found}
+    flipped = [renamed(reversed_opposite(c), flip, mor) for c in found]
+    assert all(f.base.canonical() == base.canonical() for f in flipped)
+    assert {_tables(f) for f in flipped} == tables
+    assert len(tables) == len(found) == {2: 4, 3: 29}[n]

@@ -9,7 +9,10 @@ from skewcat.skewmon import (
     left_bracketed_tensor, make_skew_monoidal, monoidal_iso_search,
     skewmon_from_json, skewmon_to_json, unit_absorption,
 )
-from conftest import chain_category, parallel_pair_category, z2_monoidal
+from conftest import (
+    chain_category, parallel_pair_category, product_monoidal, reversed_opposite,
+    two_chain_fst, two_chain_snd, z2_monoidal,
+)
 from naive_oracles import naive_skew_monoidal_ok
 
 
@@ -44,6 +47,38 @@ def test_fixtures_pass(skew_fst, skew_snd, z2_strict):
     for c in (skew_fst, skew_snd, z2_strict, z2_monoidal(0, 1, 1)):
         assert check_skew_monoidal(c) == []
         assert naive_skew_monoidal_ok(c)
+
+
+def _lawful(c) -> bool:
+    verdict = check_skew_monoidal(c) == []
+    assert verdict == naive_skew_monoidal_ok(c)
+    return verdict
+
+
+# fst, snd and Z/2 with each of its 8 choices of α, λ and ρ, lawful or not
+FACTORS = [two_chain_fst(), two_chain_snd(),
+           *(z2_monoidal(*v) for v in itertools.product((0, 1), repeat=3))]
+
+
+def test_product_is_lawful_exactly_when_both_factors_are():
+    lawful = [_lawful(c) for c in FACTORS]
+    assert 3 <= sum(lawful) < len(FACTORS)
+    for c, c_ok in zip(FACTORS, lawful):
+        for d, d_ok in zip(FACTORS, lawful):
+            assert _lawful(product_monoidal(c, d)) == (c_ok and d_ok)
+
+
+def test_nested_product_is_lawful():
+    z2, fst, snd = z2_monoidal(), two_chain_fst(), two_chain_snd()
+    assert check_skew_monoidal(product_monoidal(product_monoidal(z2, fst), snd)) == []
+    assert check_skew_monoidal(product_monoidal(z2, product_monoidal(fst, snd))) == []
+
+
+def test_reversed_opposite_is_lawful_exactly_when_the_structure_is():
+    for c in FACTORS + [product_monoidal(FACTORS[0], FACTORS[-1])]:
+        rev = reversed_opposite(c)
+        assert _lawful(rev) == _lawful(c)
+        assert reversed_opposite(rev) == c
 
 
 def test_pentagon_mutant_reports_axiom_one():

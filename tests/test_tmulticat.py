@@ -127,6 +127,17 @@ def test_underlying_category_qualifies_colliding_ids():
     assert cat.hom("a", "b") == ("a>b:m",)
 
 
+def test_underlying_names_escape_separators_in_object_ids():
+    # unescaped, both "a" -> "a>a" and "a>a" -> "a" would be named "a>a>a:m"
+    m = terminal_multicat(make_R_operad(), 2, ("a", "a>a", "b:\\"))
+    cat = underlying_category(m)
+    assert check_category(cat) == []
+    assert cat.hom("a", "a>a") == ("a>a\\>a:m",)
+    assert cat.hom("a>a", "a") == ("a\\>a>a:m",)
+    assert cat.hom("b:\\", "a") == ("b\\:\\\\>a:m",)
+    assert cat.hom("a", "a") == ("a>a:m",)
+
+
 def test_identities_map_to_category_identities(fst3):
     cat = underlying_category(fst3)
     for a in fst3.objects:
