@@ -11,13 +11,13 @@ from .catoperad import (
     dual_operad, operad_by_name, check_operad_axioms,
 )
 from .tmulticat import (
-    MultiMap, TMulticategory, SkewMulticategory, make_multicat,
-    terminal_multicat, check_tmulticat, underlying_category,
+    MultiMap, TMulticategory, make_multicat,
+    terminal_multicat, check_tmulticat,
     from_tight_subsets, all_tight, loose_part,
     MulticatMorphism, check_morphism, iso_search,
 )
 from .representability import (
-    UniversalMultimap, ClassifierTable, ClosedStructure, NotLeftRepresentable,
+    ClosedStructure, NotLeftRepresentable,
     find_universal, is_weakly_representable, is_left_representable,
     build_inductive_classifiers, check_left_representability_equivalences,
     find_closed_structure, check_closed_representability_equivalences, analyze,

@@ -88,9 +88,16 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _read_json(path: str):
-    """Parse a JSON file, rejecting any object that repeats a key."""
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+    """Parse a JSON file, rejecting any object that repeats a key.  Bytes
+    that are no UTF-8, nesting deeper than the parser recurses and integer
+    literals longer than the interpreter converts are malformed input too."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, StructureError):
+        raise
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise StructureError(f"unreadable JSON: {exc}") from exc
 
 
 def _load(path: str):

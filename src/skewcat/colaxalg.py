@@ -16,19 +16,17 @@ from the algebra, whose substitution rule is evaluated on ∘ᵢ keys.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Callable
 
 from .catoperad import TIGHT, CatOperad, dual_operad
 from .fincat import FinCategory, StructureError, Violation, preimage
 from .representability import (
-    ClassifierTable, NotLeftRepresentable, build_inductive_classifiers, find_classifiers,
+    ClassifierLookup, NotLeftRepresentable, build_inductive_classifiers, find_classifiers,
     find_universal,
 )
 from .tmulticat import (
-    MultiMap, SkewMulticategory, TMulticategory, check_tmulticat, make_multicat, signatures,
-    underlying_with_maps,
+    MultiMap, TMulticategory, check_tmulticat, make_multicat, signatures, underlying_with_maps,
 )
 
 InnerSpec = tuple[tuple[str, int], ...]  # ((x1, k1), ..., (xn, kn))
@@ -263,70 +261,64 @@ def has_strict_left_bracketing(alg: NormalColaxAlgebra) -> bool:
 
 # -- translation with multicategories -----------------------------------------
 
-def left_bracketed_classifier_table(s: SkewMulticategory) -> ClassifierTable:
+def left_bracketed_classifier_table(s: TMulticategory) -> ClassifierLookup:
     """Classifier choice that makes the translated algebra satisfy the strict
     left-bracketing property: the nullary and tight binary classifiers of s,
     extended inductively to the rest.  Only those 1 + n² signatures are
     searched; NotLeftRepresentable names the first one without a
     classifier, or says that one of them is not left universal."""
-    nullary, binary, failure = find_classifiers(s, functools.partial(find_universal, s))
+    nullary, binary, failure = find_classifiers(s, lambda key: find_universal(s, *key))
     if failure is not None:
         raise NotLeftRepresentable(failure)
     return build_inductive_classifiers(s, nullary, binary)
 
 
-def multicat_to_colax(m: TMulticategory, table: ClassifierTable) -> NormalColaxAlgebra:
+def multicat_to_colax(m: TMulticategory, table: ClassifierLookup) -> NormalColaxAlgebra:
     """Translate a weakly representable multicategory along a classifier
-    choice."""
+    lookup, which gives each signature its universal multimap."""
     cat, to_mm = underlying_with_maps(m)
     dual = dual_operad(m.operad)
 
-    def phi_inverse(theta: MultiMap, classifier: str, b: str, target: MultiMap) -> str:
-        """The unique underlying-category morphism g: classifier -> b whose
-        substitution against theta is the given multimap."""
-        g = preimage(cat.hom(classifier, b), lambda g: m.substitute(to_mm[g], (theta,)), target)
+    def phi_inverse(theta: MultiMap, b: str, target: MultiMap) -> str:
+        """The unique underlying-category morphism g: theta.output -> b
+        whose substitution against theta is the given multimap."""
+        g = preimage(cat.hom(theta.output, b), lambda g: m.substitute(to_mm[g], (theta,)),
+                     target)
         if g is None:
             raise NotLeftRepresentable((theta.key, b))
         return g
 
-    def entry(x, inputs) -> tuple[str, MultiMap]:
-        u = table.get(x, inputs)
-        if u is None:
+    def entry(x, inputs) -> MultiMap:
+        theta = table((x, inputs))
+        if theta is None:
             raise StructureError(f"classifier table misses {(x, inputs)!r}")
-        return u.classifier, u.theta
+        return theta
 
     def m_obj_rule(x, objs):
-        return entry(x, objs)[0]
+        return entry(x, objs).output
 
     def m_mor_rule(x, mors):
-        src = tuple(cat.src(f) for f in mors)
-        tgt = tuple(cat.tgt(f) for f in mors)
-        m_src, th_src = entry(x, src)
-        m_tgt, th_tgt = entry(x, tgt)
-        moved = th_tgt
+        th_src = entry(x, tuple(cat.src(f) for f in mors))
+        moved = entry(x, tuple(cat.tgt(f) for f in mors))
+        b = moved.output
         for i, f in enumerate(mors):
             moved = m.subst_after(moved, i + 1, to_mm[f])
-        return phi_inverse(th_src, m_src, m_tgt, moved)
+        return phi_inverse(th_src, b, moved)
 
     def op_mor_rule(phi, objs):
-        n = len(objs)
-        comp_r = m.operad.component(n)
+        comp_r = m.operad.component(len(objs))
         sx, tx = comp_r.src(phi), comp_r.tgt(phi)  # action direction
-        m_t, th_t = entry(sx, objs)
-        m_l, th_l = entry(tx, objs)
-        moved = m.act(phi, th_t)
-        return phi_inverse(th_l, m_l, m_t, moved)
+        th_t = entry(sx, objs)
+        return phi_inverse(entry(tx, objs), th_t.output, m.act(phi, th_t))
 
     def gamma_rule(x, inner, blocks):
-        thetas = tuple(entry(xi, blk)[1] for (xi, _), blk in zip(inner, blocks))
-        mids = tuple(entry(xi, blk)[0] for (xi, _), blk in zip(inner, blocks))
-        m_out, th_out = entry(x, mids)
+        thetas = tuple(entry(xi, blk) for (xi, _), blk in zip(inner, blocks))
+        th_out = entry(x, tuple(theta.output for theta in thetas))
         big = m.substitute(th_out, thetas) if inner else th_out
         cx = dual.subst_obj(x, tuple(xi for xi, _ in inner),
                             tuple(k for _, k in inner))
         flat = tuple(a for blk in blocks for a in blk)
-        m_cx, th_cx = entry(cx, flat)
-        return phi_inverse(th_cx, m_cx, m_out, big)
+        return phi_inverse(entry(cx, flat), th_out.output, big)
 
     return NormalColaxAlgebra(cat, dual, m.max_arity,
                               m_obj_rule, m_mor_rule, op_mor_rule, gamma_rule)

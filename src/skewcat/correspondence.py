@@ -24,13 +24,13 @@ from .colaxalg import (
     multicat_to_colax,
 )
 from .fincat import StructureError, Violation, is_bijection_onto, is_epimorphism, preimage
-from .representability import ClassifierTable, NotLeftRepresentable, find_closed_structure
+from .representability import ClassifierLookup, NotLeftRepresentable, find_closed_structure
 from .skewmon import (
     SkewMonoidalCategory, is_closed_skew_monoidal, is_left_normal,
     left_bracketed_tensor, left_bracketed_tensor_mor, make_skew_monoidal,
     monoidal_iso_search, unit_absorption,
 )
-from .tmulticat import SkewMulticategory, iso_search, underlying_with_maps
+from .tmulticat import TMulticategory, iso_search, underlying_with_maps
 
 
 # -- monoidal -> colax algebra -> skew multicategory ---------------------------
@@ -138,7 +138,7 @@ def colax_to_monoidal(alg: NormalColaxAlgebra) -> SkewMonoidalCategory:
                               alpha, lam, rho)
 
 
-def monoidal_to_multicat(c: SkewMonoidalCategory, max_arity: int = 4) -> SkewMulticategory:
+def monoidal_to_multicat(c: SkewMonoidalCategory, max_arity: int = 4) -> TMulticategory:
     """Tight multimaps out of left-bracketed tensors, loose ones out of the
     same words with a leading unit; the comparison precomposes the whiskered
     left unit map."""
@@ -147,14 +147,14 @@ def monoidal_to_multicat(c: SkewMonoidalCategory, max_arity: int = 4) -> SkewMul
 
 # -- skew multicategory -> colax algebra -> monoidal ------------------------------
 
-def _monoidal_classifiers(s: SkewMulticategory) -> ClassifierTable:
-    """The left-bracketed classifier table of a left representable s."""
+def _monoidal_classifiers(s: TMulticategory) -> ClassifierLookup:
+    """The left-bracketed classifier lookup of a left representable s."""
     if s.max_arity < 3:
         raise StructureError("need ternary homs to extract the associator")
     return left_bracketed_classifier_table(s)
 
 
-def multicat_to_monoidal(s: SkewMulticategory) -> SkewMonoidalCategory:
+def multicat_to_monoidal(s: TMulticategory) -> SkewMonoidalCategory:
     """The tensor represents tight binary maps and the unit loose nullary
     ones: the colax algebra along the left-bracketed classifiers, read back
     as a skew monoidal category."""
@@ -191,7 +191,7 @@ def roundtrip_monoidal(c: SkewMonoidalCategory, max_arity: int = 4) -> Roundtrip
     return RoundtripVerdict(True, True, witness)
 
 
-def roundtrip_multicat(s: SkewMulticategory) -> RoundtripVerdict:
+def roundtrip_multicat(s: TMulticategory) -> RoundtripVerdict:
     try:
         c = multicat_to_monoidal(s)
     except NotLeftRepresentable:
@@ -210,7 +210,7 @@ def roundtrip_multicat(s: SkewMulticategory) -> RoundtripVerdict:
 
 # -- the loose-classifier adjunction --------------------------------------------
 
-def check_loose_classifier_adjunction(s: SkewMulticategory) -> list[Violation]:
+def check_loose_classifier_adjunction(s: TMulticategory) -> list[Violation]:
     """The tensor-with-unit functor is left adjoint to viewing tight unary
     maps as loose ones: substitution against the unit of the adjunction is a
     bijection natural in the output, and the counit is the left unit map,
@@ -218,22 +218,22 @@ def check_loose_classifier_adjunction(s: SkewMulticategory) -> list[Violation]:
     out: list[Violation] = []
     table = _monoidal_classifiers(s)
     cat, to_mm = underlying_with_maps(s)
-    nullary = table.get(LOOSE, ())
+    nullary = table((LOOSE, ()))
     for a in s.objects:
-        # the unit of the adjunction: the loose classifier of a, i (x) a
-        loose = table.get(LOOSE, (a,))
-        eta, ia = loose.theta, loose.classifier
+        # the unit of the adjunction: the loose classifier of a, into i (x) a
+        eta = table((LOOSE, (a,)))
+        ia = eta.output
         for b in s.objects:
             images = [s.substitute(to_mm[cat_mor], (eta,)).mid
                       for cat_mor in cat.hom(ia, b)]
             if not is_bijection_onto(images, s.hom(LOOSE, (a,), b)):
                 out.append(Violation.of("adjunction-bijection", a=a, b=b))
-        counit = preimage(cat.hom(ia, a), lambda h: s.substitute(to_mm[h], (eta,)),
-                          s.j(s.identity(a)))
-        theta = table.get(TIGHT, (nullary.classifier, a)).theta
+        loose_id = s.act(LAM, s.identity(a))
+        counit = preimage(cat.hom(ia, a), lambda h: s.substitute(to_mm[h], (eta,)), loose_id)
+        theta = table((TIGHT, (nullary.output, a)))
         lam = preimage(cat.hom(ia, a), lambda h: s.subst_after(
-                           s.substitute(to_mm[h], (theta,)), 1, nullary.theta),
-                       s.j(s.identity(a)))
+                           s.substitute(to_mm[h], (theta,)), 1, nullary),
+                       loose_id)
         if counit is None:
             out.append(Violation.of("adjunction-counit-missing", a=a))
         elif counit != lam:
@@ -282,13 +282,13 @@ def _monoidal_flags(c: SkewMonoidalCategory, max_arity: int) -> dict:
     }
 
 
-def _multicat_flags(s: SkewMulticategory) -> dict:
+def _multicat_flags(s: TMulticategory) -> dict:
     bij = True
     inj = True
     for n in range(1, s.max_arity + 1):
         for inputs in itertools.product(sorted(s.objects), repeat=n):
             for b in s.objects:
-                images = [s.j(t).mid for t in s.maps((TIGHT, inputs, b))]
+                images = [s.act(LAM, t).mid for t in s.maps((TIGHT, inputs, b))]
                 if len(set(images)) != len(images):
                     inj = False
                 if not is_bijection_onto(images, s.hom(LOOSE, inputs, b)):

@@ -1,6 +1,12 @@
 """Universal multimaps, classifiers, and representability analysis for skew
 multicategories.
 
+A classifier is its universal multimap θ: a₁…aₙ → A, whose output A is the
+classifier object (Hermida, *Representable multicategories*, 2000).  A
+classifier lookup takes a signature (x, inputs) to θ, or to None when there
+is none: ``find_universal`` on a multicategory, the ``get`` of a weak
+search's table, or the inductive lookup of ``build_inductive_classifiers``.
+
 Every notion here is computed relative to the truncation bound of the input
 and reported as such: a "universal" multimap is one whose defining bijections
 hold at every output object, and a "left universal" one additionally admits
@@ -10,68 +16,18 @@ order with hom elements in stored order, so witnesses are deterministic.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 from .catoperad import LOOSE, TIGHT
-from .fincat import StructureError, Violation, is_bijection_onto, preimage
-from .tmulticat import (
-    MultiMap, SkewMulticategory, TMulticategory, underlying_category, underlying_with_maps,
-)
+from .fincat import FinCategory, StructureError, Violation, is_bijection_onto, preimage
+from .tmulticat import MultiMap, TMulticategory, underlying_with_maps
 
-
-@dataclass(frozen=True)
-class UniversalMultimap:
-    x: str
-    inputs: tuple[str, ...]
-    classifier: str
-    theta: MultiMap
-
-
-@dataclass
-class ClassifierTable:
-    entries: dict[tuple[str, tuple[str, ...]], UniversalMultimap]
-
-    def get(self, x: str, inputs: tuple[str, ...]) -> UniversalMultimap | None:
-        return self.entries.get((x, tuple(inputs)))
-
-
-class _InductiveClassifierTable(ClassifierTable):
-    """The inductive extension of nullary and tight-binary classifiers (see
-    ``build_inductive_classifiers``).  Each entry is built from its
-    predecessor on its first lookup; ``entries``, the whole table, builds
-    every entry first."""
-
-    def __init__(self, s: SkewMulticategory, nullary: UniversalMultimap,
-                 binary: dict[tuple[str, str], UniversalMultimap]):
-        self._s = s
-        self._binary = binary
-        self._built = {(LOOSE, ()): nullary}
-        for a in s.objects:
-            self._built[(TIGHT, (a,))] = UniversalMultimap(TIGHT, (a,), a, s.identity(a))
-
-    def get(self, x: str, inputs: tuple[str, ...]) -> UniversalMultimap | None:
-        inputs = tuple(inputs)
-        u = self._built.get((x, inputs))
-        if u is None and x in (TIGHT, LOOSE) and 1 <= len(inputs) <= self._s.max_arity:
-            prev = self.get(x, inputs[:-1])
-            pair = None if prev is None else self._binary.get((prev.classifier, inputs[-1]))
-            if pair is not None:
-                theta = self._s.subst_after(pair.theta, 1, prev.theta)
-                u = self._built[(x, inputs)] = UniversalMultimap(x, inputs, pair.classifier,
-                                                                 theta)
-        return u
-
-    @property
-    def entries(self) -> dict[tuple[str, tuple[str, ...]], UniversalMultimap]:
-        objs = sorted(self._s.objects)
-        for n in range(1, self._s.max_arity + 1):
-            for x in (LOOSE,) if n == 1 else (TIGHT, LOOSE):
-                for inputs in itertools.product(objs, repeat=n):
-                    self.get(x, inputs)
-        return self._built
+# A classifier lookup: (x, inputs) -> θ | None.  A string, as annotations are:
+# a typing generic evaluated here would name MultiMap in typing's cache, which
+# then keeps every fresh import of the package alive.
+ClassifierLookup = "Callable[[tuple[str, tuple[str, ...]]], MultiMap | None]"
 
 
 def _hom_bijection(source: tuple[MultiMap, ...], target: tuple[str, ...],
@@ -96,12 +52,12 @@ def _hom_bijection(source: tuple[MultiMap, ...], target: tuple[str, ...],
     return is_bijection_onto([image(h) for h in source], target)
 
 
-def _tails_bijective(s: TMulticategory, theta: MultiMap, m: str,
-                     ks: range | tuple[int, ...]) -> bool:
+def _tails_bijective(s: TMulticategory, theta: MultiMap, ks: range | tuple[int, ...]) -> bool:
     """Substituting theta at the first position carries the unit-typed
-    multimaps out of (m, *tail) bijectively onto the hom theta represents with
-    the tail appended, for every output and every tail of each length k in ks.
-    Lengths that would leave the truncation bound hold vacuously.
+    multimaps out of (theta.output, *tail) bijectively onto the hom theta
+    represents with the tail appended, for every output and every tail of
+    each length k in ks.  Lengths that would leave the truncation bound hold
+    vacuously.
 
     theta is universal when this holds for k = 0, extends by one input for
     k = 1, and is left universal for every k up to the bound.
@@ -113,15 +69,14 @@ def _tails_bijective(s: TMulticategory, theta: MultiMap, m: str,
         rx = s.operad.subst_obj(e, (theta.x,) + (e,) * k, (theta.arity,) + (1,) * k)
         for tail in itertools.product(sorted(s.objects), repeat=k):
             for c in s.objects:
-                if not _hom_bijection(tuple(s.maps((e, (m,) + tail, c))),
+                if not _hom_bijection(tuple(s.maps((e, (theta.output,) + tail, c))),
                                       s.hom(rx, theta.inputs + tail, c),
                                       lambda h: s.subst_after(h, 1, theta).mid):
                     return False
     return True
 
 
-def find_universal(s: SkewMulticategory, x: str, inputs: tuple[str, ...]
-                   ) -> UniversalMultimap | None:
+def find_universal(s: TMulticategory, x: str, inputs: tuple[str, ...]) -> MultiMap | None:
     """First universal multimap of the given type in canonical order.
 
     The unit-typed unary case is normalized: the classifier is the object
@@ -131,11 +86,11 @@ def find_universal(s: SkewMulticategory, x: str, inputs: tuple[str, ...]
     if len(inputs) > s.max_arity:
         raise StructureError("input tuple exceeds the truncation bound")
     if x == s.operad.unit and len(inputs) == 1:
-        return UniversalMultimap(x, inputs, inputs[0], s.identity(inputs[0]))
+        return s.identity(inputs[0])
     for m in sorted(s.objects):
         for theta in s.maps((x, inputs, m)):
-            if _tails_bijective(s, theta, m, (0,)):
-                return UniversalMultimap(x, inputs, m, theta)
+            if _tails_bijective(s, theta, (0,)):
+                return theta
     return None
 
 
@@ -147,7 +102,7 @@ class NotLeftRepresentable(StructureError):
 
 @dataclass(frozen=True)
 class WeakRepResult:
-    table: ClassifierTable
+    table: dict[tuple[str, tuple[str, ...]], MultiMap]  # its get is a classifier lookup
     failure: tuple[str, tuple[str, ...]] | None
 
     @property
@@ -155,42 +110,59 @@ class WeakRepResult:
         return self.failure is None
 
 
-def is_weakly_representable(s: SkewMulticategory) -> WeakRepResult:
+def _signatures(s: TMulticategory):
+    """Every (x, inputs) up to the bound, arity by arity, in canonical order."""
+    for n in range(s.max_arity + 1):
+        for x in s.operad.component(n).objects:
+            for inputs in itertools.product(sorted(s.objects), repeat=n):
+                yield x, inputs
+
+
+def is_weakly_representable(s: TMulticategory) -> WeakRepResult:
     """Search every signature once.  The table keeps every classifier found;
     the failure is the first signature in search order that has none."""
-    entries = {}
+    table = {}
     failure = None
-    for n in range(s.max_arity + 1):
-        comp = s.operad.component(n)
-        for x in comp.objects:
-            for inputs in itertools.product(sorted(s.objects), repeat=n):
-                u = find_universal(s, x, inputs)
-                if u is not None:
-                    entries[(x, inputs)] = u
-                elif failure is None:
-                    failure = (x, inputs)
-    return WeakRepResult(ClassifierTable(entries), failure)
+    for key in _signatures(s):
+        theta = find_universal(s, *key)
+        if theta is not None:
+            table[key] = theta
+        elif failure is None:
+            failure = key
+    return WeakRepResult(table, failure)
 
 
-def build_inductive_classifiers(s: SkewMulticategory,
-                                nullary: UniversalMultimap,
-                                binary: dict[tuple[str, str], UniversalMultimap]
-                                ) -> ClassifierTable:
+def build_inductive_classifiers(s: TMulticategory, nullary: MultiMap,
+                                binary: dict[tuple[str, str], MultiMap]
+                                ) -> ClassifierLookup:
     """Extend nullary and tight-binary classifiers to all arities: the unary
-    tight classifier of an object is the object itself, and each higher
+    tight classifier of an object is its identity, and each higher
     classifier tensors one more input onto its predecessor by substituting
-    into the binary universal map at the first position.  Each entry is
-    built on its first lookup.  The entries are not checked to be universal
-    here."""
+    it into the binary universal map at the first position.  The lookup
+    builds each entry, and its predecessors, on first use.  The entries are
+    not checked to be universal here."""
     for a in s.objects:
         for b in s.objects:
             if (a, b) not in binary:
                 raise StructureError(f"missing tight binary classifier at {(a, b)!r}")
-    return _InductiveClassifierTable(s, nullary, binary)
+    built = {(LOOSE, ()): nullary}
+    for a in s.objects:
+        built[(TIGHT, (a,))] = s.identity(a)
+
+    def lookup(key: tuple[str, tuple[str, ...]]) -> MultiMap | None:
+        theta = built.get(key)
+        x, inputs = key
+        if theta is None and x in (TIGHT, LOOSE) and 1 <= len(inputs) <= s.max_arity:
+            prev = lookup((x, inputs[:-1]))
+            pair = None if prev is None else binary.get((prev.output, inputs[-1]))
+            if pair is not None:
+                theta = built[key] = s.subst_after(pair, 1, prev)
+        return theta
+
+    return lookup
 
 
-def find_classifiers(s: SkewMulticategory,
-                     lookup: Callable[[str, tuple[str, ...]], UniversalMultimap | None]):
+def find_classifiers(s: TMulticategory, lookup: ClassifierLookup):
     """(nullary, binary, failure): the nullary classifier, then the tight
     binary ones keyed by input pair, each looked up once in that order, and
     the failure that decides left representability (arXiv:1708.06088;
@@ -199,38 +171,37 @@ def find_classifiers(s: SkewMulticategory,
     (and nullary None when the nullary one is missing); or
     ``"single-input extension fails"`` when one of the classifiers found is
     not left universal; or None.  ``lookup`` is ``find_universal`` on s or
-    the table of a weak search of s."""
-    nullary = lookup(LOOSE, ())
+    the ``get`` of a weak search's table."""
+    nullary = lookup((LOOSE, ()))
     if nullary is None:
         return None, None, (LOOSE, ())
     binary = {}
     for a in s.objects:
         for b in s.objects:
-            u = lookup(TIGHT, (a, b))
-            if u is None:
+            theta = lookup((TIGHT, (a, b)))
+            if theta is None:
                 return nullary, None, (TIGHT, (a, b))
-            binary[(a, b)] = u
-    if not all(_left_universal(s, u) for u in (nullary, *binary.values())):
+            binary[(a, b)] = theta
+    if not all(_left_universal(s, theta) for theta in (nullary, *binary.values())):
         return nullary, binary, "single-input extension fails"
     return nullary, binary, None
 
 
-def _left_universal(s: SkewMulticategory, u: UniversalMultimap) -> bool:
-    return _tails_bijective(s, u.theta, u.classifier, range(s.max_arity))
+def _left_universal(s: TMulticategory, theta: MultiMap) -> bool:
+    return _tails_bijective(s, theta, range(s.max_arity))
 
 
-def _left_representable(s: SkewMulticategory, weak: WeakRepResult) -> bool:
+def _left_representable(s: TMulticategory, weak: WeakRepResult) -> bool:
     """Weak representability plus single-input extension of every universal
     multimap, read off a weak search that has already run: the fourth
     characterization of ``check_left_representability_equivalences``."""
-    return weak.ok and all(_tails_bijective(s, u.theta, u.classifier, (1,))
-                           for u in weak.table.entries.values())
+    return weak.ok and all(_tails_bijective(s, theta, (1,)) for theta in weak.table.values())
 
 
-def is_left_representable(s: SkewMulticategory) -> bool:
+def is_left_representable(s: TMulticategory) -> bool:
     """The nullary and tight binary classifiers exist and are left
     universal; only those 1 + n² signatures are searched."""
-    return find_classifiers(s, functools.partial(find_universal, s))[2] is None
+    return find_classifiers(s, lambda key: find_universal(s, *key))[2] is None
 
 
 @dataclass(frozen=True)
@@ -243,18 +214,18 @@ class EquivalenceReport:
         return not self.violations
 
 
-def check_left_representability_equivalences(s: SkewMulticategory) -> EquivalenceReport:
+def check_left_representability_equivalences(s: TMulticategory) -> EquivalenceReport:
     """Four characterizations of left representability, evaluated separately;
     the report is empty exactly when they agree on the stored fragment."""
     weak = is_weakly_representable(s)
     cond = {}
     cond["all_universals_left_universal"] = weak.ok and all(
-        _left_universal(s, u) for u in weak.table.entries.values())
+        _left_universal(s, theta) for theta in weak.table.values())
     nullary, binary, failure = find_classifiers(s, weak.table.get)
     if binary is not None:
-        table = build_inductive_classifiers(s, nullary, binary)
+        lookup = build_inductive_classifiers(s, nullary, binary)
         cond["inductive_classifiers_universal"] = all(
-            _tails_bijective(s, u.theta, u.classifier, (0,)) for u in table.entries.values())
+            _tails_bijective(s, lookup(key), (0,)) for key in _signatures(s))
     else:
         cond["inductive_classifiers_universal"] = False
     cond["classifiers_left_universal"] = failure is None
@@ -273,10 +244,10 @@ class ClosedStructure:
     hom_obj: dict[tuple[str, str], str]
     evaluation: dict[tuple[str, str], MultiMap]
     hom_mor: dict[tuple[str, str], str]        # (u, v) -> [u, v], contravariant in u
-    cat_maps: dict                             # underlying-category morphism -> MultiMap
+    cat: FinCategory                           # the underlying category, of u, v and [u, v]
 
 
-def _closed_pair_ok(s: SkewMulticategory, h: str, b: str, c: str, e: MultiMap) -> bool:
+def _closed_pair_ok(s: TMulticategory, h: str, b: str, c: str, e: MultiMap) -> bool:
     for n in range(s.max_arity):
         comp = s.operad.component(n)
         for x in comp.objects:
@@ -288,7 +259,7 @@ def _closed_pair_ok(s: SkewMulticategory, h: str, b: str, c: str, e: MultiMap) -
     return True
 
 
-def find_closed_structure(s: SkewMulticategory) -> ClosedStructure | None:
+def find_closed_structure(s: TMulticategory) -> ClosedStructure | None:
     """Internal homs with tight evaluation maps, then the induced hom functor
     Aᵒᵖ × A → A on the underlying category, as a table on pairs of
     morphisms, obtained by factoring unary actions on the evaluation through
@@ -323,20 +294,20 @@ def find_closed_structure(s: SkewMulticategory) -> ClosedStructure | None:
             if w is None:
                 raise StructureError("evaluation bijection has no preimage; structure is not closed")
             hom_mor[(u, v)] = w
-    return ClosedStructure(hom_obj, evaluation, hom_mor, to_mm)
+    return ClosedStructure(hom_obj, evaluation, hom_mor, cat)
 
 
-def _left_adjoint_ok(s: SkewMulticategory, closed: ClosedStructure) -> bool:
+def _left_adjoint_ok(s: TMulticategory, closed: ClosedStructure) -> bool:
     """Pointwise representability of c -> A(a, [b, c]) for every a and b."""
-    cat = underlying_category(s)
     for b in s.objects:
         for a in s.objects:
-            if not any(_represents(s, closed, cat, p, a, b) for p in sorted(s.objects)):
+            if not any(_represents(s, closed, p, a, b) for p in sorted(s.objects)):
                 return False
     return True
 
 
-def _represents(s, closed, cat, p, a, b) -> bool:
+def _represents(s, closed, p, a, b) -> bool:
+    cat = closed.cat
     for u in cat.hom(a, closed.hom_obj[(b, p)]):
         ok = True
         for c in s.objects:
@@ -352,7 +323,7 @@ def _represents(s, closed, cat, p, a, b) -> bool:
     return False
 
 
-def check_closed_representability_equivalences(s: SkewMulticategory) -> EquivalenceReport:
+def check_closed_representability_equivalences(s: TMulticategory) -> EquivalenceReport:
     """Four characterizations that coincide for closed skew multicategories;
     reports "not closed" when there is no closed structure to begin with."""
     closed = find_closed_structure(s)
@@ -374,7 +345,7 @@ def check_closed_representability_equivalences(s: SkewMulticategory) -> Equivale
     return EquivalenceReport(cond, violations)
 
 
-def analyze(s: SkewMulticategory) -> dict:
+def analyze(s: TMulticategory) -> dict:
     """The analyzer record: representability and closedness flags with their
     witnesses, tagged with the truncation bound they were checked at.  Below
     arity 2 the binary homs that the tensor and the internal homs represent
@@ -386,8 +357,8 @@ def analyze(s: SkewMulticategory) -> dict:
     witnesses: dict = {}
     if weak.ok:
         witnesses["classifiers"] = {
-            f"{x}({','.join(inputs)})": {"object": u.classifier, "theta": u.theta.mid}
-            for (x, inputs), u in sorted(weak.table.entries.items())}
+            f"{x}({','.join(inputs)})": {"object": theta.output, "theta": theta.mid}
+            for (x, inputs), theta in sorted(weak.table.items())}
     else:
         witnesses["failure"] = {"x": weak.failure[0], "inputs": list(weak.failure[1])}
     if closed is not None:
@@ -398,7 +369,7 @@ def analyze(s: SkewMulticategory) -> dict:
         "weakly_representable": weak.ok,
         "left_representable": find_classifiers(s, weak.table.get)[2] is None,
         "closed": closed is not None,
-        "closed_with_unit": closed is not None and weak.table.get(LOOSE, ()) is not None,
+        "closed_with_unit": closed is not None and (LOOSE, ()) in weak.table,
         "witnesses": witnesses,
         "checked_up_to_arity": s.max_arity,
     }

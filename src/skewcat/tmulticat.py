@@ -250,17 +250,9 @@ def arity_bound(value, name: str) -> int:
     return value
 
 
-class SkewMulticategory(TMulticategory):
-    """Multicategory typed over the tight/loose operad, with the comparison j."""
-
-    def j(self, m: MultiMap) -> MultiMap:
-        """View a tight multimap as a loose one."""
-        return self.act(LAM, m)
-
-
 def make_multicat(operad, objects, max_arity, homs, identities, **kw) -> TMulticategory:
-    """Pick the skew subclass when the operad is the tight/loose one."""
-    cls = SkewMulticategory if operad.name == "R" else TMulticategory
+    """A multicategory with a hom, empty unless given, at every signature;
+    rejects homs off the signatures and identities off their unit homs."""
     full_homs = {key: tuple(homs.get(key, ()))
                  for key in signatures(operad, tuple(objects), max_arity)}
     for key, mids in homs.items():
@@ -276,7 +268,7 @@ def make_multicat(operad, objects, max_arity, homs, identities, **kw) -> TMultic
             raise StructureError(f"object {a!r} has no identity multimap")
         if identities[a] not in full_homs.get((operad.unit, (a,), a), ()):
             raise StructureError(f"identity of {a!r} is not in its unit hom")
-    return cls(operad, tuple(objects), max_arity, full_homs, identities, **kw)
+    return TMulticategory(operad, tuple(objects), max_arity, full_homs, identities, **kw)
 
 
 def terminal_multicat(operad: CatOperad, max_arity: int = 4,
@@ -533,14 +525,10 @@ def underlying_with_maps(m: TMulticategory):
     return cat, to_mm
 
 
-def underlying_category(m: TMulticategory) -> FinCategory:
-    return underlying_with_maps(m)[0]
-
-
 # -- tight subsets ------------------------------------------------------------
 
 def from_tight_subsets(m: TMulticategory, tight: dict[tuple[tuple[str, ...], str], frozenset]
-                       ) -> SkewMulticategory:
+                       ) -> TMulticategory:
     """Refine an ordinary multicategory by a class of tight multimaps closed
     under substitution in the first position.  Closure is checked on the ∘ᵢ
     keys with a tight outer map and a tight first inner; the identities are
@@ -588,7 +576,7 @@ def from_tight_subsets(m: TMulticategory, tight: dict[tuple[tuple[str, ...], str
                          action_rule=action_rule, subst_rule=subst_rule)
 
 
-def all_tight(m: TMulticategory) -> SkewMulticategory:
+def all_tight(m: TMulticategory) -> TMulticategory:
     tight = {}
     for (x, inputs, output), mids in m.homs.items():
         if inputs and mids:
@@ -596,14 +584,14 @@ def all_tight(m: TMulticategory) -> SkewMulticategory:
     return from_tight_subsets(m, tight)
 
 
-def loose_part(s: SkewMulticategory) -> TMulticategory:
+def loose_part(s: TMulticategory) -> TMulticategory:
     """The ordinary multicategory of loose multimaps."""
     n_op = operad_by_name("N")
     homs = {}
     for (x, inputs, output), mids in s.homs.items():
         if x == LOOSE:
             homs[(TIGHT, inputs, output)] = mids
-    identities = {a: s.j(s.identity(a)).mid for a in s.objects}
+    identities = {a: s.act(LAM, s.identity(a)).mid for a in s.objects}
 
     def subst_rule(g: MultiMap, fs: tuple[MultiMap, ...]) -> str:
         gl = MultiMap(LOOSE, g.inputs, g.output, g.mid)

@@ -517,21 +517,19 @@ def naive_tensor_functors(base):
 
 def naive_inductive_classifiers(s, nullary, binary) -> dict:
     """The whole inductive classifier table, built eagerly arity by arity:
-    the tight unary classifier of a is a with its identity, and each other
+    the tight unary classifier of a is the identity of a, and each other
     entry substitutes its predecessor into the binary classifier of
-    (predecessor's classifier, last input) at the first position."""
-    table = {("l", ()): (nullary.classifier, nullary.theta)}
+    (predecessor's output, last input) at the first position."""
+    table = {("l", ()): nullary}
     for a in s.objects:
-        table[("t", (a,))] = (a, s.identity(a))
+        table[("t", (a,))] = s.identity(a)
     for n in range(1, s.max_arity + 1):
         for x in ("t", "l"):
             if (x, n) == ("t", 1):
                 continue
             for inputs in itertools.product(sorted(s.objects), repeat=n):
-                prev_classifier, prev_theta = table[(x, inputs[:-1])]
-                pair = binary[(prev_classifier, inputs[-1])]
-                table[(x, inputs)] = (pair.classifier,
-                                      s.subst_after(pair.theta, 1, prev_theta))
+                prev = table[(x, inputs[:-1])]
+                table[(x, inputs)] = s.subst_after(binary[(prev.output, inputs[-1])], 1, prev)
     return table
 
 
@@ -539,11 +537,12 @@ def _naive_bijective(images, target) -> bool:
     return len(images) == len(set(images)) == len(target) and set(images) == set(target)
 
 
-def naive_tails_bijective(s, theta, m, ks) -> bool:
+def naive_tails_bijective(s, theta, ks) -> bool:
     """``representability._tails_bijective`` evaluating every substitution:
     for each tail length k in ks that stays within the bound, each tail and
-    each output c, h ∘₁ theta over the unit-typed h out of (m, *tail) hits
-    every member of theta's represented hom with the tail appended once."""
+    each output c, h ∘₁ theta over the unit-typed h out of (theta's output,
+    *tail) hits every member of theta's represented hom with the tail
+    appended once."""
     e = s.operad.unit
     for k in ks:
         if k > s.max_arity - max(1, theta.arity):
@@ -551,7 +550,8 @@ def naive_tails_bijective(s, theta, m, ks) -> bool:
         rx = s.operad.subst_obj(e, (theta.x,) + (e,) * k, (theta.arity,) + (1,) * k)
         for tail in itertools.product(sorted(s.objects), repeat=k):
             for c in s.objects:
-                images = [s.subst_after(h, 1, theta).mid for h in s.maps((e, (m,) + tail, c))]
+                images = [s.subst_after(h, 1, theta).mid
+                          for h in s.maps((e, (theta.output,) + tail, c))]
                 if not _naive_bijective(images, s.hom(rx, theta.inputs + tail, c)):
                     return False
     return True

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import gc
 import hashlib
@@ -18,8 +19,10 @@ from skewcat.tmulticat import (
     terminal_multicat,
 )
 from skewcat.correspondence import monoidal_to_multicat, multicat_to_monoidal
+from skewcat.search import enumerate_skew_structures
 from conftest import (
-    chain_category, renamed, two_chain_fst, two_chain_snd, z2_category, z2_monoidal,
+    chain_category, product_monoidal, renamed, two_chain_fst, two_chain_snd, z2_category,
+    z2_monoidal,
 )
 from naive_oracles import naive_closed_pair_ok, naive_skew_monoidal_ok, naive_tails_bijective
 
@@ -162,6 +165,31 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     p.write_text("{nope")
     code, out, _ = run(capsys, "check", str(p))
     assert code == 2 and "error" in out
+
+
+UNREADABLE_JSON = {
+    "invalid-utf8": b"\xff\xfe{",
+    "nested-100000": b"[" * 100_000,
+    "integer-5000-digits": b'{"objects": ' + b"7" * 5000 + b"}",
+}
+READING_COMMANDS = [["check"], ["analyze"], ["convert", "--to", "multicat"],
+                    ["convert", "--to", "monoidal"], ["roundtrip"], ["search", "--objects"]]
+
+
+@pytest.mark.parametrize("command", READING_COMMANDS,
+                         ids=lambda c: "-".join(w.lstrip("-") for w in c))
+@pytest.mark.parametrize("content", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON)
+def test_unreadable_json_is_exit_2(tmp_path, capsys, content, command):
+    # each of these made json.load raise something other than JSONDecodeError
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    argv = [*command, str(path)]
+    if command[0] == "search":
+        argv += ["--emit", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out["error"].startswith("unreadable JSON: ")
+    assert err.startswith("input error: unreadable JSON: ") and "Traceback" not in err
 
 
 def test_unknown_schema_is_exit_2(tmp_path, capsys):
@@ -862,6 +890,52 @@ def _golden_digests(tmp_path, capsys) -> dict[str, str]:
 
 def test_outputs_match_golden_digests(tmp_path, capsys):
     assert _golden_digests(tmp_path, capsys) == GOLDEN
+
+
+# sha256 over "<exit code>\n<stdout>" of every command that
+# test_classifier_reading_outputs_match_digest runs, in order.  It pins the
+# outputs that read classifiers on structures beyond the 2-chain: the 3-chain
+# and Z/2 search output and three products, and the failure witness of a
+# multicategory that is not representable.
+CLASSIFIER_RUNS_DIGEST = "d41296b4dbeeaa9cd7ff7be740c6c6246914f77a6f804113549d098e6764a9f4"
+
+
+def test_classifier_reading_outputs_match_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+
+    def go(name, *argv):
+        """Run a command with its stdout in the file ``name``, which
+        ``convert --to multicat`` of fst×snd fills with 154 MB."""
+        out = tmp_path / name
+        with open(out, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            code = main(list(argv))
+        capsys.readouterr()
+        digest.update(f"{code}\n".encode())
+        with open(out, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+        return str(out)
+
+    z2, fst, snd = z2_monoidal(), two_chain_fst(), two_chain_snd()
+    structures = [*enumerate_skew_structures(chain_category(3)),
+                  *enumerate_skew_structures(z2_category()),
+                  product_monoidal(z2, z2), product_monoidal(z2, fst),
+                  product_monoidal(fst, snd)]
+    assert len(structures) == 34
+    for c in structures:
+        path = write(tmp_path, "monoidal.json", skewmon_to_json(c))
+        go("out.json", "analyze", path, "--max-arity", "3")
+        go("out.json", "analyze", path)
+        go("out.json", "roundtrip", path)
+        mc = go("multicat.json", "convert", path, "--to", "multicat", "--max-arity", "3")
+        go("out.json", "convert", mc, "--to", "monoidal")
+    for s in (monoidal_to_multicat(z2, 3), monoidal_to_multicat(fst, 3),
+              only_identities_tight(monoidal_to_multicat(fst, 3))):
+        path = write(tmp_path, "multicat.json", multicat_to_json(s))
+        go("out.json", "analyze", path)
+        go("out.json", "roundtrip", path)
+        go("out.json", "convert", path, "--to", "monoidal")
+    assert digest.hexdigest() == CLASSIFIER_RUNS_DIGEST
 
 
 # sha256 over "<exit code>\n<stdout>" of `skewcat check` on every one-cell

@@ -8,8 +8,7 @@ from skewcat.colaxalg import (
 from skewcat.correspondence import monoidal_to_colax, monoidal_to_multicat
 from skewcat.fincat import FinCategory, StructureError
 from skewcat.representability import (
-    UniversalMultimap, _tails_bijective,
-    is_left_representable, is_weakly_representable,
+    _tails_bijective, is_left_representable, is_weakly_representable,
 )
 from skewcat.skewmon import make_skew_monoidal
 from skewcat.tmulticat import check_tmulticat, iso_search, terminal_multicat
@@ -68,7 +67,7 @@ def test_derived_algebra_passes(fst3):
 
 def test_trivial_algebra_passes():
     term = terminal_multicat(make_R_operad(), 3)
-    alg = multicat_to_colax(term, is_weakly_representable(term).table)
+    alg = multicat_to_colax(term, is_weakly_representable(term).table.get)
     assert check_colax_algebra(alg) == []
     assert has_strict_left_bracketing(alg)
 
@@ -79,7 +78,7 @@ def test_z2_algebra_passes(z2m):
 
 
 def test_unit_functor_is_the_identity(fst3):
-    alg = multicat_to_colax(fst3, is_weakly_representable(fst3).table)
+    alg = multicat_to_colax(fst3, is_weakly_representable(fst3).table.get)
     for a in alg.base.objects:
         assert alg.m_obj(alg.operad.unit, (a,)) == a
     for f, _, _ in alg.base.morphisms:
@@ -185,13 +184,12 @@ def test_transported_classifiers_break_strict_bracketing():
     weak = is_weakly_representable(sc)
     table = weak.table
     for theta in sc.maps((TIGHT, ("a", "a", "a"), "b")):
-        if _tails_bijective(sc, theta, "b", (0,)):
-            table.entries[(TIGHT, ("a", "a", "a"))] = UniversalMultimap(
-                TIGHT, ("a", "a", "a"), "b", theta)
+        if _tails_bijective(sc, theta, (0,)):
+            table[(TIGHT, ("a", "a", "a"))] = theta
             break
     else:
         raise AssertionError("no alternative classifier found")
-    twisted = multicat_to_colax(sc, table)
+    twisted = multicat_to_colax(sc, table.get)
     assert check_colax_algebra(twisted) == []
     assert not has_strict_left_bracketing(twisted)
     normalized = left_bracketed_algebra(sc)
@@ -209,7 +207,7 @@ def test_multicat_round_trip(fst3, z2m):
 
 def test_trivial_round_trip():
     term = terminal_multicat(make_R_operad(), 3)
-    back = colax_to_multicat(multicat_to_colax(term, is_weakly_representable(term).table))
+    back = colax_to_multicat(multicat_to_colax(term, is_weakly_representable(term).table.get))
     assert iso_search(term, back) is not None
 
 
@@ -218,8 +216,8 @@ def test_round_trip_is_weakly_representable_with_identity_universal(fst3):
     back = colax_to_multicat(alg)
     weak = is_weakly_representable(back)
     assert weak.ok
-    for (x, inputs), u in weak.table.entries.items():
-        assert u.classifier == alg.m_obj(x, inputs)
+    for (x, inputs), theta in weak.table.items():
+        assert theta.output == alg.m_obj(x, inputs)
 
 
 def test_strict_bracketing_forces_left_representability(fst3, z2m):

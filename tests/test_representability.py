@@ -1,4 +1,3 @@
-import functools
 import itertools
 
 import pytest
@@ -18,7 +17,7 @@ from skewcat.correspondence import (
 from skewcat.search import enumerate_skew_structures
 from skewcat.tmulticat import (
     TMulticategory, all_tight, check_tmulticat, from_tight_subsets, loose_part,
-    make_multicat, terminal_multicat, underlying_category,
+    make_multicat, terminal_multicat, underlying_with_maps,
 )
 from conftest import (
     chain_category, two_chain_fst, two_chain_snd, with_tables, z2_category, z2_monoidal,
@@ -116,25 +115,31 @@ def _tuples(objs, n):
     return itertools.product(objs, repeat=n)
 
 
+def entries(s, lookup) -> dict:
+    """A classifier lookup read at every signature (x, inputs) of s."""
+    return {(x, inputs): lookup((x, inputs)) for n in range(s.max_arity + 1)
+            for x in s.operad.component(n).objects
+            for inputs in itertools.product(sorted(s.objects), repeat=n)}
+
+
 def test_unary_tight_classifier_is_the_object(fst):
     for a in fst.objects:
-        u = find_universal(fst, TIGHT, (a,))
-        assert u.classifier == a
-        assert u.theta == fst.identity(a)
-        assert _tails_bijective(fst, u.theta, u.classifier, (0,)) and _left_universal(fst, u)
+        theta = find_universal(fst, TIGHT, (a,))
+        assert theta.output == a
+        assert theta == fst.identity(a)
+        assert _tails_bijective(fst, theta, (0,)) and _left_universal(fst, theta)
 
 
 def test_nullary_classifier_is_the_bottom(fst):
-    u = find_universal(fst, LOOSE, ())
-    assert u.classifier == "0"
-    assert _tails_bijective(fst, u.theta, u.classifier, (0,))
+    theta = find_universal(fst, LOOSE, ())
+    assert theta.output == "0"
+    assert _tails_bijective(fst, theta, (0,))
 
 
 def test_binary_classifier_is_the_first_input(fst):
     for a in fst.objects:
         for b in fst.objects:
-            u = find_universal(fst, TIGHT, (a, b))
-            assert u.classifier == a
+            assert find_universal(fst, TIGHT, (a, b)).output == a
 
 
 def test_weak_representability(fst, terminal):
@@ -171,12 +176,12 @@ def test_inductive_classifiers(fst):
               for a in fst.objects for b in fst.objects}
     table = build_inductive_classifiers(fst, nullary, binary)
     for a in fst.objects:
-        assert table.get(TIGHT, (a,)).classifier == a
+        assert table((TIGHT, (a,))).output == a
     # iterated first projection; leading unit collapses to the bottom
     for tup in _tuples(fst.objects, 3):
-        assert table.get(TIGHT, tup).classifier == tup[0]
-        assert table.get(LOOSE, tup).classifier == "0"
-    assert all(_tails_bijective(fst, u.theta, u.classifier, (0,)) for u in table.entries.values())
+        assert table((TIGHT, tup)).output == tup[0]
+        assert table((LOOSE, tup)).output == "0"
+    assert all(_tails_bijective(fst, theta, (0,)) for theta in entries(fst, table).values())
 
 
 def test_inductive_classifiers_on_terminal(terminal):
@@ -184,7 +189,7 @@ def test_inductive_classifiers_on_terminal(terminal):
     binary = {(a, b): find_universal(terminal, TIGHT, (a, b))
               for a in terminal.objects for b in terminal.objects}
     table = build_inductive_classifiers(terminal, nullary, binary)
-    assert all(u.classifier == "*" for u in table.entries.values())
+    assert all(theta.output == "*" for theta in entries(terminal, table).values())
 
 
 def test_equivalences_agree_on_good_and_bad_instances(fst, terminal, only_identities_tight):
@@ -201,7 +206,7 @@ def test_left_universal_composition(fst):
     binary = {(a, b): find_universal(fst, TIGHT, (a, b))
               for a in fst.objects for b in fst.objects}
     table = build_inductive_classifiers(fst, nullary, binary)
-    assert all(_left_universal(fst, u) for u in table.entries.values())
+    assert all(_left_universal(fst, theta) for theta in entries(fst, table).values())
 
 
 def test_closed_structure(fst):
@@ -213,8 +218,8 @@ def test_closed_structure(fst):
     z2 = monoidal_to_multicat(z2_monoidal(), 3)
     z2_closed = find_closed_structure(z2)
     assert z2_closed.hom_mor[("e1", "e0")] == "e1"
-    for closed, cat in ((closed, underlying_category(fst)),
-                        (z2_closed, underlying_category(z2))):
+    for closed, cat in ((closed, underlying_with_maps(fst)[0]),
+                        (z2_closed, underlying_with_maps(z2)[0])):
         hom, mors = closed.hom_mor, cat.morphisms
         for u, b1, b2 in mors:
             for v, c1, c2 in mors:
@@ -238,7 +243,7 @@ def test_universal_implies_left_universal_when_closed(fst, terminal):
     for s in (fst, terminal):
         assert find_closed_structure(s) is not None
         weak = is_weakly_representable(s)
-        assert all(_left_universal(s, u) for u in weak.table.entries.values())
+        assert all(_left_universal(s, theta) for theta in weak.table.values())
 
 
 def test_not_closed_when_tight_homs_vanish(only_identities_tight):
@@ -283,13 +288,11 @@ def test_classifier_uniqueness_up_to_isomorphism():
     rho = {x: codisc.id_of(x) for x in objs}
     c = make_skew_monoidal(codisc, t_obj, t_mor, "a", alpha, lam, rho)
     s = monoidal_to_multicat(c, 3)
-    u = find_universal(s, TIGHT, ("b", "a"))
-    assert u.classifier == "a"  # canonically first among the isomorphic pair
-    cat = underlying_category(s)
-    other = "b"
+    assert find_universal(s, TIGHT, ("b", "a")).output == "a"  # canonically first
+    cat = underlying_with_maps(s)[0]
     # the other candidate also classifies, and the two objects are isomorphic
-    for theta in s.maps((TIGHT, ("b", "a"), other)):
-        if _tails_bijective(s, theta, other, (0,)):
+    for theta in s.maps((TIGHT, ("b", "a"), "b")):
+        if _tails_bijective(s, theta, (0,)):
             break
     else:
         raise AssertionError("expected a second universal candidate")
@@ -329,7 +332,7 @@ def test_left_representability_agrees_with_the_weak_search(search_structures,
 def test_classifiers_that_do_not_extend_fail_left_representability():
     s = two_ternary_maps()
     assert check_tmulticat(s) == []
-    assert find_classifiers(s, functools.partial(find_universal, s))[2] == \
+    assert find_classifiers(s, lambda key: find_universal(s, *key))[2] == \
         "single-input extension fails"
     with pytest.raises(NotLeftRepresentable) as err:
         multicat_to_monoidal(s)
@@ -339,15 +342,15 @@ def test_classifiers_that_do_not_extend_fail_left_representability():
 def test_on_demand_classifier_table_equals_the_eager_build(search_structures):
     for c in search_structures:
         s = monoidal_to_multicat(c, 4)
-        nullary, binary, failure = find_classifiers(s, functools.partial(find_universal, s))
+        nullary, binary, failure = find_classifiers(s, lambda key: find_universal(s, *key))
         assert failure is None
         eager = naive_inductive_classifiers(s, nullary, binary)
         table = build_inductive_classifiers(s, nullary, binary)
         # a deep entry first, so that it builds its predecessors on demand
         deepest = max(eager, key=lambda key: len(key[1]))
-        assert (table.get(*deepest).classifier, table.get(*deepest).theta) == eager[deepest]
-        assert {key: (u.classifier, u.theta) for key, u in table.entries.items()} == eager
-        assert all(key == (u.x, u.inputs) for key, u in table.entries.items())
+        assert table(deepest) == eager[deepest]
+        assert entries(s, table) == eager
+        assert all(key == (theta.x, theta.inputs) for key, theta in entries(s, table).items())
 
 
 def _search_results(s):
@@ -356,9 +359,9 @@ def _search_results(s):
     the analyzer record and both equivalence reports."""
     weak = is_weakly_representable(s)
     closed = find_closed_structure(s)
-    return ({key: (u.classifier, u.theta) for key, u in weak.table.entries.items()},
+    return (weak.table,
             weak.failure,
-            find_classifiers(s, functools.partial(find_universal, s)),
+            find_classifiers(s, lambda key: find_universal(s, *key)),
             None if closed is None else (closed.hom_obj, closed.evaluation),
             analyze(s),
             check_left_representability_equivalences(s),
@@ -396,14 +399,13 @@ def test_a_non_injective_substitution_map_rejects_its_multimap(monkeypatch):
         return answers[-1]
 
     monkeypatch.setattr(representability, "is_bijection_onto", recorded)
-    assert not _tails_bijective(s, zero, "x", (0,))
+    assert not _tails_bijective(s, zero, (0,))
     assert answers == [False]
-    u = find_universal(s, TIGHT, ("x", "x"))
-    assert (u.classifier, u.theta) == ("x", one)
-    assert not naive_tails_bijective(s, zero, "x", (0,))
-    assert naive_tails_bijective(s, one, "x", (0,))
+    assert find_universal(s, TIGHT, ("x", "x")) == one
+    assert not naive_tails_bijective(s, zero, (0,))
+    assert naive_tails_bijective(s, one, (0,))
     monkeypatch.setattr(representability, "_tails_bijective", naive_tails_bijective)
-    assert find_universal(s, TIGHT, ("x", "x")) == u
+    assert find_universal(s, TIGHT, ("x", "x")) == one
 
 
 def test_substitution_counts_of_the_three_chain_searches(monkeypatch):

@@ -4,13 +4,13 @@ import sys
 
 import pytest
 
-from skewcat.catoperad import make_R_operad, make_terminal_operad, operad_by_name
+from skewcat.catoperad import LAM, make_R_operad, make_terminal_operad, operad_by_name
 from skewcat.colaxalg import colax_to_multicat
 from skewcat.fincat import StructureError, check_category
 from skewcat.tmulticat import (
     MulticatMorphism, all_tight, check_morphism, check_tmulticat, from_tight_subsets, iso_search,
     loose_part, make_multicat, multicat_from_json, multicat_to_json, signatures,
-    terminal_multicat, underlying_category,
+    terminal_multicat, underlying_with_maps,
 )
 from skewcat.correspondence import (
     monoidal_to_colax, monoidal_to_multicat, multicat_to_monoidal, roundtrip_multicat,
@@ -106,13 +106,13 @@ def test_identity_law_mutant_names_the_multimap(z2m):
 
 
 def test_underlying_category_of_derived_is_the_chain(fst3):
-    cat = underlying_category(fst3)
+    cat = underlying_with_maps(fst3)[0]
     assert cat.canonical() == chain_category(2).canonical()
 
 
 def test_underlying_category_of_terminal_is_point():
     m = terminal_multicat(make_R_operad(), 2)
-    cat = underlying_category(m)
+    cat = underlying_with_maps(m)[0]
     assert len(cat.objects) == 1 and len(cat.morphisms) == 1
     assert check_category(cat) == []
 
@@ -121,7 +121,7 @@ def test_underlying_category_qualifies_colliding_ids():
     # the two-object variant reuses the id "m" in every hom set, so the
     # derived category must disambiguate morphism names
     m = terminal_multicat(make_R_operad(), 2, ("a", "b"))
-    cat = underlying_category(m)
+    cat = underlying_with_maps(m)[0]
     assert check_category(cat) == []
     assert len(cat.morphisms) == 4
     assert cat.hom("a", "b") == ("a>b:m",)
@@ -130,7 +130,7 @@ def test_underlying_category_qualifies_colliding_ids():
 def test_underlying_names_escape_separators_in_object_ids():
     # unescaped, both "a" -> "a>a" and "a>a" -> "a" would be named "a>a>a:m"
     m = terminal_multicat(make_R_operad(), 2, ("a", "a>a", "b:\\"))
-    cat = underlying_category(m)
+    cat = underlying_with_maps(m)[0]
     assert check_category(cat) == []
     assert cat.hom("a", "a>a") == ("a>a\\>a:m",)
     assert cat.hom("a>a", "a") == ("a\\>a>a:m",)
@@ -139,7 +139,7 @@ def test_underlying_names_escape_separators_in_object_ids():
 
 
 def test_identities_map_to_category_identities(fst3):
-    cat = underlying_category(fst3)
+    cat = underlying_with_maps(fst3)[0]
     for a in fst3.objects:
         assert cat.id_of(a) == fst3.identities[a]
 
@@ -166,7 +166,7 @@ def test_all_tight_j_is_identity_on_ids(fst3):
     for key in sorted(s.homs):
         if key[0] == "t" and key[1]:
             for mm_ in s.maps(key):
-                assert s.j(mm_).mid == mm_.mid
+                assert s.act(LAM, mm_).mid == mm_.mid
 
 
 def test_from_tight_subsets_round_trip(fst3):
@@ -181,7 +181,7 @@ def test_tight_subset_reconstruction_when_j_is_injective(fst3):
     # every comparison in the derived instance is injective, so splitting it
     # into loose part plus tight classes and recombining gives the same
     # structure up to isomorphism
-    tight = {(key[1], key[2]): frozenset(fst3.j(mm_).mid for mm_ in fst3.maps(key))
+    tight = {(key[1], key[2]): frozenset(fst3.act(LAM, mm_).mid for mm_ in fst3.maps(key))
              for key, mids in fst3.homs.items() if key[0] == "t" and key[1] and mids}
     rebuilt = from_tight_subsets(loose_part(fst3), tight)
     assert check_tmulticat(rebuilt) == []
