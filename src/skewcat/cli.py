@@ -9,6 +9,7 @@ or structurally invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -221,7 +222,10 @@ def cmd_search(objects_path: str, emit_dir: str) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and a process may call ``main`` many times."""
     parser = argparse.ArgumentParser(
         prog="skewcat",
         description="check, analyze, convert and search finite skew monoidal "
@@ -247,8 +251,11 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("search", help="enumerate all skew monoidal structures on a category")
     p.add_argument("--objects", required=True, metavar="FILE")
     p.add_argument("--emit", required=True, metavar="DIR")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     # A command allocates millions of acyclic rows and keys, and each full
     # pass of the cyclic collector would walk all of them again.  A command
     # leaves a few hundred cyclic objects whatever the input size, so the

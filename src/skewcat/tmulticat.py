@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -38,14 +39,12 @@ from .fincat import (
 HomKey = tuple[str, tuple[str, ...], str]  # (x, inputs, output)
 
 
-@dataclass(frozen=True)
-class MultiMap:
-    """A multimap addressed by its full signature plus its id."""
+class MultiMap(namedtuple("MultiMap", "x inputs output mid")):
+    """A multimap addressed by its full signature plus its id.  A tuple, so
+    that hashing and comparing one run in C; it hashes as the tuple
+    (x, inputs, output, mid)."""
 
-    x: str
-    inputs: tuple[str, ...]
-    output: str
-    mid: str
+    __slots__ = ()
 
     @property
     def arity(self) -> int:
@@ -64,8 +63,9 @@ class TMulticategory:
                  subst_rule: Callable[[MultiMap, tuple[MultiMap, ...]], str],
                  stored_subst: dict | None = None):
         """``subst_rule`` is asked only for ∘ᵢ keys.  ``stored_subst`` is a
-        file's substitution table in the format of ``materialize``: data
-        for ``check_tmulticat`` to check, never read by ``substitute``."""
+        file's substitution table in the format of ``materialize``, keyed by
+        (g, fs): data for ``check_tmulticat`` to check, never read by
+        ``substitute``."""
         self.operad = operad
         self.objects = tuple(objects)
         self.max_arity = max_arity
@@ -76,8 +76,6 @@ class TMulticategory:
         self.stored_subst = stored_subst
         self._subst_cache: dict = {}
         self._units = {a: MultiMap(operad.unit, (a,), a, identities[a]) for a in self.objects}
-        # the (x, inputs, id) of the identity of each object, as in a substitution key
-        self._unit_keys = {a: (u.x, u.inputs, u.mid) for a, u in self._units.items()}
 
     # -- signatures ------------------------------------------------------
 
@@ -130,28 +128,30 @@ class TMulticategory:
         the leftmost nullary one, into the fold of the same key with an
         identity at i; every inner left of i is an identity or nullary, so
         that step is at slot i less the nullary inners left of it."""
-        key = (g.x, g.inputs, g.output, g.mid, tuple([(f.x, f.inputs, f.mid) for f in fs]))
+        key = (g, fs)
         hit = self._subst_cache.get(key)
         if hit is not None:
             return hit
-        if len(fs) != g.arity:
+        if len(fs) != len(g.inputs):
             raise StructureError("wrong number of inner multimaps")
-        for f, b in zip(fs, g.inputs):
+        units = self._units
+        total = 0
+        moved = []
+        for i, (f, b) in enumerate(zip(fs, g.inputs)):
             if f.output != b:
                 raise StructureError(f"inner output {f.output!r} does not match slot {b!r}")
-        total = sum(f.arity for f in fs)
+            total += len(f.inputs)
+            if f != units[b]:
+                moved.append(i)
         if total > self.max_arity:
             raise StructureError(f"substitution result arity {total} exceeds bound")
-        unit_keys = self._unit_keys
-        moved = [i for i, (f, b) in enumerate(zip(key[4], g.inputs)) if f != unit_keys[b]]
         if len(moved) < 2:
             x = self.operad.subst_obj(g.x, tuple([f.x for f in fs]),
-                                      tuple([f.arity for f in fs]))
+                                      tuple([len(f.inputs) for f in fs]))
             inputs = tuple([a for f in fs for a in f.inputs])
             result = self.mm(x, inputs, g.output, self.subst_rule(g, fs))
         else:
-            units = self._units
-            i = next((j for j in moved if fs[j].arity), moved[0])
+            i = next((j for j in moved if fs[j].inputs), moved[0])
             rest = self._substitute(g, fs[:i] + (units[g.inputs[i]],) + fs[i + 1:])
             slot = i - moved.index(i)
             result = self._substitute(rest, tuple([fs[i] if j == slot else units[a]
@@ -204,14 +204,11 @@ class TMulticategory:
 
     def materialize(self) -> tuple[dict, dict]:
         """The action table, (phi, hom key) -> {id: image id} at each action
-        site, and the substitution table, (outer key, outer id, ((x, inputs,
-        id) of each inner)) -> result id at each of ``subst_keys``."""
+        site, and the substitution table, (g, fs) -> result id at each of
+        ``subst_keys``."""
         action = {(fmor, key): {m.mid: self.act(fmor, m).mid for m in self.maps(key)}
                   for fmor, key in _action_sites(self.operad, self.max_arity, sorted(self.homs))}
-        subst = {}
-        for g, fs in self.subst_keys():
-            key = (g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs))
-            subst[key] = self.substitute(g, fs).mid
+        subst = {key: self.substitute(*key).mid for key in self.subst_keys()}
         return action, subst
 
     def tables_equal(self, other: "TMulticategory") -> bool:
@@ -466,25 +463,26 @@ def _validate_structure(m: TMulticategory) -> list[tuple[MultiMap, tuple[MultiMa
         return []
     if len(rows) != _subst_key_count(m):
         # the reader admits only valid keys, once each, so one is missing
-        missing = next(k for g, fs in m.subst_keys()
-                       if (k := (g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs)))
-                       not in rows)
-        raise StructureError(f"no substitution entry for {missing!r}")
-    subst_obj, homs, unit_keys = m.operad.subst_obj, m.homs, m._unit_keys
+        missing = next(key for key in m.subst_keys() if key not in rows)
+        raise StructureError(f"no substitution entry for {_row_name(*missing)!r}")
+    subst_obj, homs, units = m.operad.subst_obj, m.homs, m._units
     off_fold = set()
-    for (gkey, gid, inner), rid in rows.items():
-        sig = (subst_obj(gkey[0], tuple([f[0] for f in inner]),
-                         tuple([len(f[1]) for f in inner])),
-               tuple([a for f in inner for a in f[1]]), gkey[2])
+    for (g, fs), rid in rows.items():
+        sig = (subst_obj(g.x, tuple([f.x for f in fs]), tuple([len(f.inputs) for f in fs])),
+               tuple([a for f in fs for a in f.inputs]), g.output)
         hom = homs.get(sig, ())
         if rid not in hom:
             raise StructureError(f"no multimap {rid!r} in hom {sig!r}")
-        if len(hom) > 1 and sum(f != unit_keys[b] for f, b in zip(inner, gkey[1])) > 1:
-            g = MultiMap(*gkey, gid)
-            fs = tuple(MultiMap(x, inputs, b, mid) for (x, inputs, mid), b in zip(inner, gkey[1]))
-            if m.substitute(g, fs).mid != rid:
-                off_fold.add((g, fs))
+        if len(hom) > 1 and sum([f != units[b] for f, b in zip(fs, g.inputs)]) > 1 \
+                and m.substitute(g, fs).mid != rid:
+            off_fold.add((g, fs))
     return [key for key in m.subst_keys() if key in off_fold] if off_fold else []
+
+
+def _row_name(g: MultiMap, fs: tuple[MultiMap, ...]) -> tuple:
+    """A substitution key as error messages print it: (outer hom key, outer
+    id, ((x, inputs, id) of each inner))."""
+    return (g.key, g.mid, tuple([(x, inputs, mid) for x, inputs, _, mid in fs]))
 
 
 # -- underlying category -----------------------------------------------------
@@ -805,22 +803,16 @@ def multicat_to_json(m: TMulticategory) -> dict:
         src_ids = list(m.homs[(x, inputs, output)])
         action.append({"n": len(inputs), "inputs": list(inputs), "output": output,
                        "map_t": src_ids, "map_l": [table[i] for i in src_ids]})
-    refs: dict[tuple[str, tuple[str, ...], str, str], dict] = {}
+    refs: dict[MultiMap, dict] = {}
 
-    def ref(x: str, inputs: tuple[str, ...], output: str, mid: str) -> dict:
-        key = (x, inputs, output, mid)
-        obj = refs.get(key)
+    def ref(f: MultiMap) -> dict:
+        obj = refs.get(f)
         if obj is None:
-            obj = refs[key] = {"x": x, "inputs": list(inputs), "output": output, "id": mid}
+            obj = refs[f] = {"x": f.x, "inputs": list(f.inputs), "output": f.output, "id": f.mid}
         return obj
 
-    subst = []
-    for (gkey, gid, inner), rid in sorted(results.items()):
-        subst.append({
-            "outer": ref(*gkey, gid),
-            "inners": [ref(fx, fi, gkey[1][i], fid) for i, (fx, fi, fid) in enumerate(inner)],
-            "result": rid,
-        })
+    subst = [{"outer": ref(g), "inners": [ref(f) for f in fs], "result": rid}
+             for (g, fs), rid in sorted(results.items())]
     return {
         "operad": m.operad.name,
         "max_arity": m.max_arity,
@@ -857,13 +849,14 @@ def multicat_from_json(data: dict) -> TMulticategory:
         raise StructureError("operad must be \"R\" or \"N\"")
     op = operad_by_name(data["operad"])
     max_arity = arity_bound(data["max_arity"], "max_arity")
-    refs: dict[tuple, tuple] = {}
+    refs: dict[tuple, tuple[MultiMap, str, int]] = {}
     # A reference outside its hom is reported after its row's inner outputs
     # are checked; reading stops at that row, so a non-empty list means it.
     outside: list[str] = []
 
-    def ref(o, what: str) -> tuple:
-        """(signature, id, (x, inputs, id), output, arity) of a reference."""
+    def ref(o, what: str) -> tuple[MultiMap, str, int]:
+        """The multimap that a reference names, its output and its arity;
+        the last two let one ``zip`` split a row's inners."""
         try:
             inputs = o["inputs"]
             # the class of inputs is part of the key: a string would give the
@@ -882,7 +875,7 @@ def multicat_from_json(data: dict) -> TMulticategory:
             sig = (x, inputs, output)
             if mid not in homs.get(sig, ()):
                 outside.append(f"subst {what} {mid!r} is not in hom {sig!r}")
-            parsed = refs[raw] = (sig, mid, (x, inputs, mid), output, len(inputs))
+            parsed = refs[raw] = (MultiMap(x, inputs, output, mid), output, len(inputs))
         return parsed
 
     try:
@@ -933,22 +926,23 @@ def multicat_from_json(data: dict) -> TMulticategory:
         for e in _json_array(data["subst"], "subst"):
             if e.__class__ is not dict or e.keys() != _SUBST_KEYS:
                 raise StructureError("subst entries must have keys outer/inners/result")
-            gkey, gid, _, _, _ = ref(e["outer"], "outer")
-            fs = [ref(f, "inner") for f in _json_array(e["inners"], "subst inners")]
-            if not fs:
-                raise StructureError(f"subst row of outer {gid!r} at {gkey!r} has no inners")
-            _, _, inner, outputs, arities = zip(*fs)
-            if outputs != gkey[1]:
+            g = ref(e["outer"], "outer")[0]
+            inners = [ref(f, "inner") for f in _json_array(e["inners"], "subst inners")]
+            if not inners:
+                raise StructureError(f"subst row of outer {g.mid!r} at {g.key!r} has no inners")
+            fs, outputs, arities = zip(*inners)
+            if outputs != g.inputs:
                 raise StructureError(f"subst inner outputs {list(outputs)} differ "
-                                     f"from the inputs of outer {gkey!r}")
+                                     f"from the inputs of outer {g.key!r}")
             if outside:
                 raise StructureError(outside[0])
-            if sum(arities) > max_arity:
-                raise StructureError(f"subst row of outer {gid!r} at {gkey!r} has inners of "
-                                     f"total arity {sum(arities)}, above max_arity {max_arity}")
-            skey = (gkey, gid, inner)
-            _no_repeat(subst, skey, "subst")
-            subst[skey] = _str_id(e["result"], "subst result")
+            total = sum(arities)
+            if total > max_arity:
+                raise StructureError(f"subst row of outer {g.mid!r} at {g.key!r} has inners of "
+                                     f"total arity {total}, above max_arity {max_arity}")
+            if (g, fs) in subst:
+                raise StructureError(f"duplicate subst row for {_row_name(g, fs)!r}")
+            subst[g, fs] = _str_id(e["result"], "subst result")
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed multicategory JSON: {exc}") from exc
     return make_multicat(op, objects, max_arity, homs, identities, stored_subst=subst,
@@ -967,10 +961,9 @@ def _table_rules(action: dict, subst: dict) -> dict[str, Callable]:
         return image
 
     def subst_rule(g: MultiMap, fs: tuple[MultiMap, ...]) -> str:
-        key = (g.key, g.mid, tuple([(f.x, f.inputs, f.mid) for f in fs]))
-        mid = subst.get(key)
+        mid = subst.get((g, fs))
         if mid is None:
-            raise StructureError(f"no substitution entry for {key!r}")
+            raise StructureError(f"no substitution entry for {_row_name(g, fs)!r}")
         return mid
 
     return {"action_rule": action_rule, "subst_rule": subst_rule}

@@ -155,12 +155,9 @@ def with_tables(m, action, subst, homs=None):
     of ``TMulticategory.materialize``, as the file reader's do: its ∘ᵢ rows
     are read as the rule and the whole table is stored for checking.  With
     m's own tables and one entry changed, a one-entry mutant of m."""
-    def subst_rule(g, fs):
-        return subst[(g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs))]
-
     return make_multicat(m.operad, m.objects, m.max_arity, m.homs if homs is None else homs,
                          m.identities, action_rule=lambda phi, f: action[(phi, f.key)][f.mid],
-                         subst_rule=subst_rule, stored_subst=subst)
+                         subst_rule=lambda g, fs: subst[g, fs], stored_subst=subst)
 
 
 @pytest.fixture

@@ -62,7 +62,7 @@ def stored_substitution(m):
 
     def subst(g, fs):
         r = m.substitute(g, fs)
-        rid = rows.get((g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs)))
+        rid = rows.get((g, fs))
         return r if rid is None else m.mm(*r.key, rid)
 
     return subst

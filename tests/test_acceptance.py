@@ -187,13 +187,9 @@ def test_criterion_8_oracle_agreement():
 
 def _break_one_substitution(m):
     action, table = m.materialize()
-    for key, rid in sorted(table.items()):
-        gkey = key[0]
-        g = m.mm(*gkey, key[1])
-        fs = tuple(m.mm(fx, fi, gkey[1][i], fid)
-                   for i, (fx, fi, fid) in enumerate(key[2]))
+    for (g, fs), rid in sorted(table.items()):
         hom = m.homs[m.substitute(g, fs).key]
         others = [x for x in hom if x != rid]
         if others:
-            return with_tables(m, action, {**table, key: others[0]})
+            return with_tables(m, action, {**table, (g, fs): others[0]})
     raise AssertionError("nothing to break")

@@ -3,19 +3,23 @@ import copy
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skewcat
 from skewcat import representability
 from skewcat.cli import _dumps, main
 from skewcat.fincat import category_to_json
 from skewcat.skewmon import skewmon_from_json, skewmon_to_json
 from skewcat.catoperad import make_R_operad
 from skewcat.tmulticat import (
-    TMulticategory, from_tight_subsets, loose_part, multicat_from_json, multicat_to_json,
+    MultiMap, TMulticategory, from_tight_subsets, loose_part, multicat_from_json, multicat_to_json,
     terminal_multicat,
 )
 from skewcat.correspondence import monoidal_to_multicat, multicat_to_monoidal
@@ -128,7 +132,7 @@ def test_out_of_hom_result_in_a_row_convert_skips_is_exit_2(tmp_path, capsys, mo
 
         def recorded(self, g, fs):
             if fs:
-                read.add((g.key, g.mid, tuple((f.x, f.inputs, f.mid) for f in fs)))
+                read.add((g, fs))
             return substitute(self, g, fs)
 
         with monkeypatch.context() as mp:
@@ -141,10 +145,12 @@ def test_out_of_hom_result_in_a_row_convert_skips_is_exit_2(tmp_path, capsys, mo
         mp.setattr(representability, "_tails_bijective", naive_tails_bijective)
         mp.setattr(representability, "_closed_pair_ok", naive_closed_pair_ok)
         skipped = min(rows_read_by_convert() - read)
+
+    def ref(f):
+        return MultiMap(f["x"], tuple(f["inputs"]), f["output"], f["id"])
+
     row = next(r for r in data["subst"]
-               if ((r["outer"]["x"], tuple(r["outer"]["inputs"]), r["outer"]["output"]),
-                   r["outer"]["id"],
-                   tuple((f["x"], tuple(f["inputs"]), f["id"]) for f in r["inners"])) == skipped)
+               if (ref(r["outer"]), tuple(ref(f) for f in r["inners"])) == skipped)
     row["result"] = "planted"
     path = write(tmp_path, "planted.json", data)
     for argv in (["check", path], ["analyze", path]):
@@ -1042,3 +1048,98 @@ def test_object_ids_with_separators_name_distinct_underlying_morphisms(tmp_path,
     assert code == 0
     assert sorted(m["id"] for m in out["category"]["morphisms"]) == [
         "a>a:m", "a>a\\>a:m", "a\\>a>a:m", "a\\>a>a\\>a:m"]
+
+
+def test_parser_reused_across_calls_gives_the_output_of_separate_runs(tmp_path, capsys):
+    # main builds its parser once per process; a call that argparse rejects
+    # leaves it as it was, so each call answers as a fresh process would
+    good = write(tmp_path, "z2.json", skewmon_to_json(z2_monoidal()))
+    calls = [["check"], ["convert", good, "--to", "sideways"], ["analyze", "--help"],
+             ["check", good], ["convert", good, "--to", "multicat", "--max-arity", "2"]]
+    runner = "import sys; from skewcat.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(skewcat.__file__)), os.environ.get("PYTHONPATH", "")])}
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-c", runner, *argv], env=env,
+                               capture_output=True, text=True)
+        assert (code, captured.out, captured.err) == (alone.returncode, alone.stdout, alone.stderr)
+        codes.append(code)
+    assert codes == [2, 2, 0, 0, 0]
+
+
+# sha256 of "<exit code>\n<stdout>" of the writer at the CLI's default
+# arity 4, and of check and analyze reading its snd@4 file back.
+GOLDEN_AT_4 = {
+    "convert z2 --to multicat @4":
+        "c5524899d4a365616454258b404087806be7b4a8dd6bde571cde9d67bdb50608",
+    "convert snd --to multicat @4":
+        "7b62e06b4cc7550a6f9e6098b48e7a0f959fec5966036dd406854966d127d584",
+    "check snd@4":
+        "17f9c8e3c76dcba62dd1b3a9ee88b57c13bbf985642ce938a8ec814b3d7e4ca2",
+    "analyze snd@4":
+        "9128c4d6ccdb029ad8a2966e6eb31746e41bd91329ee274791becea5197dead5",
+}
+
+
+def test_writer_at_arity_4_matches_digests(tmp_path, capsys):
+    digests = {}
+
+    def go(label, name, *argv):
+        """Run a command with its stdout in the file ``name``."""
+        out = tmp_path / name
+        with open(out, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            code = main(list(argv))
+        capsys.readouterr()
+        digests[label] = hashlib.sha256(f"{code}\n".encode() + out.read_bytes()).hexdigest()
+        return str(out)
+
+    z2 = write(tmp_path, "z2.json", skewmon_to_json(z2_monoidal()))
+    snd = write(tmp_path, "snd.json", skewmon_to_json(two_chain_snd()))
+    go("convert z2 --to multicat @4", "out.json", "convert", z2, "--to", "multicat")
+    snd4 = go("convert snd --to multicat @4", "snd4.json", "convert", snd, "--to", "multicat")
+    go("check snd@4", "out.json", "check", snd4)
+    go("analyze snd@4", "out.json", "analyze", snd4)
+    assert digests == GOLDEN_AT_4
+
+
+def test_substitution_table_errors_keep_their_text(tmp_path, capsys):
+    # the messages name a row as (outer hom key, outer id, ((x, inputs, id)
+    # of each inner)), whatever key the tables use inside
+    data = multicat_to_json(monoidal_to_multicat(two_chain_fst(), 2))
+    rows = data["subst"]
+
+    def is_identity(f):
+        return f["x"] == "t" and f["inputs"] == [f["output"]] and \
+            f["id"] == data["identities"][f["output"]]
+
+    def error(subst):
+        path = write(tmp_path, "bad.json", {**data, "subst": subst})
+        code, out, _ = run(capsys, "check", path)
+        assert code == 2
+        return out["error"]
+
+    def moved(r):
+        return sum(not is_identity(f) for f in r["inners"])
+
+    circ = next(i for i, r in enumerate(rows) if moved(r) == 1 and len(r["inners"]) == 2)
+    full = next(i for i, r in enumerate(rows) if moved(r) == 2)
+    mixed = next(i for i, r in enumerate(rows) if len(set(r["outer"]["inputs"])) == 2)
+    swapped = copy.deepcopy(rows)
+    swapped[mixed]["inners"].reverse()
+    assert error(rows[:circ] + rows[circ + 1:]) == (
+        "no substitution entry for (('l', ('0', '0'), '0'), 'm00', "
+        "(('l', (), 'm00'), ('t', ('0',), 'm00')))")
+    assert error(rows[:full] + rows[full + 1:]) == (
+        "no substitution entry for (('l', ('0', '0'), '0'), 'm00', "
+        "(('l', (), 'm00'), ('l', (), 'm00')))")
+    assert error(swapped) == (
+        "subst inner outputs ['1', '0'] differ from the inputs of outer ('l', ('0', '1'), '0')")
+    assert error(rows + [rows[circ]]) == (
+        "duplicate subst row for (('l', ('0', '0'), '0'), 'm00', "
+        "(('l', (), 'm00'), ('t', ('0',), 'm00')))")

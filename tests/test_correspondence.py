@@ -146,8 +146,7 @@ def test_adjunction_counit_mutant_is_reported(args):
     s = monoidal_to_multicat(z2_monoidal(*args), 3)
     eta = s.mm(LOOSE, ("x",), "x", "e0")
     assert check_loose_classifier_adjunction(s) == []
-    inner = ((LOOSE, ("x",), eta.mid),)
-    k0, k1 = (((TIGHT, ("x",), "x"), h, inner) for h in ("e0", "e1"))
+    k0, k1 = ((s.mm(TIGHT, ("x",), "x", h), (eta,)) for h in ("e0", "e1"))
     action, subst = s.materialize()
     mutant = with_tables(s, action, {**subst, k0: subst[k1], k1: subst[k0]})
     counit = [v for v in check_loose_classifier_adjunction(mutant)

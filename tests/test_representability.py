@@ -154,7 +154,7 @@ def emptied_nullary_homs():
             for k, v in small.homs.items()}
     action, subst = small.materialize()
     subst = {key: v for key, v in subst.items()
-             if all(len(f[1]) > 0 or f[0] != LOOSE for f in key[2])}
+             if all(f.inputs or f.x != LOOSE for f in key[1])}
     return with_tables(small, action, subst, homs)
 
 

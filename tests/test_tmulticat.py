@@ -8,8 +8,8 @@ from skewcat.catoperad import LAM, make_R_operad, make_terminal_operad, operad_b
 from skewcat.colaxalg import colax_to_multicat
 from skewcat.fincat import StructureError, check_category
 from skewcat.tmulticat import (
-    MulticatMorphism, all_tight, check_morphism, check_tmulticat, from_tight_subsets, iso_search,
-    loose_part, make_multicat, multicat_from_json, multicat_to_json, signatures,
+    MultiMap, MulticatMorphism, all_tight, check_morphism, check_tmulticat, from_tight_subsets,
+    iso_search, loose_part, make_multicat, multicat_from_json, multicat_to_json, signatures,
     terminal_multicat, underlying_with_maps,
 )
 from skewcat.correspondence import (
@@ -51,14 +51,24 @@ def test_z2_derived_passes(z2m):
     assert check_tmulticat(z2m) == []
 
 
+def test_multimap_is_a_tuple_of_its_four_fields(z2m):
+    # it hashes as the tuple of its fields, as the frozen dataclass it
+    # replaced did, so set and dict orders stay those of earlier releases
+    mm_ = MultiMap("t", ("x", "x"), "x", "e0")
+    assert hash(mm_) == hash(("t", ("x", "x"), "x", "e0"))
+    assert repr(mm_) == "MultiMap(x='t', inputs=('x', 'x'), output='x', mid='e0')"
+    assert (mm_.arity, mm_.key) == (2, ("t", ("x", "x"), "x"))
+    for field in ("x", "inputs", "output", "mid", "arity"):
+        with pytest.raises(AttributeError):
+            setattr(mm_, field, "y")
+    assert all(f != f.key and f.key != f and f not in z2m.homs for f in z2m.all_maps())
+
+
 def _subst_sites(m, subst):
     """(table key, stored result, result hom) of each entry of the
     substitution table subst of m."""
-    for (gkey, gid, inner), rid in sorted(subst.items()):
-        g = m.mm(*gkey, gid)
-        fs = tuple(m.mm(fx, fi, gkey[1][i], fid)
-                   for i, (fx, fi, fid) in enumerate(inner))
-        yield (gkey, gid, inner), rid, m.homs[m.substitute(g, fs).key]
+    for (g, fs), rid in sorted(subst.items()):
+        yield (g, fs), rid, m.homs[m.substitute(g, fs).key]
 
 
 def _mutate_subst(m, pick):
@@ -90,17 +100,15 @@ def _one_entry_mutants(m):
 
 def test_identity_law_mutant_names_the_multimap(z2m):
     def pick(key, rid, hom):
-        gkey, gid, inner = key
-        outer_is_identity = gkey[0] == "t" and len(gkey[1]) == 1 and \
-            gkey[1][0] == gkey[2] and gid == z2m.identities[gkey[2]]
-        if outer_is_identity and len(inner) == 1:
+        g, fs = key
+        if g == z2m.identity(g.output) and len(fs) == 1:
             others = [x for x in hom if x != rid]
             return others[0] if others else None
         return None
 
-    mutant, (gkey, gid, inner) = _mutate_subst(z2m, pick)
+    mutant, (g, fs) = _mutate_subst(z2m, pick)
     rep = check_tmulticat(mutant)
-    broken = inner[0][2]
+    broken = fs[0].mid
     assert any(v.law == "identity-left" and dict(v.details)["m"] == broken
                for v in rep)
 
