@@ -3,10 +3,12 @@ import itertools
 import pytest
 
 from skewcat.catoperad import (
-    CatOperad, _thin_subst_mor, check_operad_axioms, dual_operad,
+    CatOperad, check_operad_axioms, dual_operad,
     make_L_operad, make_R_operad, make_terminal_operad, operad_by_name,
 )
 from skewcat.fincat import StructureError
+
+from conftest import parallel_pair_category
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +97,7 @@ def mutant_R():
             return "t"
         return R.subst_obj(x, xs, ks)
 
-    return CatOperad("Rmut", R.component_rule, R.unit, obj,
-                     _thin_subst_mor(obj, R.component))
+    return CatOperad("Rmut", R.component_rule, R.unit, obj)
 
 
 def test_mutant_reports_associativity():
@@ -115,3 +116,52 @@ def test_unit_all_units_substitution_is_identity_functor(R):
             for f, _, _ in comp.morphisms:
                 ids = (op.component(1).id_of(op.unit),) * n
                 assert op.subst_mor(f, ids, ks) == f
+
+
+def test_non_monotone_rule_is_reported_not_raised():
+    """R with the binary all-tight substitution swapping t and l: lam: t -> l
+    substitutes to a morphism l -> t, which R's components lack."""
+    R = make_R_operad()
+
+    def obj(x, xs, ks):
+        if xs == ("t", "t") and ks == (1, 1):
+            return {"t": "l", "l": "t"}[x]
+        return R.subst_obj(x, xs, ks)
+
+    laws = {v.law for v in check_operad_axioms(CatOperad("Rswap", R.component_rule, R.unit, obj), 3)}
+    assert {"subst-morphism", "unit-right-object", "subst-associativity"} <= laws
+
+
+def test_non_thin_component_raises_naming_its_arity():
+    R = make_R_operad()
+    op = CatOperad("Rpair", lambda n: parallel_pair_category() if n == 2 else R.component(n),
+                   R.unit, R.subst_obj)
+    assert op.component(1).objects == ("t", "l")
+    with pytest.raises(StructureError, match="component 2 "):
+        op.component(2)
+
+
+@pytest.mark.parametrize("name", ["N", "R", "L"])
+def test_derived_subst_mor_is_a_functor(name):
+    """The laws that thinness lets the checker leave out, up to total arity 4:
+    substituting identities gives an identity and substitution preserves
+    composition."""
+    op = operad_by_name(name)
+    for n in range(5):
+        comp_n = op.component(n)
+        for ks in itertools.product(range(5), repeat=n):
+            if sum(ks) > 4:
+                continue
+            cod = op.component(sum(ks))
+            inner = [op.component(k) for k in ks]
+            for x in comp_n.objects:
+                for xs in itertools.product(*(c.objects for c in inner)):
+                    ids = tuple(c.id_of(y) for c, y in zip(inner, xs))
+                    assert op.subst_mor(comp_n.id_of(x), ids, ks) == cod.id_of(op.subst_obj(x, xs, ks))
+            for (g, f), gf in comp_n.compose.items():
+                for pairs in itertools.product(*(c.compose.items() for c in inner)):
+                    gs = tuple(gg for (gg, _), _ in pairs)
+                    fs = tuple(ff for (_, ff), _ in pairs)
+                    gfs = tuple(h for _, h in pairs)
+                    assert op.subst_mor(gf, gfs, ks) == cod.comp(op.subst_mor(g, gs, ks),
+                                                                 op.subst_mor(f, fs, ks))
