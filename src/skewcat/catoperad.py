@@ -165,9 +165,10 @@ def check_operad_axioms(op: CatOperad, bound: int = 5) -> list[Violation]:
     """The operad laws for every arity combination with total arity <= bound.
 
     Checked: each component is a category, the unit is an object of
-    component 1, substitution of objects is total (``subst-object``), each
-    substituted morphism exists (``subst-morphism``: the object rule is
-    monotone), and the unit and associativity laws hold on objects.
+    component 1, substitution of objects is total (``subst-object``, also
+    where a unit or associativity instance raises), each substituted
+    morphism exists (``subst-morphism``: the object rule is monotone), and
+    the unit and associativity laws hold on objects.
     Thinness settles the rest: the endpoints, functoriality and the unit and
     associativity laws of a substituted morphism each compare two members of
     one hom.
@@ -227,10 +228,13 @@ def check_operad_axioms(op: CatOperad, bound: int = 5) -> list[Violation]:
     for n in range(bound + 1):
         units = (op.unit,) * n
         for x in objs(n):
-            if op.subst_obj(x, units, (1,) * n) != x:
-                out.append(Violation.of("unit-right-object", x=x, arity=str(n)))
-            if op.subst_obj(op.unit, (x,), (n,)) != x:
-                out.append(Violation.of("unit-left-object", x=x, arity=str(n)))
+            try:
+                if op.subst_obj(x, units, (1,) * n) != x:
+                    out.append(Violation.of("unit-right-object", x=x, arity=str(n)))
+                if op.subst_obj(op.unit, (x,), (n,)) != x:
+                    out.append(Violation.of("unit-left-object", x=x, arity=str(n)))
+            except Exception:
+                out.append(Violation.of("subst-object", x=x, arity=str(n)))
 
     # Associativity of double substitution on objects.
     for n, ks in shapes():
@@ -243,15 +247,19 @@ def check_operad_axioms(op: CatOperad, bound: int = 5) -> list[Violation]:
             inner_opts = [list(itertools.product(*(objs(m) for m in ms))) for ms in mss]
             for x in objs(n):
                 for xs in itertools.product(*(objs(k) for k in ks)):
-                    mid = op.subst_obj(x, xs, ks)
-                    for yss in itertools.product(*inner_opts):
-                        flat_ys = tuple(y for ys in yss for y in ys)
-                        lhs = op.subst_obj(mid, flat_ys, flat_ms)
-                        inner = tuple(op.subst_obj(xi, ys, ms)
-                                      for xi, ys, ms in zip(xs, yss, mss))
-                        rhs = op.subst_obj(x, inner, sums)
-                        if lhs != rhs:
-                            out.append(Violation.of(
-                                "subst-associativity", x=x, xs=str(xs),
-                                ys=str(yss), shape=f"{n}{ks}{mss}"))
+                    try:
+                        mid = op.subst_obj(x, xs, ks)
+                        for yss in itertools.product(*inner_opts):
+                            flat_ys = tuple(y for ys in yss for y in ys)
+                            lhs = op.subst_obj(mid, flat_ys, flat_ms)
+                            inner = tuple(op.subst_obj(xi, ys, ms)
+                                          for xi, ys, ms in zip(xs, yss, mss))
+                            rhs = op.subst_obj(x, inner, sums)
+                            if lhs != rhs:
+                                out.append(Violation.of(
+                                    "subst-associativity", x=x, xs=str(xs),
+                                    ys=str(yss), shape=f"{n}{ks}{mss}"))
+                    except Exception:
+                        out.append(Violation.of("subst-object", x=x, xs=str(xs),
+                                                shape=f"{n}{ks}{mss}"))
     return out

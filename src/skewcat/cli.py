@@ -31,19 +31,28 @@ from .tmulticat import (
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _dumps(obj) -> str:
-    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` for JSON
-    data with string keys.
-
-    With ``indent`` the stdlib falls back to its pure-Python encoder, which
-    builds one list of every small chunk of the document; this joins each
-    container as soon as its members are done, and leaves strings to the C
-    encoder and other scalars to ``json.dumps``.  The text of a dict is
-    rendered once per depth and reused wherever the same dict object appears
-    again at that depth, as the multimap references that ``multicat_to_json``
-    shares between ``subst`` rows do; the whole document stays alive for the
-    call, so no two of its dicts share an ``id``."""
-    return _dump(obj, 0, {})
+def _write_json(obj, write, depth: int = 0, memo: dict | None = None) -> None:
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` for JSON data with
+    string keys through ``write``: the top-level container and each one in
+    it member by member, each deeper member (a ``subst`` row) as one string
+    from ``_dump``, whose memo keeps, on (id, depth), only the text of dicts
+    that hold no dict, such as the multimap references shared between rows.
+    The document stays alive, so no two of its dicts share an id."""
+    memo = {} if memo is None else memo
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        write(_dump(obj, depth, memo))
+        return
+    is_dict = isinstance(obj, dict)
+    pad = "\n" + "  " * (depth + 1)
+    write("{" if is_dict else "[")
+    for i, (k, v) in enumerate(sorted(obj.items()) if is_dict else enumerate(obj)):
+        head = ("," + pad if i else pad) + (_encode_str(k) + ": " if is_dict else "")
+        if depth:
+            write(head + _dump(v, depth + 1, memo))
+        else:
+            write(head)
+            _write_json(v, write, 1, memo)
+    write("\n" + "  " * depth + ("}" if is_dict else "]"))
 
 
 def _dump(obj, depth: int, memo: dict[tuple[int, int], str]) -> str:
@@ -65,13 +74,15 @@ def _dump(obj, depth: int, memo: dict[tuple[int, int], str]) -> str:
             body = ("," + pad).join([_encode_str(k) + ": " + _dump(v, depth + 1, memo)
                                      for k, v in sorted(obj.items())])
             text = "{" + pad + body + "\n" + "  " * depth + "}"
-            memo[key] = text
+            if "{" not in body:  # no dict inside (a "{" in a string only loses sharing)
+                memo[key] = text
         return text
     return json.dumps(obj)
 
 
 def _emit(data: dict | list, message: str) -> None:
-    print(_dumps(data))
+    _write_json(data, sys.stdout.write)
+    sys.stdout.write("\n")
     print(message, file=sys.stderr)
 
 
@@ -215,7 +226,8 @@ def cmd_search(objects_path: str, emit_dir: str) -> int:
     for idx, structure in enumerate(found):
         name = f"structure_{idx:03d}.json"
         with open(os.path.join(emit_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(_dumps(skewmon_to_json(structure)) + "\n")
+            _write_json(skewmon_to_json(structure), fh.write)
+            fh.write("\n")
         files.append(name)
     _emit({"count": len(found), "files": files},
           f"found {len(found)} skew monoidal structures")

@@ -792,7 +792,7 @@ def multicat_to_json(m: TMulticategory) -> dict:
     """The JSON document of ``m``, with every table stored.
 
     The ``outer`` and inner dicts of the ``subst`` rows are shared: one dict
-    per distinct (x, inputs, output, id) reference, so that ``cli._dumps``
+    per distinct (x, inputs, output, id) reference, so that the CLI writer
     renders each once.  A caller that edits an ``outer`` or inner in place
     must copy it first; replacing a row's ``result`` is safe."""
     images, results = m.materialize()

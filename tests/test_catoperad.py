@@ -132,6 +132,25 @@ def test_non_monotone_rule_is_reported_not_raised():
     assert {"subst-morphism", "unit-right-object", "subst-associativity"} <= laws
 
 
+def test_raising_rule_is_reported_not_raised():
+    """R with a rule that raises whenever both inners are unary: the
+    unit and associativity laws need those substitutions too, and each
+    instance that cannot be evaluated is a subst-object report."""
+    R = make_R_operad()
+
+    def obj(x, xs, ks):
+        if ks == (1, 1):
+            raise KeyError(ks)
+        return R.subst_obj(x, xs, ks)
+
+    rep = check_operad_axioms(CatOperad("Rraise", R.component_rule, R.unit, obj), 3)
+    assert {v.law for v in rep} == {"subst-object", "subst-morphism"}
+    details = [dict(v.details) for v in rep if v.law == "subst-object"]
+    assert sum(d.get("ks") == "(1, 1)" for d in details) == 2 * 2 * 2  # x, then xs
+    assert {"x": "t", "arity": "2"} in details and {"x": "l", "arity": "2"} in details
+    assert {"x": "t", "xs": "('t', 't')", "shape": "2(1, 1)((1,), (1,))"} in details
+
+
 def test_non_thin_component_raises_naming_its_arity():
     R = make_R_operad()
     op = CatOperad("Rpair", lambda n: parallel_pair_category() if n == 2 else R.component(n),

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import skewcat
 from skewcat import representability
-from skewcat.cli import _dumps, main
+from skewcat.cli import _write_json, main
 from skewcat.fincat import category_to_json
 from skewcat.skewmon import skewmon_from_json, skewmon_to_json
 from skewcat.catoperad import make_R_operad
@@ -710,8 +711,31 @@ def with_shared_containers(draw):
 
 @given(value=JSON_LIKE | with_shared_containers())
 @settings(max_examples=300, deadline=None)
-def test_dumps_matches_the_stdlib_encoder(value):
-    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+def test_write_json_matches_the_stdlib_encoder(value):
+    pieces = []
+    _write_json(value, pieces.append)
+    assert "".join(pieces) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_write_json_streams_a_multicategory():
+    """Writing a stored Z/2@3 multicategory (1.45 MB of text) to a sink that
+    only counts allocates well under the bytes written: no piece is the
+    whole document, and no row's text stays in the memo."""
+    doc = multicat_to_json(monoidal_to_multicat(z2_monoidal(), 3))
+    written = 0
+
+    def count(piece):
+        nonlocal written
+        written += len(piece)
+
+    tracemalloc.start()
+    try:
+        _write_json(doc, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == len(json.dumps(doc, sort_keys=True, indent=2))
+    assert peak < written / 4
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 from collections import Counter
@@ -22,7 +23,8 @@ from skewcat.tmulticat import (
     terminal_multicat,
 )
 from conftest import (
-    chain_category, two_chain_fst, two_chain_snd, with_tables, z2_category, z2_monoidal,
+    chain_category, product_monoidal, two_chain_fst, two_chain_snd, with_tables, z2_category,
+    z2_monoidal,
 )
 from test_skewmon import chain_monoidal
 
@@ -234,3 +236,38 @@ def test_no_classifier_is_searched_twice(monkeypatch, fst4, run):
     run(fst4)
     assert searched
     assert [key for key, n in searched.items() if n > 1] == []
+
+
+def alpha_mutants(c):
+    """Each one-cell α mutant of c: α at one (a, b, d) replaced by another
+    map of its hom, keyed by (a, b, d)."""
+    for (a, b, d), value in c.alpha.items():
+        hom = c.base.hom(c.t_obj(c.t_obj(a, b), d), c.t_obj(a, c.t_obj(b, d)))
+        for other in hom:
+            if other != value:
+                yield (a, b, d), dataclasses.replace(c, alpha={**c.alpha, (a, b, d): other})
+
+
+def test_arity_two_cannot_witness_the_associator_at_non_unit_a_b():
+    """The α mutants of Z/2 × fst and Z/2 × snd (one per (a, b, d), eight
+    each) all fail as skew monoidal categories.  At arity 2 their
+    multicategories pass exactly where neither a nor b is the unit object,
+    since arity 2 sees α only through substitutions with a nullary inner;
+    at arity 3 those pass no more."""
+    blind = {
+        "fst": {('["x", "1"]', '["x", "1"]', '["x", "0"]'),
+                ('["x", "1"]', '["x", "1"]', '["x", "1"]')},
+        "snd": {('["x", "0"]', '["x", "0"]', '["x", "0"]'),
+                ('["x", "0"]', '["x", "0"]', '["x", "1"]')},
+    }
+    for name, factor in (("fst", two_chain_fst), ("snd", two_chain_snd)):
+        c = product_monoidal(z2_monoidal(), factor())
+        mutants = dict(alpha_mutants(c))
+        assert len(mutants) == 8
+        assert all(check_skew_monoidal(m) for m in mutants.values())
+        passing = {key for key, m in mutants.items()
+                   if not check_tmulticat(monoidal_to_multicat(m, 2))}
+        assert passing == blind[name]
+        assert passing == {key for key in mutants if c.unit not in key[:2]}
+        for key in passing:
+            assert check_tmulticat(monoidal_to_multicat(mutants[key], 3))
