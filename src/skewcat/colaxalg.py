@@ -199,12 +199,9 @@ def check_colax_algebra(alg: NormalColaxAlgebra) -> list[Violation]:
     if out:
         return out
 
-    for n in range(alg.max_arity + 1):
-        for x in alg.operad.component(n).objects:
-            for tup in itertools.product(objs, repeat=n):
-                if functor[x, tuple(base.id_of(a) for a in tup)] != \
-                   base.id_of(alg.m_obj(x, tup)):
-                    out.append(Violation.of("functor-identity", x=x, objs=str(tup)))
+    for x, tup in signatures(alg.operad, objs, alg.max_arity):
+        if functor[x, tuple(base.id_of(a) for a in tup)] != base.id_of(alg.m_obj(x, tup)):
+            out.append(Violation.of("functor-identity", x=x, objs=str(tup)))
     for (x, ms), value in functor.items():
         moved = [i for i, f in enumerate(ms) if not base.is_identity(f)]
         if len(moved) < 2:
@@ -247,16 +244,10 @@ def has_strict_left_bracketing(alg: NormalColaxAlgebra) -> bool:
     identity comparison: Gamma at (outer tight binary; (x at arity n, unit))
     is an identity for every x, n and object tuple."""
     base = alg.base
-    for n in range(alg.max_arity):
-        comp = alg.operad.component(n)
-        for x in comp.objects:
-            inner = ((x, n), (alg.operad.unit, 1))
-            for tup in itertools.product(base.objects, repeat=n):
-                for b in base.objects:
-                    g = alg.gamma(TIGHT, inner, (tup, (b,)))
-                    if not base.is_identity(g):
-                        return False
-    return True
+    unit = (alg.operad.unit, 1)
+    return all(base.is_identity(alg.gamma(TIGHT, ((x, len(tup)), unit), (tup, (b,))))
+               for x, tup in signatures(alg.operad, base.objects, alg.max_arity - 1)
+               for b in base.objects)
 
 
 # -- translation with multicategories -----------------------------------------
@@ -331,7 +322,7 @@ def colax_to_multicat(alg: NormalColaxAlgebra) -> TMulticategory:
     base = alg.base
     op = dual_operad(alg.operad)
     homs = {(x, inputs, b): base.hom(alg.m_obj(x, inputs), b)
-            for x, inputs, b in signatures(op, base.objects, alg.max_arity)}
+            for x, inputs in signatures(op, base.objects, alg.max_arity) for b in base.objects}
     identities = {a: base.id_of(a) for a in base.objects}
 
     def action_rule(phi, mm_):

@@ -22,7 +22,7 @@ from typing import Callable
 
 from .catoperad import LOOSE, TIGHT
 from .fincat import FinCategory, StructureError, Violation, is_bijection_onto, preimage
-from .tmulticat import MultiMap, TMulticategory, underlying_with_maps
+from .tmulticat import MultiMap, TMulticategory, signatures, underlying_with_maps
 
 # A classifier lookup: (x, inputs) -> θ | None.  A string, as annotations are:
 # a typing generic evaluated here would name MultiMap in typing's cache, which
@@ -110,20 +110,12 @@ class WeakRepResult:
         return self.failure is None
 
 
-def _signatures(s: TMulticategory):
-    """Every (x, inputs) up to the bound, arity by arity, in canonical order."""
-    for n in range(s.max_arity + 1):
-        for x in s.operad.component(n).objects:
-            for inputs in itertools.product(sorted(s.objects), repeat=n):
-                yield x, inputs
-
-
 def is_weakly_representable(s: TMulticategory) -> WeakRepResult:
     """Search every signature once.  The table keeps every classifier found;
     the failure is the first signature in search order that has none."""
     table = {}
     failure = None
-    for key in _signatures(s):
+    for key in signatures(s.operad, sorted(s.objects), s.max_arity):
         theta = find_universal(s, *key)
         if theta is not None:
             table[key] = theta
@@ -225,7 +217,8 @@ def check_left_representability_equivalences(s: TMulticategory) -> EquivalenceRe
     if binary is not None:
         lookup = build_inductive_classifiers(s, nullary, binary)
         cond["inductive_classifiers_universal"] = all(
-            _tails_bijective(s, lookup(key), (0,)) for key in _signatures(s))
+            _tails_bijective(s, lookup(key), (0,))
+            for key in signatures(s.operad, sorted(s.objects), s.max_arity))
     else:
         cond["inductive_classifiers_universal"] = False
     cond["classifiers_left_universal"] = failure is None
@@ -248,14 +241,14 @@ class ClosedStructure:
 
 
 def _closed_pair_ok(s: TMulticategory, h: str, b: str, c: str, e: MultiMap) -> bool:
-    for n in range(s.max_arity):
-        comp = s.operad.component(n)
-        for x in comp.objects:
-            rx = s.operad.subst_obj(TIGHT, (x, TIGHT), (n, 1))
-            for inputs in itertools.product(sorted(s.objects), repeat=n):
-                if not _hom_bijection(tuple(s.maps((x, inputs, h))), s.hom(rx, inputs + (b,), c),
-                                      lambda f: s.subst_after(e, 1, f).mid):
-                    return False
+    rxs: dict[tuple[str, int], str] = {}  # the type of e ∘₁ f, by the type and arity of f
+    for x, inputs in signatures(s.operad, sorted(s.objects), s.max_arity - 1):
+        rx = rxs.get((x, len(inputs)))
+        if rx is None:
+            rx = rxs[x, len(inputs)] = s.operad.subst_obj(TIGHT, (x, TIGHT), (len(inputs), 1))
+        if not _hom_bijection(tuple(s.maps((x, inputs, h))), s.hom(rx, inputs + (b,), c),
+                              lambda f: s.subst_after(e, 1, f).mid):
+            return False
     return True
 
 

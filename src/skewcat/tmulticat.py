@@ -166,41 +166,36 @@ class TMulticategory:
                     for j, b in enumerate(g.inputs)])
         return self.substitute(g, fs)
 
-    def _maps_by_output(self) -> dict[str, list[MultiMap]]:
-        """The multimaps into each object, in ``all_maps`` order."""
-        by_output: dict[str, list[MultiMap]] = {b: [] for b in self.objects}
+    @functools.cached_property
+    def fitting(self) -> dict[str, list[tuple[MultiMap, ...]]]:
+        """fitting[b][k]: the multimaps into b of arity at most k, in
+        ``all_maps`` order, for k up to the bound.  Built on first use in one
+        pass; homs do not change after construction."""
+        buckets = {b: [[] for _ in range(self.max_arity + 1)] for b in self.objects}
         for m in self.all_maps():
-            by_output[m.output].append(m)
-        return by_output
+            for bucket in buckets[m.output][m.arity:]:
+                bucket.append(m)
+        return {b: [tuple(ms) for ms in into] for b, into in buckets.items()}
 
     def subst_keys(self) -> Iterator[tuple[MultiMap, tuple[MultiMap, ...]]]:
         """Every substitution instance stored in the truncated fragment."""
-        fitting = {b: [tuple(m for m in ms if m.arity <= k) for k in range(self.max_arity + 1)]
-                   for b, ms in self._maps_by_output().items()}
-        for key in sorted(self.homs):
-            if not key[1]:
-                continue
-            for g in self.maps(key):
+        fitting = self.fitting
+        for g in self.all_maps():
+            if g.inputs:
                 for fs in _slot_choices(g.inputs, self.max_arity, fitting):
                     yield g, fs
 
     def generator_subst_keys(self) -> Iterator[tuple[MultiMap, tuple[MultiMap, ...]]]:
         """Substitutions with at most one non-identity inner multimap."""
-        by_output = self._maps_by_output()
-        for key in sorted(self.homs):
-            for g in self.maps(key):
-                n = g.arity
-                if n == 0:
-                    continue
-                for i in range(n):
-                    for f in by_output[g.inputs[i]]:
-                        if f.arity + n - 1 > self.max_arity:
-                            continue
-                        if i and f == self.identity(f.output):
-                            continue  # the all-identity tuple comes once, at i = 0
-                        fs = tuple(f if j == i else self.identity(g.inputs[j])
+        fitting = self.fitting
+        for g in self.all_maps():
+            n = g.arity
+            for i in range(n):
+                for f in fitting[g.inputs[i]][self.max_arity - n + 1]:
+                    if i and f == self.identity(f.output):
+                        continue  # the all-identity tuple comes once, at i = 0
+                    yield g, tuple(f if j == i else self.identity(g.inputs[j])
                                    for j in range(n))
-                        yield g, fs
 
     def materialize(self) -> tuple[dict, dict]:
         """The action table, (phi, hom key) -> {id: image id} at each action
@@ -216,15 +211,14 @@ class TMulticategory:
         return multicat_to_json(self) == multicat_to_json(other)
 
 
-def signatures(operad: CatOperad, objects: tuple[str, ...], max_arity: int
-               ) -> Iterator[HomKey]:
-    """Every hom key up to the bound: arity, then operad object, then the
-    input tuple, then the output."""
+def signatures(operad: CatOperad, items, max_arity: int
+               ) -> Iterator[tuple[str, tuple]]:
+    """Every (x, tuple) up to the bound: arity, then operad object x of that
+    arity, then the tuple of items in ``itertools.product`` order."""
     for n in range(max_arity + 1):
         for x in operad.component(n).objects:
-            for inputs in itertools.product(objects, repeat=n):
-                for output in objects:
-                    yield (x, inputs, output)
+            for tup in itertools.product(items, repeat=n):
+                yield x, tup
 
 
 def _action_sites(operad: CatOperad, max_arity: int, keys) -> Iterator[tuple[str, HomKey]]:
@@ -250,8 +244,8 @@ def arity_bound(value, name: str) -> int:
 def make_multicat(operad, objects, max_arity, homs, identities, **kw) -> TMulticategory:
     """A multicategory with a hom, empty unless given, at every signature;
     rejects homs off the signatures and identities off their unit homs."""
-    full_homs = {key: tuple(homs.get(key, ()))
-                 for key in signatures(operad, tuple(objects), max_arity)}
+    full_homs = {(x, inputs, b): tuple(homs.get((x, inputs, b), ()))
+                 for x, inputs in signatures(operad, objects, max_arity) for b in objects}
     for key, mids in homs.items():
         if key not in full_homs:
             raise StructureError(f"hom signature {key!r} out of range")
@@ -271,7 +265,8 @@ def make_multicat(operad, objects, max_arity, homs, identities, **kw) -> TMultic
 def terminal_multicat(operad: CatOperad, max_arity: int = 4,
                       objects: tuple[str, ...] = ("*",)) -> TMulticategory:
     """Singleton hom at every signature; all structure is forced."""
-    homs = {key: ("m",) for key in signatures(operad, tuple(objects), max_arity)}
+    homs = {(x, inputs, b): ("m",)
+            for x, inputs in signatures(operad, objects, max_arity) for b in objects}
     return make_multicat(operad, objects, max_arity, homs,
                          {a: "m" for a in objects},
                          action_rule=lambda fmor, m: "m",
@@ -374,13 +369,12 @@ def check_tmulticat(m: TMulticategory) -> list[Violation]:
 
 def _check_associativity(m: TMulticategory) -> list[Violation]:
     """Sequential and parallel associativity of ∘ᵢ.  An instance counts when
-    every stage stays within the bound.  Instances with an identity for f or
-    h follow from the identity laws."""
+    every stage stays within the bound, so f and h come from the buckets of
+    ``fitting`` that keep it there.  Instances with an identity for f or h
+    follow from the identity laws."""
     out: list[Violation] = []
     bound = m.max_arity
-    units = set(m._units.values())
-    by_output = {b: [mp for mp in ms if mp not in units]
-                 for b, ms in m._maps_by_output().items()}
+    fitting, units = m.fitting, m._units
 
     def fail(family: str, g: MultiMap, **details: str) -> None:
         out.append(Violation.of("subst-associativity", family=family, g=g.mid,
@@ -389,27 +383,22 @@ def _check_associativity(m: TMulticategory) -> list[Violation]:
     for g in m.all_maps():
         n = g.arity
         for i, b in enumerate(g.inputs, 1):
-            for f in by_output[b]:
-                kf = f.arity
-                if n + kf - 1 > bound:
+            for f in fitting[b][bound - n + 1]:
+                if f == units[b]:
                     continue
+                kf = f.arity
                 gf = m.subst_after(g, i, f)
                 # sequential: (g ∘ᵢ f) ∘_{i+j-1} h = g ∘ᵢ (f ∘ⱼ h)
                 for j, c in enumerate(f.inputs, 1):
-                    for h in by_output[c]:
-                        kh = h.arity
-                        if kf + kh - 1 > bound or n + kf + kh - 2 > bound:
-                            continue
-                        if m.subst_after(gf, i + j - 1, h) != \
+                    for h in fitting[c][bound - n - kf + 2]:
+                        if h != units[c] and m.subst_after(gf, i + j - 1, h) != \
                            m.subst_after(g, i, m.subst_after(f, j, h)):
                             fail("sequential", g, i=str(i), f=f.mid, j=str(j), h=h.mid)
                 # parallel, i < j: (g ∘ᵢ f) ∘_{j+k_f-1} h = (g ∘ⱼ h) ∘ᵢ f
                 for j in range(i + 1, n + 1):
-                    for h in by_output[g.inputs[j - 1]]:
-                        kh = h.arity
-                        if n + kh - 1 > bound or n + kf + kh - 2 > bound:
-                            continue
-                        if m.subst_after(gf, j + kf - 1, h) != \
+                    c = g.inputs[j - 1]
+                    for h in fitting[c][bound - n + 2 - max(1, kf)]:
+                        if h != units[c] and m.subst_after(gf, j + kf - 1, h) != \
                            m.subst_after(m.subst_after(g, j, h), i, f):
                             fail("parallel", g, i=str(i), f=f.mid, j=str(j), h=h.mid)
     return out
@@ -896,7 +885,8 @@ def multicat_from_json(data: dict) -> TMulticategory:
         rows = _json_array(data["action"], "action")
         if rows and data["operad"] == "N":
             raise StructureError("terminal-operad multicategories carry no actions")
-        sites = set(_action_sites(op, max_arity, list(signatures(op, objects, max_arity))))
+        sites = set(_action_sites(op, max_arity, [
+            (x, inputs, b) for x, inputs in signatures(op, objects, max_arity) for b in objects]))
         action: dict[tuple[str, HomKey], dict[str, str]] = {}
         for e in rows:
             if not isinstance(e, dict) or set(e) != {"n", "inputs", "output", "map_t", "map_l"}:

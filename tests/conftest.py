@@ -83,6 +83,20 @@ def z2_monoidal(alpha: int = 0, lam: int = 0, rho: int = 0):
                               {"x": f"e{lam}"}, {"x": f"e{rho}"})
 
 
+def initial_projection(base: FinCategory, initial: str):
+    """First projection a ⊗ b = a, f ⊗ g = f on a category with an initial
+    object, which is the unit: α and ρ are identities and λ_a is the unique
+    map initial -> a.  Lawful on every such category; on the 2-chain with
+    unit 0 it is ``two_chain_fst``."""
+    objs = base.objects
+    mors = [m for m, _, _ in base.morphisms]
+    return make_skew_monoidal(base, {(a, b): a for a in objs for b in objs},
+                              {(f, g): f for f in mors for g in mors}, initial,
+                              {(a, b, c): base.id_of(a) for a in objs for b in objs for c in objs},
+                              {a: base.hom(initial, a)[0] for a in objs},
+                              {a: base.id_of(a) for a in objs})
+
+
 def pair(x: str, y: str) -> str:
     """An id for the pair (x, y); distinct pairs of strings get distinct ids."""
     return json.dumps([x, y])

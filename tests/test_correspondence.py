@@ -23,8 +23,8 @@ from skewcat.tmulticat import (
     terminal_multicat,
 )
 from conftest import (
-    chain_category, product_monoidal, two_chain_fst, two_chain_snd, with_tables, z2_category,
-    z2_monoidal,
+    chain_category, initial_projection, parallel_pair_category, product_monoidal,
+    two_chain_fst, two_chain_snd, with_tables, z2_category, z2_monoidal,
 )
 from test_skewmon import chain_monoidal
 
@@ -271,3 +271,53 @@ def test_arity_two_cannot_witness_the_associator_at_non_unit_a_b():
         assert passing == {key for key in mutants if c.unit not in key[:2]}
         for key in passing:
             assert check_tmulticat(monoidal_to_multicat(mutants[key], 3))
+
+
+def test_initial_projection_on_the_parallel_pair_at_arity_three():
+    """The first non-thin multi-object structure beyond products: homs of
+    up to two multimaps, 211 of them at arity 3."""
+    c = initial_projection(parallel_pair_category(), "x")
+    s = monoidal_to_multicat(c, 3)
+    assert check_tmulticat(s) == []
+    assert roundtrip_monoidal(c, 3).isomorphic
+    assert roundtrip_multicat(s).isomorphic
+    record = analyze(s)
+    assert record["left_representable"] and record["closed"]
+    flags = {"left_normal": False, "lambda_epi": False, "closed": True}
+    for side in (classify(c, 3), classify(s)):
+        assert side.agree
+        assert side.monoidal_flags == flags
+
+
+def one_cell_mutants(c):
+    """Each one-cell α, λ or ρ mutant of c: one component replaced by
+    another map of its hom, keyed by the component and its cell."""
+    for key, m in alpha_mutants(c):
+        yield ("alpha", key), m
+    for field, ends in (("lambda_", lambda a: (c.t_obj(c.unit, a), a)),
+                        ("rho", lambda a: (a, c.t_obj(a, c.unit)))):
+        table = getattr(c, field)
+        for a, value in table.items():
+            for other in c.base.hom(*ends(a)):
+                if other != value:
+                    yield (field, a), dataclasses.replace(c, **{field: {**table, a: other}})
+
+
+def test_both_presentations_reject_every_one_cell_mutant_at_arity_three():
+    """Every one-cell α/λ/ρ mutant of Z/2 (3), Z/2 × fst and Z/2 × snd (12
+    each) fails as a skew monoidal category, and its multicategory at
+    arity 3 fails too.  The first projection on the parallel pair has no
+    one-cell mutant: each of its α, λ and ρ components lands in a
+    one-element hom."""
+    counts = {}
+    for name, c in (("Z/2", z2_monoidal()),
+                    ("Z/2 x fst", product_monoidal(z2_monoidal(), two_chain_fst())),
+                    ("Z/2 x snd", product_monoidal(z2_monoidal(), two_chain_snd()))):
+        mutants = list(one_cell_mutants(c))
+        counts[name] = len(mutants)
+        for key, m in mutants:
+            monoidal_ok = check_skew_monoidal(m) == []
+            assert monoidal_ok == (check_tmulticat(monoidal_to_multicat(m, 3)) == []), key
+            assert not monoidal_ok, key
+    assert counts == {"Z/2": 3, "Z/2 x fst": 12, "Z/2 x snd": 12}
+    assert list(one_cell_mutants(initial_projection(parallel_pair_category(), "x"))) == []

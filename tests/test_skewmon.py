@@ -10,8 +10,8 @@ from skewcat.skewmon import (
     skewmon_from_json, skewmon_to_json, unit_absorption,
 )
 from conftest import (
-    chain_category, parallel_pair_category, product_monoidal, reversed_opposite,
-    two_chain_fst, two_chain_snd, z2_monoidal,
+    chain_category, initial_projection, parallel_pair_category, product_monoidal,
+    reversed_opposite, two_chain_fst, two_chain_snd, z2_monoidal,
 )
 from naive_oracles import naive_skew_monoidal_ok
 
@@ -148,6 +148,24 @@ def test_lambda_not_epi_on_parallel_pair_category():
     assert check_skew_monoidal(c) == []
     assert not lambda_all_epi(c)
     assert not is_left_normal(c)
+
+
+# the first projection on each base with an initial object, named by that object
+PROJECTION_BASES = {"parallel pair": (parallel_pair_category, "x"),
+                    "2-chain": (lambda: chain_category(2), "0"),
+                    "3-chain": (lambda: chain_category(3), "0")}
+
+
+@pytest.mark.parametrize("name", list(PROJECTION_BASES))
+def test_initial_projection_and_its_reversed_opposite_are_lawful(name):
+    base, initial = PROJECTION_BASES[name]
+    c = initial_projection(base(), initial)
+    assert _lawful(c)
+    assert _lawful(reversed_opposite(c))
+
+
+def test_initial_projection_on_the_two_chain_is_fst():
+    assert initial_projection(chain_category(2), "0") == two_chain_fst()
 
 
 def test_closed_search(skew_fst):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from skewcat.catoperad import LAM, make_R_operad, make_terminal_operad, operad_by_name
-from skewcat.colaxalg import colax_to_multicat
+from skewcat.colaxalg import check_colax_algebra, colax_to_multicat
 from skewcat.fincat import StructureError, check_category
 from skewcat.tmulticat import (
     MultiMap, MulticatMorphism, all_tight, check_morphism, check_tmulticat, from_tight_subsets,
@@ -15,7 +16,9 @@ from skewcat.tmulticat import (
 from skewcat.correspondence import (
     monoidal_to_colax, monoidal_to_multicat, multicat_to_monoidal, roundtrip_multicat,
 )
-from conftest import chain_category, two_chain_fst, two_chain_snd, with_tables, z2_monoidal
+from conftest import (
+    chain_category, product_monoidal, two_chain_fst, two_chain_snd, with_tables, z2_monoidal,
+)
 from naive_oracles import (
     naive_check_multicat_over_n, naive_check_tmulticat, naive_fold, naive_is_morphism,
     naive_subst_keys,
@@ -403,7 +406,7 @@ def _folded(bound, values, unit, circ):
         return circ(g.mid, g.arity, i + 1, fs[i])
 
     op = make_terminal_operad()
-    homs = {key: values for key in signatures(op, ("*",), bound)}
+    homs = {(x, inputs, "*"): values for x, inputs in signatures(op, ("*",), bound)}
     return make_multicat(op, ("*",), bound, homs, {"*": unit},
                          action_rule=lambda phi, m: m.mid, subst_rule=subst_rule)
 
@@ -527,3 +530,37 @@ def test_iso_search_and_roundtrip_walk_thousands_of_homs_at_the_default_limit():
         assert roundtrip_multicat(t).isomorphic
     finally:
         sys.setrecursionlimit(limit)
+
+
+# sha256 over "<case> <count>" and then "<law>\t<details>" of every violation,
+# in order: of check_tmulticat on each digest structure at each arity and on
+# the two folded structures above, whose violations include parallel and
+# sequential instances at the bound (9,529 violations), and of
+# check_colax_algebra at arity 3 (2,296).  Taken before the checkers read
+# the arity-bucketed index, so it pins their order.
+VIOLATIONS_DIGEST = "2660884fefb020bbcd59745939fe0c40f36cdb2bc8f0bb8bfab60f6a2982cef5"
+COLAX_VIOLATIONS_DIGEST = "93e46b85f1f3c2a466e57a8f2a341383b6fc08e54ad7ff851db4269382a5b2f1"
+DIGEST_STRUCTURES = [
+    *((f"z2_{a}{l}{r}", z2_monoidal(a, l, r)) for a, l, r in itertools.product((0, 1), repeat=3)),
+    ("fst", two_chain_fst()), ("snd", two_chain_snd()),
+    ("z2xfst", product_monoidal(z2_monoidal(), two_chain_fst()))]
+
+
+def _violations_digest(cases) -> str:
+    digest = hashlib.sha256()
+    for label, violations in cases:
+        digest.update(f"{label} {len(violations)}\n".encode())
+        for v in violations:
+            digest.update(f"{v.law}\t{v.details!r}\n".encode())
+    return digest.hexdigest()
+
+
+def test_violation_lists_match_digest_in_order():
+    multicats = [(f"{name}@{n}", monoidal_to_multicat(c, n)) for name, c in DIGEST_STRUCTURES
+                 for n in ((2, 3) if name == "z2xfst" else (2, 3, 4))]
+    multicats += [("noncommuting", _noncommuting()), ("nonassociative", _nonassociative())]
+    assert _violations_digest((label, check_tmulticat(m))
+                              for label, m in multicats) == VIOLATIONS_DIGEST
+    assert _violations_digest(
+        (name, check_colax_algebra(monoidal_to_colax(c, 3)))
+        for name, c in DIGEST_STRUCTURES) == COLAX_VIOLATIONS_DIGEST
