@@ -9,7 +9,9 @@ A multicategory is given by its partial compositions g ∘ᵢ f with units
 evaluated only on ∘ᵢ keys, those with at most one non-identity inner, and
 every other substitution is their memoised fold.  ``check_tmulticat`` checks
 the identity laws on every multimap, and naturality and the sequential and
-parallel associativity of ∘ᵢ wherever every stage stays within the bound.
+parallel associativity of ∘ᵢ wherever every stage stays within the bound;
+associativity only where some hom into the outer map's output has two or
+more multimaps, since both sides of an instance lie in one hom into it.
 For unital multicategories this is equivalent to associativity of full
 substitution: each ∘ᵢ law is full associativity with identity inners, and
 full substitution is a fold of ∘ᵢ.
@@ -177,6 +179,12 @@ class TMulticategory:
                 bucket.append(m)
         return {b: [tuple(ms) for ms in into] for b, into in buckets.items()}
 
+    @functools.cached_property
+    def forced(self) -> frozenset[str]:
+        """The objects into which every hom has at most one multimap."""
+        wide = {b for (_, _, b), mids in self.homs.items() if len(mids) > 1}
+        return frozenset(self.objects) - wide
+
     def subst_keys(self) -> Iterator[tuple[MultiMap, tuple[MultiMap, ...]]]:
         """Every substitution instance stored in the truncated fragment."""
         fitting = self.fitting
@@ -290,7 +298,9 @@ def check_tmulticat(m: TMulticategory) -> list[Violation]:
     stay within the bound.  Each of these is an instance of full
     associativity with identity inners, so a lawful multicategory passes;
     conversely full substitution is the fold of ∘ᵢ steps, which the two laws
-    rearrange (Markl, arXiv:math/0601129, §1).
+    rearrange (Markl, arXiv:math/0601129, §1).  Both sides of an instance lie
+    in one hom into g's output, the operad being associative, so those of a
+    g into a ``forced`` object (no hom into it has two multimaps) are skipped.
 
     Only ∘ᵢ keys are evaluated.  A multicategory read from a file also
     stores a row for every other substitution: each row must exist and its
@@ -355,12 +365,7 @@ def check_tmulticat(m: TMulticategory) -> list[Violation]:
                     out.append(Violation.of("subst-naturality", slot=str(i + 1),
                                             phi=phi, g=g.mid, f=f.mid))
 
-    # Associativity of substitution.  Both sides of an instance land in the
-    # same hom set (the operad itself is associative), so when every hom is
-    # subsingleton the comparison is forced by the totality checks above and
-    # the enumeration can be skipped.
-    if any(len(mids) > 1 for mids in m.homs.values()):
-        out.extend(_check_associativity(m))
+    out.extend(_check_associativity(m))
     for g, fs in off_fold:
         out.append(Violation.of("subst-associativity", family="fold", g=g.mid,
                                 key=str(g.key), fs=str([f.mid for f in fs])))
@@ -371,16 +376,18 @@ def _check_associativity(m: TMulticategory) -> list[Violation]:
     """Sequential and parallel associativity of ∘ᵢ.  An instance counts when
     every stage stays within the bound, so f and h come from the buckets of
     ``fitting`` that keep it there.  Instances with an identity for f or h
-    follow from the identity laws."""
+    follow from the identity laws, and those of g into a ``forced`` object hold."""
     out: list[Violation] = []
     bound = m.max_arity
-    fitting, units = m.fitting, m._units
+    fitting, units, forced = m.fitting, m._units, m.forced
 
     def fail(family: str, g: MultiMap, **details: str) -> None:
         out.append(Violation.of("subst-associativity", family=family, g=g.mid,
                                 key=str(g.key), **details))
 
     for g in m.all_maps():
+        if g.output in forced:
+            continue
         n = g.arity
         for i, b in enumerate(g.inputs, 1):
             for f in fitting[b][bound - n + 1]:
@@ -686,24 +693,17 @@ def iso_search(m: TMulticategory, n: TMulticategory
     hom_keys = sorted(k for k in m.homs if m.homs[k])
     key_index = {k: i for i, k in enumerate(hom_keys)}
 
-    # When every hom on both sides is subsingleton, any size-respecting object
-    # bijection preserves all the structure automatically (each preservation
-    # equation compares two members of one subsingleton hom), so no
-    # constraints need to be collected.
-    thin = all(len(v) <= 1 for v in m.homs.values()) and \
-        all(len(v) <= 1 for v in n.homs.values())
-
+    # Constraints indexed by the last hom (in assignment order) they mention;
+    # those into a forced object of m hold under every size-respecting sigma.
     act_constraints: list[list] = [[] for _ in hom_keys]
     sub_constraints: list[list] = [[] for _ in hom_keys]
-    if not thin:
-        # constraints indexed by the last hom (in assignment order) they mention
-        for fmor, key in _action_sites(m.operad, m.max_arity, hom_keys):
-            okey = (m.operad.component(len(key[1])).tgt(fmor), key[1], key[2])
-            involved = [key_index[key]]
-            if okey in key_index:
-                involved.append(key_index[okey])
-            act_constraints[max(involved)].append((fmor, key))
-        for g, fs in m.generator_subst_keys():
+    forced = m.forced
+    for fmor, key in _action_sites(m.operad, m.max_arity,
+                                   [k for k in hom_keys if k[2] not in forced]):
+        okey = (m.operad.component(len(key[1])).tgt(fmor), key[1], key[2])
+        act_constraints[max(key_index[key], key_index.get(okey, -1))].append((fmor, key))
+    for g, fs in m.generator_subst_keys():
+        if g.output not in forced:
             involved = {key_index[g.key], key_index[m.substitute(g, fs).key],
                         *(key_index[f.key] for f in fs)}
             sub_constraints[max(involved)].append((g, fs))

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import sys
 from collections import Counter
 
@@ -24,7 +26,7 @@ from skewcat.tmulticat import (
 )
 from conftest import (
     chain_category, initial_projection, parallel_pair_category, product_monoidal,
-    two_chain_fst, two_chain_snd, with_tables, z2_category, z2_monoidal,
+    reversed_opposite, two_chain_fst, two_chain_snd, with_tables, z2_category, z2_monoidal,
 )
 from test_skewmon import chain_monoidal
 
@@ -289,6 +291,24 @@ def test_initial_projection_on_the_parallel_pair_at_arity_three():
         assert side.monoidal_flags == flags
 
 
+# sha256 of the JSON (sorted keys) of the list of the two verdicts below.
+# Taken while iso_search still collected constraints into every hom, so it
+# pins the first witness found under the lists left after pruning.
+PROJECTION_ROUNDTRIP_DIGEST = "782d3c04c5f23a081bd6306a57279e3537740915996a8b21abc1bbf1f85b777a"
+
+
+def test_iso_search_finds_the_same_first_witness_on_the_projections():
+    """``roundtrip_multicat`` of the first projection on the parallel pair
+    and of its reversed opposite at arity 3: both isomorphic, each with the
+    witness iso_search found when no constraint was left out."""
+    c = initial_projection(parallel_pair_category(), "x")
+    verdicts = [roundtrip_multicat(monoidal_to_multicat(d, 3)).to_json()
+                for d in (c, reversed_opposite(c))]
+    assert all(v["isomorphic"] for v in verdicts)
+    text = json.dumps(verdicts, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PROJECTION_ROUNDTRIP_DIGEST
+
+
 def one_cell_mutants(c):
     """Each one-cell α, λ or ρ mutant of c: one component replaced by
     another map of its hom, keyed by the component and its cell."""
@@ -321,3 +341,26 @@ def test_both_presentations_reject_every_one_cell_mutant_at_arity_three():
             assert not monoidal_ok, key
     assert counts == {"Z/2": 3, "Z/2 x fst": 12, "Z/2 x snd": 12}
     assert list(one_cell_mutants(initial_projection(parallel_pair_category(), "x"))) == []
+
+
+# The @4 sample below: per product, the α mutant at a, b both non-unit (one
+# that arity 2 cannot witness), λ at one object and ρ at the other.
+ONE_CELL_SAMPLE_AT_FOUR = {
+    "Z/2 x fst": {("alpha", ('["x", "1"]', '["x", "1"]', '["x", "0"]')),
+                  ("lambda_", '["x", "0"]'), ("rho", '["x", "1"]')},
+    "Z/2 x snd": {("alpha", ('["x", "0"]', '["x", "0"]', '["x", "0"]')),
+                  ("lambda_", '["x", "1"]'), ("rho", '["x", "0"]')},
+}
+
+
+def test_both_presentations_reject_a_sample_of_one_cell_mutants_at_arity_four():
+    """Six of the 24 one-cell mutants of Z/2 × fst and Z/2 × snd, named in
+    ``ONE_CELL_SAMPLE_AT_FOUR``: each fails as a skew monoidal category, and
+    its multicategory at arity 4 fails too (about 15 s)."""
+    for name, factor in (("Z/2 x fst", two_chain_fst), ("Z/2 x snd", two_chain_snd)):
+        mutants = dict(one_cell_mutants(product_monoidal(z2_monoidal(), factor())))
+        for key in sorted(ONE_CELL_SAMPLE_AT_FOUR[name]):
+            m = mutants[key]
+            monoidal_ok = check_skew_monoidal(m) == []
+            assert monoidal_ok == (check_tmulticat(monoidal_to_multicat(m, 4)) == []), key
+            assert not monoidal_ok, key

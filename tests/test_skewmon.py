@@ -55,8 +55,12 @@ def _lawful(c) -> bool:
     return verdict
 
 
-# fst, snd and Z/2 with each of its 8 choices of α, λ and ρ, lawful or not
+# fst, snd, the first projections on the parallel pair (whose hom from a to
+# b has two maps) and on the 3-chain, and Z/2 with each of its 8 choices of
+# α, λ and ρ, lawful or not
 FACTORS = [two_chain_fst(), two_chain_snd(),
+           initial_projection(parallel_pair_category(), "x"),
+           initial_projection(chain_category(3), "0"),
            *(z2_monoidal(*v) for v in itertools.product((0, 1), repeat=3))]
 
 

@@ -17,7 +17,8 @@ from skewcat.correspondence import (
     monoidal_to_colax, monoidal_to_multicat, multicat_to_monoidal, roundtrip_multicat,
 )
 from conftest import (
-    chain_category, product_monoidal, two_chain_fst, two_chain_snd, with_tables, z2_monoidal,
+    chain_category, initial_projection, parallel_pair_category, product_monoidal,
+    two_chain_fst, two_chain_snd, with_tables, z2_monoidal,
 )
 from naive_oracles import (
     naive_check_multicat_over_n, naive_check_tmulticat, naive_fold, naive_is_morphism,
@@ -564,3 +565,41 @@ def test_violation_lists_match_digest_in_order():
     assert _violations_digest(
         (name, check_colax_algebra(monoidal_to_colax(c, 3)))
         for name, c in DIGEST_STRUCTURES) == COLAX_VIOLATIONS_DIGEST
+
+
+# sha256, as above, over the violation lists of the one-entry ∘ᵢ mutants of
+# the first projection on the parallel pair at arity 2, one per ∘ᵢ key into a
+# hom of two multimaps, in ``generator_subst_keys`` order (686 violations).
+# Taken while associativity was still skipped only when every hom is thin.
+PROJECTION_MUTANTS_DIGEST = "219080f92ebe8f43a245ea8973578db1e1218777cc8a1c018882ada580057abc"
+
+
+def _generator_mutants(m):
+    """(∘ᵢ key, mutant) for each ∘ᵢ key of m into a hom of two or more
+    multimaps and each other member of that hom."""
+    action, subst = m.materialize()
+    for g, fs in m.generator_subst_keys():
+        r = m.substitute(g, fs)
+        for other in m.homs[r.key]:
+            if other != r.mid:
+                yield (g, fs), with_tables(m, action, {**subst, (g, fs): other})
+
+
+def test_associativity_is_decided_per_output_object():
+    """The first projection on the parallel pair has homs of two multimaps
+    into b (hom(a, b) is {u, v}) and none into a or x, which are forced: an
+    associativity instance whose outer map lands in a or x compares two
+    members of a hom with one element.  Each of the 60 one-entry ∘ᵢ mutants
+    into b keeps the violations it had when only a thin structure skipped
+    associativity, and the full quantification agrees on all 60 and on the
+    structure itself (about 8 s in all, 2 s of it the oracle on the
+    structure; on each mutant it stops at its first failure)."""
+    m = monoidal_to_multicat(initial_projection(parallel_pair_category(), "x"), 2)
+    assert m.forced == {"a", "x"}
+    mutants = list(_generator_mutants(m))
+    assert len(mutants) == 60
+    cases = [(repr(key), check_tmulticat(mutant)) for key, mutant in mutants]
+    assert _violations_digest(cases) == PROJECTION_MUTANTS_DIGEST
+    assert check_tmulticat(m) == [] and naive_check_tmulticat(m)
+    for (_, violations), (_, mutant) in zip(cases, mutants):
+        assert (violations == []) == naive_check_tmulticat(mutant)
