@@ -17,7 +17,8 @@ import sys
 from collections import Counter
 
 from .correspondence import (
-    monoidal_to_multicat, multicat_to_monoidal, roundtrip_monoidal, roundtrip_multicat,
+    _Uncertified, monoidal_to_multicat, multicat_to_monoidal, roundtrip_monoidal,
+    roundtrip_multicat,
 )
 from .fincat import _CAT_KEYS, StructureError, category_from_json, check_category, report_to_json
 from .representability import NotLeftRepresentable, analyze
@@ -205,7 +206,12 @@ def cmd_roundtrip(path: str, max_arity: int) -> int:
             return 1
         verdict = roundtrip_monoidal(value, max_arity)
     elif kind == "multicat" and value.operad.name == "R":
-        verdict = roundtrip_multicat(value)
+        try:
+            verdict = roundtrip_multicat(value)
+        except _Uncertified as exc:
+            _emit({"error": "uncertified isomorphism",
+                   "violations": report_to_json(exc.violations)}, f"round trip FAILED: {exc}")
+            return 1
     else:
         raise StructureError("roundtrip expects a skew monoidal category or skew multicategory")
     _emit(verdict.to_json(),

@@ -30,7 +30,9 @@ from .skewmon import (
     left_bracketed_tensor, left_bracketed_tensor_mor, make_skew_monoidal,
     monoidal_iso_search, unit_absorption,
 )
-from .tmulticat import TMulticategory, iso_search, underlying_with_maps
+from .tmulticat import (
+    MulticatMorphism, TMulticategory, check_morphism, iso_search, underlying_with_maps,
+)
 
 
 # -- monoidal -> colax algebra -> skew multicategory ---------------------------
@@ -191,7 +193,36 @@ def roundtrip_monoidal(c: SkewMonoidalCategory, max_arity: int = 4) -> Roundtrip
     return RoundtripVerdict(True, True, witness)
 
 
+class _Uncertified(Exception):
+    """The isomorphism that a round trip found breaks ``violations``: a
+    fault of the library, not a property of its input."""
+
+    def __init__(self, violations: list[Violation]):
+        first = violations[0]
+        super().__init__(f"the isomorphism found breaks {len(violations)} equation(s), "
+                         f"first {first.law} {dict(first.details)}")
+        self.violations = violations
+
+
+def _certify(fwd: MulticatMorphism) -> None:
+    """Raise ``_Uncertified`` unless fwd preserves identities, action and
+    ∘ᵢ (``check_morphism``) and is a bijection on objects and on every hom.
+    Its inverse then preserves them too."""
+    tgt, ob = fwd.target, fwd.obj_map
+    broken = check_morphism(fwd)
+    if not is_bijection_onto(list(ob.values()), tgt.objects):
+        broken.append(Violation.of("morphism-bijection", objects=str(ob)))
+    for key, table in sorted(fwd.hom_maps.items()):
+        tkey = (key[0], tuple(ob[a] for a in key[1]), ob[key[2]])
+        if not is_bijection_onto(list(table.values()), tgt.homs.get(tkey, ())):
+            broken.append(Violation.of("morphism-bijection", key=str(key)))
+    if broken:
+        raise _Uncertified(broken)
+
+
 def roundtrip_multicat(s: TMulticategory) -> RoundtripVerdict:
+    """Raises ``_Uncertified`` when the isomorphism found fails its
+    certificate (``_certify``)."""
     try:
         c = multicat_to_monoidal(s)
     except NotLeftRepresentable:
@@ -201,6 +232,7 @@ def roundtrip_multicat(s: TMulticategory) -> RoundtripVerdict:
     if pair is None:
         return RoundtripVerdict(False, True, None)
     fwd, _ = pair
+    _certify(fwd)
     witness = {"objects": dict(fwd.obj_map),
                "homs": {f"{x}({','.join(inputs)};{output})": table
                         for (x, inputs, output), table in sorted(fwd.hom_maps.items())

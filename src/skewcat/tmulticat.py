@@ -9,9 +9,7 @@ A multicategory is given by its partial compositions g ∘ᵢ f with units
 evaluated only on ∘ᵢ keys, those with at most one non-identity inner, and
 every other substitution is their memoised fold.  ``check_tmulticat`` checks
 the identity laws on every multimap, and naturality and the sequential and
-parallel associativity of ∘ᵢ wherever every stage stays within the bound;
-associativity only where some hom into the outer map's output has two or
-more multimaps, since both sides of an instance lie in one hom into it.
+parallel associativity of ∘ᵢ wherever every stage stays within the bound.
 For unital multicategories this is equivalent to associativity of full
 substitution: each ∘ᵢ law is full associativity with identity inners, and
 full substitution is a fold of ∘ᵢ.
@@ -179,12 +177,6 @@ class TMulticategory:
                 bucket.append(m)
         return {b: [tuple(ms) for ms in into] for b, into in buckets.items()}
 
-    @functools.cached_property
-    def forced(self) -> frozenset[str]:
-        """The objects into which every hom has at most one multimap."""
-        wide = {b for (_, _, b), mids in self.homs.items() if len(mids) > 1}
-        return frozenset(self.objects) - wide
-
     def subst_keys(self) -> Iterator[tuple[MultiMap, tuple[MultiMap, ...]]]:
         """Every substitution instance stored in the truncated fragment."""
         fitting = self.fitting
@@ -298,9 +290,7 @@ def check_tmulticat(m: TMulticategory) -> list[Violation]:
     stay within the bound.  Each of these is an instance of full
     associativity with identity inners, so a lawful multicategory passes;
     conversely full substitution is the fold of ∘ᵢ steps, which the two laws
-    rearrange (Markl, arXiv:math/0601129, §1).  Both sides of an instance lie
-    in one hom into g's output, the operad being associative, so those of a
-    g into a ``forced`` object (no hom into it has two multimaps) are skipped.
+    rearrange (Markl, arXiv:math/0601129, §1).
 
     Only ∘ᵢ keys are evaluated.  A multicategory read from a file also
     stores a row for every other substitution: each row must exist and its
@@ -376,38 +366,47 @@ def _check_associativity(m: TMulticategory) -> list[Violation]:
     """Sequential and parallel associativity of ∘ᵢ.  An instance counts when
     every stage stays within the bound, so f and h come from the buckets of
     ``fitting`` that keep it there.  Instances with an identity for f or h
-    follow from the identity laws, and those of g into a ``forced`` object hold."""
+    follow from the identity laws.
+
+    Multimaps are compared as their indices in ``all_maps`` order:
+    comp[g][i] maps the index of each f in g's bucket at slot i (0-based
+    here) to the index of g ∘ᵢ f, read from the ∘ᵢ keys that
+    ``_validate_structure`` has evaluated."""
     out: list[Violation] = []
     bound = m.max_arity
-    fitting, units, forced = m.fitting, m._units, m.forced
+    maps = list(m.all_maps())
+    index = {f: k for k, f in enumerate(maps)}
+    fitting = {b: [tuple([index[f] for f in bucket]) for bucket in into]
+               for b, into in m.fitting.items()}
+    units = {b: index[u] for b, u in m._units.items()}
+    comp = [[{fi: index[m.subst_after(g, i, maps[fi])] for fi in fitting[b][bound - g.arity + 1]}
+             for i, b in enumerate(g.inputs, 1)] for g in maps]
 
-    def fail(family: str, g: MultiMap, **details: str) -> None:
-        out.append(Violation.of("subst-associativity", family=family, g=g.mid,
-                                key=str(g.key), **details))
+    def fail(family: str, g: MultiMap, i: int, f: int, j: int, h: int) -> None:
+        out.append(Violation.of("subst-associativity", family=family, g=g.mid, key=str(g.key),
+                                i=str(i + 1), f=maps[f].mid, j=str(j + 1), h=maps[h].mid))
 
-    for g in m.all_maps():
-        if g.output in forced:
-            continue
+    for g, g_rows in zip(maps, comp):
         n = g.arity
-        for i, b in enumerate(g.inputs, 1):
+        for i, (b, g_row) in enumerate(zip(g.inputs, g_rows)):
             for f in fitting[b][bound - n + 1]:
                 if f == units[b]:
                     continue
-                kf = f.arity
-                gf = m.subst_after(g, i, f)
+                f_inputs = maps[f].inputs
+                kf = len(f_inputs)
+                gf_rows = comp[g_row[f]]
                 # sequential: (g ∘ᵢ f) ∘_{i+j-1} h = g ∘ᵢ (f ∘ⱼ h)
-                for j, c in enumerate(f.inputs, 1):
+                for j, (c, f_row) in enumerate(zip(f_inputs, comp[f])):
+                    gf_row = gf_rows[i + j]
                     for h in fitting[c][bound - n - kf + 2]:
-                        if h != units[c] and m.subst_after(gf, i + j - 1, h) != \
-                           m.subst_after(g, i, m.subst_after(f, j, h)):
-                            fail("sequential", g, i=str(i), f=f.mid, j=str(j), h=h.mid)
+                        if h != units[c] and gf_row[h] != g_row[f_row[h]]:
+                            fail("sequential", g, i, f, j, h)
                 # parallel, i < j: (g ∘ᵢ f) ∘_{j+k_f-1} h = (g ∘ⱼ h) ∘ᵢ f
-                for j in range(i + 1, n + 1):
-                    c = g.inputs[j - 1]
+                for j in range(i + 1, n):
+                    c, gf_row, gh_row = g.inputs[j], gf_rows[j + kf - 1], g_rows[j]
                     for h in fitting[c][bound - n + 2 - max(1, kf)]:
-                        if h != units[c] and m.subst_after(gf, j + kf - 1, h) != \
-                           m.subst_after(m.subst_after(g, j, h), i, f):
-                            fail("parallel", g, i=str(i), f=f.mid, j=str(j), h=h.mid)
+                        if h != units[c] and gf_row[h] != comp[gh_row[h]][i][f]:
+                            fail("parallel", g, i, f, j, h)
     return out
 
 
@@ -693,19 +692,19 @@ def iso_search(m: TMulticategory, n: TMulticategory
     hom_keys = sorted(k for k in m.homs if m.homs[k])
     key_index = {k: i for i, k in enumerate(hom_keys)}
 
-    # Constraints indexed by the last hom (in assignment order) they mention;
-    # those into a forced object of m hold under every size-respecting sigma.
+    # Constraints indexed by the last hom (in assignment order) they mention.
+    # Both sides of one lie in one hom; if m's has at most one multimap, so
+    # has its image under every size-respecting sigma, and it holds.
     act_constraints: list[list] = [[] for _ in hom_keys]
     sub_constraints: list[list] = [[] for _ in hom_keys]
-    forced = m.forced
-    for fmor, key in _action_sites(m.operad, m.max_arity,
-                                   [k for k in hom_keys if k[2] not in forced]):
+    for fmor, key in _action_sites(m.operad, m.max_arity, hom_keys):
         okey = (m.operad.component(len(key[1])).tgt(fmor), key[1], key[2])
-        act_constraints[max(key_index[key], key_index.get(okey, -1))].append((fmor, key))
+        if len(m.homs[okey]) > 1:
+            act_constraints[max(key_index[key], key_index[okey])].append((fmor, key))
     for g, fs in m.generator_subst_keys():
-        if g.output not in forced:
-            involved = {key_index[g.key], key_index[m.substitute(g, fs).key],
-                        *(key_index[f.key] for f in fs)}
+        rkey = m.substitute(g, fs).key
+        if len(m.homs[rkey]) > 1:
+            involved = {key_index[g.key], key_index[rkey], *(key_index[f.key] for f in fs)}
             sub_constraints[max(involved)].append((g, fs))
 
     src_objs = sorted(m.objects)

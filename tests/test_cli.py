@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewcat
-from skewcat import representability
+from skewcat import correspondence, representability
 from skewcat.cli import _write_json, main
 from skewcat.fincat import category_to_json
 from skewcat.skewmon import skewmon_from_json, skewmon_to_json
@@ -347,6 +347,30 @@ def test_roundtrip_multicat_file(tmp_path, capsys):
     path = write(tmp_path, "mc.json", data)
     code, out, _ = run(capsys, "roundtrip", path)
     assert code == 0 and out["isomorphic"]
+
+
+def test_roundtrip_rejects_an_isomorphism_that_fails_its_certificate(tmp_path, capsys,
+                                                                     monkeypatch):
+    """A search that returns a well-shaped pair with two ids swapped in one
+    hom of two multimaps gets no "isomorphic": the round trip exits 1 and
+    names the broken equation."""
+    search = correspondence.iso_search
+
+    def swapped_search(s, again):
+        fwd, bwd = search(s, again)
+        table = next(t for _, t in sorted(fwd.hom_maps.items()) if len(t) == 2)
+        first, second = table
+        table[first], table[second] = table[second], table[first]
+        return fwd, bwd
+
+    data = multicat_to_json(monoidal_to_multicat(z2_monoidal(), 3))
+    path = write(tmp_path, "mc.json", data)
+    with monkeypatch.context() as mp:
+        mp.setattr(correspondence, "iso_search", swapped_search)
+        code, out, err = run(capsys, "roundtrip", path)
+    assert code == 1
+    assert out["error"] == "uncertified isomorphism" and out["violations"]
+    assert out["violations"][0]["law"] in err
 
 
 def test_search_two_chain(tmp_path, capsys):

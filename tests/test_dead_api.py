@@ -47,9 +47,6 @@ ALLOWED = {
     "tmulticat.TMulticategory.tables_equal":
         "oracle role: bit-exact comparison of materialized tables in the JSON "
         "and loose-part round-trip tests",
-    "tmulticat.check_morphism":
-        "oracle role: certifies both maps of each pair that iso_search returns, "
-        "on the ∘ᵢ keys, which is complete when both endpoints are lawful",
 }
 
 
