@@ -228,10 +228,9 @@ def roundtrip_multicat(s: TMulticategory) -> RoundtripVerdict:
     except NotLeftRepresentable:
         return RoundtripVerdict(False, False, None)
     again = monoidal_to_multicat(c, s.max_arity)
-    pair = iso_search(s, again)
-    if pair is None:
+    fwd = iso_search(s, again)
+    if fwd is None:
         return RoundtripVerdict(False, True, None)
-    fwd, _ = pair
     _certify(fwd)
     witness = {"objects": dict(fwd.obj_map),
                "homs": {f"{x}({','.join(inputs)};{output})": table

@@ -37,13 +37,11 @@ def _hom_bijection(source: tuple[MultiMap, ...], target: tuple[str, ...],
     Precondition: each image is a member of target, or computing it raises.
     ``substitute`` type-checks its result against its hom, so a substitution
     meets it.  Then unequal sizes fail, and sizes of at most one pass
-    without evaluating anything.  ``check`` and ``analyze`` of a
-    multicategory file run ``_validate_structure``, which evaluates every
-    stored row, before they search; ``monoidal_to_multicat`` composes
-    morphisms of a category that has passed ``check_skew_monoidal``.
-    ``convert --to monoidal`` and ``roundtrip`` of a multicategory file run
-    no such gate, so the rows they skip go unread.  No law checker calls
-    this: checkers evaluate every instance.
+    without evaluating anything.  The multicategory file reader evaluates
+    every ∘ᵢ row before it returns, and every other substitution is their
+    fold; ``monoidal_to_multicat`` composes morphisms of a category that has
+    passed ``check_skew_monoidal``.  No law checker calls this: checkers
+    evaluate every instance.
     """
     if len(source) != len(target):
         return False

@@ -7,9 +7,11 @@ entries exist whenever the concatenated arity stays within the bound.
 A multicategory is given by its partial compositions g ∘ᵢ f with units
 (Markl, *Operads and PROPs*, arXiv:math/0601129, §1): the substitution rule is
 evaluated only on ∘ᵢ keys, those with at most one non-identity inner, and
-every other substitution is their memoised fold.  ``check_tmulticat`` checks
-the identity laws on every multimap, and naturality and the sequential and
-parallel associativity of ∘ᵢ wherever every stage stays within the bound.
+every other substitution is their memoised fold.  One table, ``_table``,
+holds every ∘ᵢ composition and the action on indices.  ``check_tmulticat``
+reads it to check the identity laws on every multimap, and naturality and
+the sequential and parallel associativity of ∘ᵢ wherever every stage stays
+within the bound; ``iso_search`` reads its constraints off it.
 For unital multicategories this is equivalent to associativity of full
 substitution: each ∘ᵢ law is full associativity with identity inners, and
 full substitution is a fold of ∘ᵢ.
@@ -53,6 +55,9 @@ class MultiMap(namedtuple("MultiMap", "x inputs output mid")):
     @property
     def key(self) -> HomKey:
         return (self.x, self.inputs, self.output)
+
+
+_Table = namedtuple("_Table", "maps units comp act")  # see TMulticategory._table
 
 
 class TMulticategory:
@@ -162,9 +167,11 @@ class TMulticategory:
     def subst_after(self, g: MultiMap, i: int, f: MultiMap) -> MultiMap:
         """The partial composition g ∘ᵢ f: substitute f into position i
         (1-based), identities elsewhere."""
-        fs = tuple([f if j == i - 1 else self._units[b]
-                    for j, b in enumerate(g.inputs)])
-        return self.substitute(g, fs)
+        return self.substitute(g, self._inners(g, i - 1, f))
+
+    def _inners(self, g: MultiMap, i: int, f: MultiMap) -> tuple[MultiMap, ...]:
+        """The inners of g ∘ᵢ f, with i 0-based."""
+        return tuple([f if j == i else self._units[b] for j, b in enumerate(g.inputs)])
 
     @functools.cached_property
     def fitting(self) -> dict[str, list[tuple[MultiMap, ...]]]:
@@ -187,15 +194,40 @@ class TMulticategory:
 
     def generator_subst_keys(self) -> Iterator[tuple[MultiMap, tuple[MultiMap, ...]]]:
         """Substitutions with at most one non-identity inner multimap."""
-        fitting = self.fitting
-        for g in self.all_maps():
-            n = g.arity
-            for i in range(n):
-                for f in fitting[g.inputs[i]][self.max_arity - n + 1]:
-                    if i and f == self.identity(f.output):
-                        continue  # the all-identity tuple comes once, at i = 0
-                    yield g, tuple(f if j == i else self.identity(g.inputs[j])
-                                   for j in range(n))
+        maps = self._table.maps
+        for g, i, f in self._keys():
+            yield maps[g], self._inners(maps[g], i, maps[f])
+
+    def _keys(self) -> Iterator[tuple[int, int, int]]:
+        """(g, i, f) for each ∘ᵢ key, indices into ``_table``'s maps and the
+        0-based slot, in ``generator_subst_keys`` order: the all-identity key
+        once, at i = 0."""
+        maps, units, comp, _ = self._table
+        for g, rows in enumerate(comp):
+            for i, (b, row) in enumerate(zip(maps[g].inputs, rows)):
+                yield from ((g, i, f) for f in row if not i or f != units[b])
+
+    @functools.cached_property
+    def _table(self) -> _Table:
+        """The ∘ᵢ compositions and the action on integers: maps in
+        ``all_maps`` order; units[b], the index of b's identity; comp[g][i],
+        from the index of each f in g's bucket of ``fitting`` at slot i
+        (0-based), in bucket order, to that of g ∘ᵢ f; act[k], from each
+        non-identity operad morphism phi out of the type of maps[k] to the
+        index of phi acting on it.  Built on first use, evaluating every ∘ᵢ
+        key in ``generator_subst_keys`` order (an all-identity key at i > 0
+        is a memo hit), so that the first absent or out-of-hom entry raises
+        its ``StructureError``; then the action."""
+        maps = list(self.all_maps())
+        index = {f: k for k, f in enumerate(maps)}
+        comp = [[{index[f]: index[self.subst_after(g, i, f)]
+                  for f in self.fitting[b][self.max_arity - g.arity + 1]}
+                 for i, b in enumerate(g.inputs, 1)] for g in maps]
+        act: list[dict[str, int]] = [{} for _ in maps]
+        for phi, key in _action_sites(self.operad, self.max_arity, sorted(self.homs)):
+            for k in self.maps(key):
+                act[index[k]][phi] = index[self.act(phi, k)]
+        return _Table(maps, {b: index[u] for b, u in self._units.items()}, comp, act)
 
     def materialize(self) -> tuple[dict, dict]:
         """The action table, (phi, hom key) -> {id: image id} at each action
@@ -280,10 +312,13 @@ def check_tmulticat(m: TMulticategory) -> list[Violation]:
     naturality and associativity on the ∘ᵢ fragment; and the rows of a
     file's substitution table against the ∘ᵢ fold.
 
-    Naturality is checked one operad variable at a time on the substitutions
-    with at most one non-identity inner (``generator_subst_keys``); the joint
-    squares follow together with functoriality, and those of a full
-    substitution from its ∘ᵢ fold.  Associativity, reported as
+    Every law reads the ∘ᵢ compositions and the action off ``m._table``.
+    Naturality is checked one operad variable at a time on the ∘ᵢ keys; the
+    joint squares follow together with functoriality, and those of a full
+    substitution from its ∘ᵢ fold.  Components are thin, so each square
+    compares its image with r acted on by the one morphism from r's type to
+    the image's (``StructureError`` if none); an image with two non-identity
+    inners is ``substitute``'s fold.  Associativity, reported as
     ``subst-associativity`` with a ``family`` detail, is checked as sequential
     (g ∘ᵢ f) ∘_{i+j-1} h = g ∘ᵢ (f ∘ⱼ h) and parallel (g ∘ᵢ f) ∘_{j+k-1} h =
     (g ∘ⱼ h) ∘ᵢ f for i < j and f of arity k, on every instance whose stages
@@ -300,96 +335,63 @@ def check_tmulticat(m: TMulticategory) -> list[Violation]:
     cross-checks the verdict against nested full quantification
     (``tests/naive_oracles.py``)."""
     off_fold = _validate_structure(m)
+    maps, units, comp, act = m._table
     out: list[Violation] = []
 
     # action functoriality: composites of non-identity morphisms
     for n in range(m.max_arity + 1):
-        comp = m.operad.component(n)
-        for (g, f), gf in comp.compose.items():
-            if comp.is_identity(g) or comp.is_identity(f):
+        comp_n = m.operad.component(n)
+        for (g, f), gf in comp_n.compose.items():
+            if comp_n.is_identity(g) or comp_n.is_identity(f):
                 continue
-            for key in sorted(m.homs):
-                if len(key[1]) != n or key[0] != comp.src(f):
-                    continue
-                for mm_ in m.maps(key):
-                    if m.act(gf, mm_) != m.act(g, m.act(f, mm_)):
-                        out.append(Violation.of("action-composition", g=g, f=f, m=mm_.mid))
+            for k, mm_ in enumerate(maps):
+                if mm_.arity == n and f in act[k] and act[k].get(gf, k) != act[act[k][f]][g]:
+                    out.append(Violation.of("action-composition", g=g, f=f, m=mm_.mid))
 
     # identity laws
-    for mm_ in m.all_maps():
-        one = m.identity(mm_.output)
-        if m.substitute(one, (mm_,)) != mm_:
+    for k, mm_ in enumerate(maps):
+        if comp[units[mm_.output]][0][k] != k:
             out.append(Violation.of("identity-left", m=mm_.mid, key=str(mm_.key)))
-        if mm_.arity > 0:
-            units = tuple(m.identity(a) for a in mm_.inputs)
-            if m.substitute(mm_, units) != mm_:
-                out.append(Violation.of("identity-right", m=mm_.mid, key=str(mm_.key)))
+        if mm_.arity > 0 and comp[k][0][units[mm_.inputs[0]]] != k:
+            out.append(Violation.of("identity-right", m=mm_.mid, key=str(mm_.key)))
+
+    def moved(r: int, x: str) -> int:
+        """r acted on by the one morphism from its type to x."""
+        for phi in m.operad.component(maps[r].arity).hom(maps[r].x, x):
+            return act[r].get(phi, r)
+        raise StructureError(f"no morphism {maps[r].x!r} -> {x!r} for substitution")
 
     # single-variable naturality of substitution in the operad variables
-    for g, fs in m.generator_subst_keys():
-        r = m.substitute(g, fs)
-        ks = tuple(f.arity for f in fs)
-        comp_n = m.operad.component(g.arity)
-        for phi, s, _ in comp_n.morphisms:
-            if comp_n.is_identity(phi) or s != g.x:
-                continue
-            mor = m.operad.subst_mor(phi, tuple(m.operad.component(k).id_of(f.x)
-                                                for f, k in zip(fs, ks)), ks)
-            lhs = m.act(mor, r)
-            rhs = m.substitute(m.act(phi, g), fs)
-            if lhs != rhs:
+    for g, i, f in m._keys():
+        gm, r, rows = maps[g], comp[g][i][f], comp[g]
+        for phi, gphi in act[g].items():
+            image = comp[gphi][i][f]
+            if moved(r, maps[image].x) != image:
                 out.append(Violation.of("subst-naturality", slot="outer",
-                                        phi=phi, g=g.mid, key=str(g.key)))
-        for i, f in enumerate(fs):
-            comp_k = m.operad.component(f.arity)
-            for phi, s, _ in comp_k.morphisms:
-                if comp_k.is_identity(phi) or s != f.x:
-                    continue
-                fmors = tuple(phi if j == i else m.operad.component(ks[j]).id_of(fs[j].x)
-                              for j in range(len(fs)))
-                mor = m.operad.subst_mor(comp_n.id_of(g.x), fmors, ks)
-                lhs = m.act(mor, r)
-                new_fs = tuple(m.act(phi, ff) if j == i else ff for j, ff in enumerate(fs))
-                rhs = m.substitute(g, new_fs)
-                if lhs != rhs:
-                    out.append(Violation.of("subst-naturality", slot=str(i + 1),
-                                            phi=phi, g=g.mid, f=f.mid))
+                                        phi=phi, g=gm.mid, key=str(gm.key)))
+        all_units = f == units[gm.inputs[i]]
+        for j, b in enumerate(gm.inputs):
+            fj = f if j == i else units[b]
+            for phi, fphi in act[fj].items():
+                if j == i or all_units:
+                    image = maps[rows[j][fphi]]
+                else:  # two non-identity inners: the fold
+                    fs = m._inners(gm, j, maps[fphi])
+                    image = m.substitute(gm, fs[:i] + (maps[f],) + fs[i + 1:])
+                if maps[moved(r, image.x)] != image:
+                    out.append(Violation.of("subst-naturality", slot=str(j + 1),
+                                            phi=phi, g=gm.mid, f=maps[fj].mid))
 
-    out.extend(_check_associativity(m))
-    for g, fs in off_fold:
-        out.append(Violation.of("subst-associativity", family="fold", g=g.mid,
-                                key=str(g.key), fs=str([f.mid for f in fs])))
-    return out
-
-
-def _check_associativity(m: TMulticategory) -> list[Violation]:
-    """Sequential and parallel associativity of ∘ᵢ.  An instance counts when
-    every stage stays within the bound, so f and h come from the buckets of
-    ``fitting`` that keep it there.  Instances with an identity for f or h
-    follow from the identity laws.
-
-    Multimaps are compared as their indices in ``all_maps`` order:
-    comp[g][i] maps the index of each f in g's bucket at slot i (0-based
-    here) to the index of g ∘ᵢ f, read from the ∘ᵢ keys that
-    ``_validate_structure`` has evaluated."""
-    out: list[Violation] = []
-    bound = m.max_arity
-    maps = list(m.all_maps())
-    index = {f: k for k, f in enumerate(maps)}
-    fitting = {b: [tuple([index[f] for f in bucket]) for bucket in into]
-               for b, into in m.fitting.items()}
-    units = {b: index[u] for b, u in m._units.items()}
-    comp = [[{fi: index[m.subst_after(g, i, maps[fi])] for fi in fitting[b][bound - g.arity + 1]}
-             for i, b in enumerate(g.inputs, 1)] for g in maps]
-
+    # sequential and parallel associativity of ∘ᵢ: f and h come from the rows
+    # of comp that keep every stage within the bound; instances with an
+    # identity for f or h follow from the identity laws
     def fail(family: str, g: MultiMap, i: int, f: int, j: int, h: int) -> None:
         out.append(Violation.of("subst-associativity", family=family, g=g.mid, key=str(g.key),
                                 i=str(i + 1), f=maps[f].mid, j=str(j + 1), h=maps[h].mid))
 
     for g, g_rows in zip(maps, comp):
-        n = g.arity
         for i, (b, g_row) in enumerate(zip(g.inputs, g_rows)):
-            for f in fitting[b][bound - n + 1]:
+            for f in g_row:
                 if f == units[b]:
                     continue
                 f_inputs = maps[f].inputs
@@ -398,15 +400,20 @@ def _check_associativity(m: TMulticategory) -> list[Violation]:
                 # sequential: (g ∘ᵢ f) ∘_{i+j-1} h = g ∘ᵢ (f ∘ⱼ h)
                 for j, (c, f_row) in enumerate(zip(f_inputs, comp[f])):
                     gf_row = gf_rows[i + j]
-                    for h in fitting[c][bound - n - kf + 2]:
+                    for h in gf_row:
                         if h != units[c] and gf_row[h] != g_row[f_row[h]]:
                             fail("sequential", g, i, f, j, h)
-                # parallel, i < j: (g ∘ᵢ f) ∘_{j+k_f-1} h = (g ∘ⱼ h) ∘ᵢ f
-                for j in range(i + 1, n):
+                # parallel, i < j: (g ∘ᵢ f) ∘_{j+k_f-1} h = (g ∘ⱼ h) ∘ᵢ f; h runs
+                # over the smaller of the two rows it needs, g's when f is nullary
+                for j in range(i + 1, g.arity):
                     c, gf_row, gh_row = g.inputs[j], gf_rows[j + kf - 1], g_rows[j]
-                    for h in fitting[c][bound - n + 2 - max(1, kf)]:
+                    for h in gf_row if kf else gh_row:
                         if h != units[c] and gf_row[h] != comp[gh_row[h]][i][f]:
                             fail("parallel", g, i, f, j, h)
+
+    for g, fs in off_fold:
+        out.append(Violation.of("subst-associativity", family="fold", g=g.mid,
+                                key=str(g.key), fs=str([f.mid for f in fs])))
     return out
 
 
@@ -451,8 +458,7 @@ def _validate_structure(m: TMulticategory) -> list[tuple[MultiMap, tuple[MultiMa
     for n in range(m.max_arity + 1):
         if check_category(m.operad.component(n)):
             raise StructureError(f"operad component {n} is not a category")
-    for g, fs in m.generator_subst_keys():
-        m.substitute(g, fs)  # raises if an entry is absent or lands outside its hom
+    m._table  # evaluates every ∘ᵢ key: raises if an entry is absent or lands outside its hom
     rows = m.stored_subst
     if rows is None:
         return []
@@ -676,13 +682,14 @@ def _hom_bijections(src_mids, tgt_mids, forced: dict[str, str]):
         yield table
 
 
-def iso_search(m: TMulticategory, n: TMulticategory
-               ) -> tuple[MulticatMorphism, MulticatMorphism] | None:
-    """First isomorphism pair in canonical order, or None.
+def iso_search(m: TMulticategory, n: TMulticategory) -> MulticatMorphism | None:
+    """First isomorphism in canonical order, or None.
 
-    Substitution preservation is verified on single-position substitutions;
-    for inputs satisfying the multicategory laws this forces preservation of
-    all substitutions, since every substitution factors through them.
+    Substitution preservation is verified on single-position substitutions,
+    read off m's ``_table``; for inputs satisfying the multicategory laws
+    this forces preservation of all substitutions, since every substitution
+    factors through them.  Only the forward map is returned: the inverse of
+    a bijective morphism is a morphism too.
     """
     if m.operad.name != n.operad.name or m.max_arity != n.max_arity:
         return None
@@ -701,11 +708,13 @@ def iso_search(m: TMulticategory, n: TMulticategory
         okey = (m.operad.component(len(key[1])).tgt(fmor), key[1], key[2])
         if len(m.homs[okey]) > 1:
             act_constraints[max(key_index[key], key_index[okey])].append((fmor, key))
-    for g, fs in m.generator_subst_keys():
-        rkey = m.substitute(g, fs).key
+    t = m._table
+    for g, i, f in m._keys():
+        gm, rkey = t.maps[g], t.maps[t.comp[g][i][f]].key
         if len(m.homs[rkey]) > 1:
-            involved = {key_index[g.key], key_index[rkey], *(key_index[f.key] for f in fs)}
-            sub_constraints[max(involved)].append((g, fs))
+            fs = m._inners(gm, i, t.maps[f])
+            involved = {key_index[gm.key], key_index[rkey], *(key_index[x.key] for x in fs)}
+            sub_constraints[max(involved)].append((gm, fs))
 
     src_objs = sorted(m.objects)
     for perm in itertools.permutations(sorted(n.objects)):
@@ -716,17 +725,7 @@ def iso_search(m: TMulticategory, n: TMulticategory
             continue
         found = _assign_homs(m, n, sigma, hom_keys, act_constraints, sub_constraints)
         if found is not None:
-            fwd = MulticatMorphism(m, n, sigma,
-                                   {k: found.get(k, {}) for k in m.homs})
-            inv_obj = {v: k for k, v in sigma.items()}
-            inv_maps: dict[HomKey, dict[str, str]] = {}
-            for key, table in fwd.hom_maps.items():
-                tkey = (key[0], tuple(sigma[a] for a in key[1]), sigma[key[2]])
-                inv_maps[tkey] = {v: k for k, v in table.items()}
-            for key in n.homs:
-                inv_maps.setdefault(key, {})
-            bwd = MulticatMorphism(n, m, inv_obj, inv_maps)
-            return fwd, bwd
+            return MulticatMorphism(m, n, sigma, {k: found.get(k, {}) for k in m.homs})
     return None
 
 
@@ -823,9 +822,10 @@ def multicat_from_json(data: dict) -> TMulticategory:
     """Read a multicategory, requiring string ids and exactly the documented
     keys in every row, and check each stored row's key as it is read (the
     README lists the checks).  The tables are wrapped as rules, whose
-    substitution rule is asked only for ∘ᵢ rows; a missing ∘ᵢ row or an
-    out-of-hom result shows when its key is evaluated, and the whole
-    ``subst`` table is kept for ``check_tmulticat`` to check.
+    substitution rule is asked only for ∘ᵢ rows.  Every ∘ᵢ row is read into
+    the ``_table`` before the reader returns, so a missing ∘ᵢ row or an
+    out-of-hom result raises here; the whole ``subst`` table is kept for
+    ``check_tmulticat`` to check.
 
     Each distinct ``outer``/inner reference is type-checked and looked up in
     its hom once, and its parsed form shared by every ``subst`` row that
@@ -934,8 +934,10 @@ def multicat_from_json(data: dict) -> TMulticategory:
             subst[g, fs] = _str_id(e["result"], "subst result")
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed multicategory JSON: {exc}") from exc
-    return make_multicat(op, objects, max_arity, homs, identities, stored_subst=subst,
-                         **_table_rules(action, subst))
+    m = make_multicat(op, objects, max_arity, homs, identities, stored_subst=subst,
+                      **_table_rules(action, subst))
+    m._table  # evaluates every ∘ᵢ row: raises if one is absent or lands outside its hom
+    return m
 
 
 def _table_rules(action: dict, subst: dict) -> dict[str, Callable]:

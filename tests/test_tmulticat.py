@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from skewcat.catoperad import LAM, TIGHT, make_R_operad, make_terminal_operad, operad_by_name
+from skewcat.catoperad import (
+    LAM, LOOSE, TIGHT, CatOperad, make_R_operad, make_terminal_operad, operad_by_name,
+)
 from skewcat.colaxalg import check_colax_algebra, colax_to_multicat
 from skewcat.fincat import StructureError, check_category
 from skewcat.tmulticat import (
@@ -14,7 +16,7 @@ from skewcat.tmulticat import (
     terminal_multicat, underlying_with_maps,
 )
 from skewcat.correspondence import (
-    monoidal_to_colax, monoidal_to_multicat, multicat_to_monoidal, roundtrip_multicat,
+    _certify, monoidal_to_colax, monoidal_to_multicat, multicat_to_monoidal, roundtrip_multicat,
 )
 from conftest import (
     chain_category, initial_projection, parallel_pair_category, product_monoidal,
@@ -234,33 +236,32 @@ def test_tightening_morphism_passes(fst3):
 
 
 def test_self_iso_is_the_identity(fst3):
-    fwd, bwd = iso_search(fst3, fst3)
+    fwd = iso_search(fst3, fst3)
     assert fwd.obj_map == {a: a for a in fst3.objects}
     assert all(table == {mid: mid for mid in fst3.homs[key]}
                for key, table in fwd.hom_maps.items())
-    assert bwd.obj_map == fwd.obj_map
+    _certify(fwd)
 
 
-def _roundtrip_pair(structure, arity):
-    """iso_search's pair between the multicategory of structure and the one
-    rebuilt from its skew monoidal category, as ``roundtrip_multicat``
+def _roundtrip_iso(structure, arity):
+    """iso_search's isomorphism from the multicategory of structure to the
+    one rebuilt from its skew monoidal category, as ``roundtrip_multicat``
     finds it."""
     s = monoidal_to_multicat(structure(), arity)
     return iso_search(s, monoidal_to_multicat(multicat_to_monoidal(s), arity))
 
 
 def test_iso_search_finds_self_iso(fst3, z2m):
-    pairs = [iso_search(m, m) for m in (fst3, z2m)]
+    isos = [iso_search(m, m) for m in (fst3, z2m)]
     # a copy whose homs list their ids in reverse, so the search must prune
     reversed_homs = {key: mids[::-1] for key, mids in z2m.homs.items()}
-    pairs.append(iso_search(z2m, with_tables(z2m, *z2m.materialize(), reversed_homs)))
-    # the round-trip pairs at the CLI's default arity
-    pairs += [_roundtrip_pair(st, 4) for st in (z2_monoidal, two_chain_fst, two_chain_snd)]
-    for pair in pairs:
-        assert pair is not None
-        fwd, bwd = pair
+    isos.append(iso_search(z2m, with_tables(z2m, *z2m.materialize(), reversed_homs)))
+    # the round-trip isomorphisms at the CLI's default arity
+    isos += [_roundtrip_iso(st, 4) for st in (z2_monoidal, two_chain_fst, two_chain_snd)]
+    for fwd in isos:
+        assert fwd is not None
         assert check_morphism(fwd) == []
-        assert check_morphism(bwd) == []
+        _certify(fwd)
 
 
 def test_iso_search_rejects_a_swap_in_one_hom_of_two_maps():
@@ -271,8 +272,9 @@ def test_iso_search_rejects_a_swap_in_one_hom_of_two_maps():
     m = monoidal_to_multicat(initial_projection(parallel_pair_category(), "x"), 2)
     key = (TIGHT, ("a",), "b")
     assert len(m.homs[key]) == 2
-    fwd, bwd = iso_search(m, with_tables(m, *m.materialize(), {**m.homs, key: m.homs[key][::-1]}))
-    assert check_morphism(fwd) == [] and check_morphism(bwd) == []
+    fwd = iso_search(m, with_tables(m, *m.materialize(), {**m.homs, key: m.homs[key][::-1]}))
+    assert check_morphism(fwd) == []
+    _certify(fwd)
 
 
 @pytest.mark.parametrize("structure, mutants", [
@@ -281,7 +283,7 @@ def test_check_morphism_agrees_with_the_full_sweep_on_every_mutant(structure, mu
     # check_morphism checks substitution on the ∘ᵢ keys, the oracle on every
     # stored key; a mutant sends one hom into its target hom differently
     # (each other bijection, and each change of one entry)
-    fwd, _ = _roundtrip_pair(structure, 3)
+    fwd = _roundtrip_iso(structure, 3)
     assert check_morphism(fwd) == [] and naive_is_morphism(fwd)
     count = 0
     for key, table in sorted(fwd.hom_maps.items()):
@@ -314,6 +316,17 @@ def test_check_morphism_reports_a_broken_action_alone(z2m):
     assert "morphism-action" in laws
     assert "morphism-substitution" not in laws
     assert not naive_is_morphism(f)
+
+
+def test_a_naturality_square_with_no_operad_morphism_is_a_structure_error():
+    """Naturality acts on each result by the one operad morphism between
+    two substituted types; an object rule that is not monotone leaves none,
+    as ``CatOperad.subst_mor`` reports."""
+    r = operad_by_name("R")
+    flipped = CatOperad("flipped", r.component_rule, r.unit,
+                        lambda x, xs, ks: LOOSE if not sum(ks) or x == TIGHT else TIGHT)
+    with pytest.raises(StructureError, match="no morphism 'l' -> 't' for substitution"):
+        check_tmulticat(terminal_multicat(flipped, 2))
 
 
 def test_iso_search_rejects_different_shapes(fst3):
@@ -651,3 +664,46 @@ def test_associativity_mutants_of_the_projection_at_arity_three():
     cases = [(repr(key), check_tmulticat(mutant))
              for key, mutant in _generator_mutants(m, sites[::76])]
     assert _violations_digest(cases) == PROJECTION_MUTANTS_AT_3_DIGEST
+
+
+# sha256, as above, over the violation lists of the one-entry action mutants
+# of Z/2 at arities 3 and 4 (6 and 8) and of every 7th of the 42 of
+# Z/2 × snd at arity 3, in the order of ``_action_mutants`` (20 mutants,
+# 3,463 subst-naturality violations).  Taken while naturality derived each
+# square's morphism with ``CatOperad.subst_mor``.
+ACTION_MUTANTS_DIGEST = "e496c503ce952de7cbbd8cc55387345d8ef3a5bd38759fb26c6f210cc79a9ede"
+
+
+def _action_mutants(m):
+    """(site, mutant) for each λ image of m and each other member of its
+    loose hom: m with that action entry set to the member.  Sites in the
+    order of the sorted action table, then of each tight hom."""
+    action, subst = m.materialize()
+    for (phi, key), table in sorted(action.items()):
+        loose = (m.operad.component(len(key[1])).tgt(phi), key[1], key[2])
+        for mid in m.homs[key]:
+            for other in m.homs[loose]:
+                if other != table[mid]:
+                    yield (phi, key, mid, other), with_tables(
+                        m, {**action, (phi, key): {**table, mid: other}}, subst)
+
+
+def test_action_mutants_break_naturality():
+    """The digests above mutate substitution entries or the monoidal
+    structure; these mutate the action, which only naturality reads
+    against substitution.  The full quantification agrees on the Z/2
+    mutants (about 8 s in all)."""
+    cases, naive = [], []
+    z2xsnd = product_monoidal(z2_monoidal(), two_chain_snd())
+    for name, c, n, count, step in (("z2", z2_monoidal(), 3, 6, 1), ("z2", z2_monoidal(), 4, 8, 1),
+                                    ("z2xsnd", z2xsnd, 3, 42, 7)):
+        mutants = list(_action_mutants(monoidal_to_multicat(c, n)))
+        assert len(mutants) == count
+        for site, mutant in mutants[::step]:
+            cases.append((f"{name}@{n} {site!r}", check_tmulticat(mutant)))
+            if name == "z2":
+                naive.append((cases[-1][1] == []) == naive_check_tmulticat(mutant))
+    assert len(cases) == 20 and all(naive)
+    assert sum(len(violations) for _, violations in cases) == 3463
+    assert {v.law for _, violations in cases for v in violations} == {"subst-naturality"}
+    assert _violations_digest(cases) == ACTION_MUTANTS_DIGEST
