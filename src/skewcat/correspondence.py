@@ -182,10 +182,9 @@ def roundtrip_monoidal(c: SkewMonoidalCategory, max_arity: int = 4) -> Roundtrip
         back = multicat_to_monoidal(monoidal_to_multicat(c, max_arity))
     except NotLeftRepresentable:
         return RoundtripVerdict(False, False, None)
-    pair = monoidal_iso_search(c, back)
-    if pair is None:
+    fwd = monoidal_iso_search(c, back)
+    if fwd is None:
         return RoundtripVerdict(False, True, None)
-    fwd, _ = pair
     witness = {"objects": dict(fwd.functor.obj_map),
                "morphisms": dict(fwd.functor.mor_map),
                "binary": {f"{a},{b}": v for (a, b), v in fwd.binary.items()},

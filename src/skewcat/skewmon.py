@@ -368,9 +368,12 @@ def _functor_isos(c: FinCategory, d: FinCategory):
 
 
 def monoidal_iso_search(c: SkewMonoidalCategory, d: SkewMonoidalCategory
-                        ) -> tuple[LaxMonoidalFunctor, LaxMonoidalFunctor] | None:
-    """Mutually inverse lax monoidal functors with invertible structure maps,
-    or None; the first witness in canonical order is returned."""
+                        ) -> LaxMonoidalFunctor | None:
+    """A lax monoidal functor c -> d that is an isomorphism of categories
+    with invertible structure maps, or None; the first in canonical order.
+    Only the forward functor is returned: its inverse, with the inverted
+    structure maps, is lax monoidal too, each of its axioms being F's own
+    with F₂ and F₀ moved across."""
     for fun in _functor_isos(c.base, d.base):
         f0_candidates = [m for m in d.base.hom(d.unit, fun.obj_map[c.unit])
                          if d.base.is_iso(m)]
@@ -385,26 +388,9 @@ def monoidal_iso_search(c: SkewMonoidalCategory, d: SkewMonoidalCategory
             for combo in itertools.product(*pair_opts):
                 binary = dict(zip(pairs, combo))
                 lax = LaxMonoidalFunctor(c, d, fun, binary, f0)
-                if check_lax_monoidal(lax):
-                    continue
-                inv = _invert_lax(lax)
-                if not check_lax_monoidal(inv):
-                    return lax, inv
+                if not check_lax_monoidal(lax):
+                    return lax
     return None
-
-
-def _invert_lax(lax: LaxMonoidalFunctor) -> LaxMonoidalFunctor:
-    c, d, fun = lax.source, lax.target, lax.functor
-    inv_obj = {v: k for k, v in fun.obj_map.items()}
-    inv_mor = {v: k for k, v in fun.mor_map.items()}
-    gun = Functor(d.base, c.base, inv_obj, inv_mor)
-    binary = {}
-    for a in d.base.objects:
-        for b in d.base.objects:
-            f2 = lax.binary[(inv_obj[a], inv_obj[b])]
-            binary[(a, b)] = inv_mor[d.base.inverse(f2)]
-    unit = inv_mor[d.base.inverse(lax.unit)]
-    return LaxMonoidalFunctor(d, c, gun, binary, unit)
 
 
 # -- JSON --------------------------------------------------------------------

@@ -11,7 +11,8 @@ every other substitution is their memoised fold.  One table, ``_table``,
 holds every ∘ᵢ composition and the action on indices.  ``check_tmulticat``
 reads it to check the identity laws on every multimap, and naturality and
 the sequential and parallel associativity of ∘ᵢ wherever every stage stays
-within the bound; ``iso_search`` reads its constraints off it.
+within the bound; ``check_morphism`` and ``iso_search`` decide the action
+and ∘ᵢ equations of a morphism on the tables of both endpoints.
 For unital multicategories this is equivalent to associativity of full
 substitution: each ∘ᵢ law is full associativity with identity inners, and
 full substitution is a fold of ∘ᵢ.
@@ -57,7 +58,7 @@ class MultiMap(namedtuple("MultiMap", "x inputs output mid")):
         return (self.x, self.inputs, self.output)
 
 
-_Table = namedtuple("_Table", "maps units comp act")  # see TMulticategory._table
+_Table = namedtuple("_Table", "maps index units comp act")  # see TMulticategory._table
 
 
 class TMulticategory:
@@ -192,17 +193,11 @@ class TMulticategory:
                 for fs in _slot_choices(g.inputs, self.max_arity, fitting):
                     yield g, fs
 
-    def generator_subst_keys(self) -> Iterator[tuple[MultiMap, tuple[MultiMap, ...]]]:
-        """Substitutions with at most one non-identity inner multimap."""
-        maps = self._table.maps
-        for g, i, f in self._keys():
-            yield maps[g], self._inners(maps[g], i, maps[f])
-
     def _keys(self) -> Iterator[tuple[int, int, int]]:
         """(g, i, f) for each ∘ᵢ key, indices into ``_table``'s maps and the
-        0-based slot, in ``generator_subst_keys`` order: the all-identity key
-        once, at i = 0."""
-        maps, units, comp, _ = self._table
+        0-based slot, in the order of ``comp``: the all-identity key once,
+        at i = 0."""
+        maps, _, units, comp, _ = self._table
         for g, rows in enumerate(comp):
             for i, (b, row) in enumerate(zip(maps[g].inputs, rows)):
                 yield from ((g, i, f) for f in row if not i or f != units[b])
@@ -210,14 +205,14 @@ class TMulticategory:
     @functools.cached_property
     def _table(self) -> _Table:
         """The ∘ᵢ compositions and the action on integers: maps in
-        ``all_maps`` order; units[b], the index of b's identity; comp[g][i],
-        from the index of each f in g's bucket of ``fitting`` at slot i
-        (0-based), in bucket order, to that of g ∘ᵢ f; act[k], from each
-        non-identity operad morphism phi out of the type of maps[k] to the
-        index of phi acting on it.  Built on first use, evaluating every ∘ᵢ
-        key in ``generator_subst_keys`` order (an all-identity key at i > 0
-        is a memo hit), so that the first absent or out-of-hom entry raises
-        its ``StructureError``; then the action."""
+        ``all_maps`` order; index, each multimap's position there; units[b],
+        the index of b's identity; comp[g][i], from the index of each f in
+        g's bucket of ``fitting`` at slot i (0-based), in bucket order, to
+        that of g ∘ᵢ f; act[k], from each non-identity operad morphism phi
+        out of the type of maps[k] to the index of phi acting on it.  Built
+        on first use, evaluating every ∘ᵢ key in ``_keys`` order (an
+        all-identity key at i > 0 is a memo hit), so that the first absent
+        or out-of-hom entry raises its ``StructureError``; then the action."""
         maps = list(self.all_maps())
         index = {f: k for k, f in enumerate(maps)}
         comp = [[{index[f]: index[self.subst_after(g, i, f)]
@@ -227,7 +222,7 @@ class TMulticategory:
         for phi, key in _action_sites(self.operad, self.max_arity, sorted(self.homs)):
             for k in self.maps(key):
                 act[index[k]][phi] = index[self.act(phi, k)]
-        return _Table(maps, {b: index[u] for b, u in self._units.items()}, comp, act)
+        return _Table(maps, index, {b: index[u] for b, u in self._units.items()}, comp, act)
 
     def materialize(self) -> tuple[dict, dict]:
         """The action table, (phi, hom key) -> {id: image id} at each action
@@ -335,7 +330,7 @@ def check_tmulticat(m: TMulticategory) -> list[Violation]:
     cross-checks the verdict against nested full quantification
     (``tests/naive_oracles.py``)."""
     off_fold = _validate_structure(m)
-    maps, units, comp, act = m._table
+    maps, _, units, comp, act = m._table
     out: list[Violation] = []
 
     # action functoriality: composites of non-identity morphisms
@@ -548,13 +543,14 @@ def from_tight_subsets(m: TMulticategory, tight: dict[tuple[tuple[str, ...], str
     def is_tight(mm_: MultiMap) -> bool:
         return mm_.arity > 0 and mm_.mid in tight.get((mm_.inputs, mm_.output), frozenset())
 
-    for g, fs in m.generator_subst_keys():
-        if is_tight(g) and is_tight(fs[0]):
-            res = m.substitute(g, fs)
-            if not is_tight(res):
-                raise StructureError(
-                    f"tight class not closed: {g.mid}({[f.mid for f in fs]}) = {res.mid} "
-                    f"at {res.key!r} is not tight")
+    maps, comp = m._table.maps, m._table.comp
+    for g, i, f in m._keys():
+        gm, res = maps[g], maps[comp[g][i][f]]
+        if is_tight(gm) and (i or is_tight(maps[f])) and not is_tight(res):
+            fs = m._inners(gm, i, maps[f])
+            raise StructureError(
+                f"tight class not closed: {gm.mid}({[h.mid for h in fs]}) = {res.mid} "
+                f"at {res.key!r} is not tight")
 
     homs: dict[HomKey, tuple[str, ...]] = {}
     for (x0, inputs, output), mids in m.homs.items():
@@ -619,13 +615,13 @@ class MulticatMorphism:
 def check_morphism(f: MulticatMorphism) -> list[Violation]:
     """The identity, action and ∘ᵢ substitution equations that f breaks.
 
-    Substitution is checked on ``generator_subst_keys`` only, the keys on
-    which either endpoint evaluates its rule.  Every other substitution is
-    the fold of ∘ᵢ steps within the bound (Markl, arXiv:math/0601129, §1),
-    and on lawful endpoints f preserves it step by step.  Rows that a file
-    stores for those substitutions are checked against the fold by
-    ``check_tmulticat``, not here; the tests' full sweep
-    (``tests/naive_oracles.py``) is the reference."""
+    The action and ∘ᵢ equations are read off both endpoints' ``_table`` by
+    ``_broken_equations``.  Every other substitution is the fold of ∘ᵢ
+    steps within the bound (Markl, arXiv:math/0601129, §1), and on lawful
+    endpoints f preserves it step by step.  Rows that a file stores for
+    those substitutions are checked against the fold by ``check_tmulticat``,
+    not here; the tests' full sweep (``tests/naive_oracles.py``) is the
+    reference."""
     src, tgt = f.source, f.target
     if src.operad.name != tgt.operad.name or src.max_arity != tgt.max_arity:
         raise StructureError("morphism endpoints do not share operad and bound")
@@ -644,31 +640,32 @@ def check_morphism(f: MulticatMorphism) -> list[Violation]:
     for a in src.objects:
         if f.on_map(src.identity(a)) != tgt.identity(f.obj_map[a]):
             out.append(Violation.of("morphism-identity", obj=a))
-    out.extend(_broken_equations(src, tgt, f.on_map,
-                                 _action_sites(src.operad, src.max_arity, src.homs),
-                                 src.generator_subst_keys()))
+    s, t = src._table, tgt._table
+    img = [t.index[f.on_map(mm_)] for mm_ in s.maps]
+    sites = ((s.index[mm_], phi)
+             for phi, key in _action_sites(src.operad, src.max_arity, src.homs)
+             for mm_ in src.maps(key))
+    out.extend(_broken_equations(src, tgt, img, sites, src._keys()))
     return out
 
 
-def _broken_equations(src: TMulticategory, tgt: TMulticategory,
-                      image: Callable[[MultiMap], MultiMap | None],
-                      action_sites, subst_instances) -> Iterator[Violation]:
-    """The action equations at the given (phi, hom key) sites and the
-    substitution equations at the given (outer, inners) instances that the
-    hom-map assignment ``image`` breaks.  An equation that names a multimap
-    whose image is None is skipped."""
-    for fmor, key in action_sites:
-        for mm_ in src.maps(key):
-            lhs, arg = image(src.act(fmor, mm_)), image(mm_)
-            if lhs is not None and arg is not None and lhs != tgt.act(fmor, arg):
-                yield Violation.of("morphism-action", phi=fmor, m=mm_.mid)
-    for g, fs in subst_instances:
-        lhs, gi = image(src.substitute(g, fs)), image(g)
-        fsi = tuple(image(x) for x in fs)
-        if lhs is None or gi is None or any(x is None for x in fsi):
-            continue
-        if lhs != tgt.substitute(gi, fsi):
-            yield Violation.of("morphism-substitution", g=g.mid,
+def _broken_equations(src: TMulticategory, tgt: TMulticategory, img: list,
+                      action_sites, keys) -> Iterator[Violation]:
+    """The action equations at the (k, phi) sites and the ∘ᵢ equations at
+    the (g, i, f) keys, indices into src's ``_table``, that img breaks: it
+    sends each index of src's maps to one of tgt's, or to None where none is
+    assigned yet, and an equation that names None is skipped.  A ∘ᵢ
+    equation has tgt's identities in the slots other than i."""
+    s, t = src._table, tgt._table
+    for k, phi in action_sites:
+        lhs, arg = img[s.act[k][phi]], img[k]
+        if None not in (lhs, arg) and lhs != t.act[arg][phi]:
+            yield Violation.of("morphism-action", phi=phi, m=s.maps[k].mid)
+    for g, i, f in keys:
+        lhs, gi, fi = img[s.comp[g][i][f]], img[g], img[f]
+        if None not in (lhs, gi, fi) and lhs != t.comp[gi][i][fi]:
+            fs = src._inners(s.maps[g], i, s.maps[f])
+            yield Violation.of("morphism-substitution", g=s.maps[g].mid,
                                fs=str([x.mid for x in fs]))
 
 
@@ -686,10 +683,11 @@ def iso_search(m: TMulticategory, n: TMulticategory) -> MulticatMorphism | None:
     """First isomorphism in canonical order, or None.
 
     Substitution preservation is verified on single-position substitutions,
-    read off m's ``_table``; for inputs satisfying the multicategory laws
-    this forces preservation of all substitutions, since every substitution
-    factors through them.  Only the forward map is returned: the inverse of
-    a bijective morphism is a morphism too.
+    decided on both tables by ``_broken_equations`` as in ``check_morphism``;
+    for inputs satisfying the multicategory laws this forces preservation
+    of all substitutions, since every substitution factors through them.
+    Only the forward map is returned: the inverse of a bijective morphism
+    is a morphism too.
     """
     if m.operad.name != n.operad.name or m.max_arity != n.max_arity:
         return None
@@ -699,22 +697,24 @@ def iso_search(m: TMulticategory, n: TMulticategory) -> MulticatMorphism | None:
     hom_keys = sorted(k for k in m.homs if m.homs[k])
     key_index = {k: i for i, k in enumerate(hom_keys)}
 
-    # Constraints indexed by the last hom (in assignment order) they mention.
-    # Both sides of one lie in one hom; if m's has at most one multimap, so
-    # has its image under every size-respecting sigma, and it holds.
+    # Constraints, (k, phi) and (g, i, f) indices, listed under the last hom
+    # (in assignment order) they mention.  Both sides of one lie in one hom;
+    # if m's has at most one multimap, so has its image under every
+    # size-respecting sigma, and it holds.
     act_constraints: list[list] = [[] for _ in hom_keys]
     sub_constraints: list[list] = [[] for _ in hom_keys]
-    for fmor, key in _action_sites(m.operad, m.max_arity, hom_keys):
-        okey = (m.operad.component(len(key[1])).tgt(fmor), key[1], key[2])
-        if len(m.homs[okey]) > 1:
-            act_constraints[max(key_index[key], key_index[okey])].append((fmor, key))
     t = m._table
+    for k, acts in enumerate(t.act):
+        for phi, r in acts.items():
+            okey = t.maps[r].key
+            if len(m.homs[okey]) > 1:
+                act_constraints[max(key_index[t.maps[k].key], key_index[okey])].append((k, phi))
     for g, i, f in m._keys():
         gm, rkey = t.maps[g], t.maps[t.comp[g][i][f]].key
         if len(m.homs[rkey]) > 1:
             fs = m._inners(gm, i, t.maps[f])
             involved = {key_index[gm.key], key_index[rkey], *(key_index[x.key] for x in fs)}
-            sub_constraints[max(involved)].append((gm, fs))
+            sub_constraints[max(involved)].append((g, i, f))
 
     src_objs = sorted(m.objects)
     for perm in itertools.permutations(sorted(n.objects)):
@@ -735,17 +735,12 @@ def _assign_homs(m, n, sigma, keys, act_constraints, sub_constraints):
     iterator of candidate tables per assigned key instead of recursing, so
     its depth is the number of keys, not the interpreter's stack."""
     assigned: dict[HomKey, dict[str, str]] = {}
-
-    def image(mm_: MultiMap) -> MultiMap | None:
-        table = assigned.get(mm_.key)
-        if table is None:
-            return None
-        return MultiMap(mm_.x, tuple(sigma[a] for a in mm_.inputs),
-                        sigma[mm_.output], table[mm_.mid])
+    s_index, t_index = m._table.index, n._table.index
+    img: list[int | None] = [None] * len(s_index)
 
     def candidates(idx: int) -> Iterator[bool]:
         """Leaves each table for keys[idx] that breaks no constraint in
-        ``assigned`` while the walk goes deeper, and removes it when done."""
+        ``assigned`` and img while the walk goes deeper, then removes it."""
         key = keys[idx]
         tgt_key = (key[0], tuple(sigma[a] for a in key[1]), sigma[key[2]])
         forced = {}
@@ -755,10 +750,14 @@ def _assign_homs(m, n, sigma, keys, act_constraints, sub_constraints):
                 return
         for table in _hom_bijections(m.homs[key], n.homs[tgt_key], forced):
             assigned[key] = table
-            broken = _broken_equations(m, n, image, act_constraints[idx], sub_constraints[idx])
+            for mm_ in m.maps(key):
+                img[s_index[mm_]] = t_index[MultiMap(*tgt_key, table[mm_.mid])]
+            broken = _broken_equations(m, n, img, act_constraints[idx], sub_constraints[idx])
             if next(broken, None) is None:
                 yield True
         assigned.pop(key, None)
+        for mm_ in m.maps(key):
+            img[s_index[mm_]] = None
 
     stack: list[Iterator[bool]] = []
     while len(stack) < len(keys):

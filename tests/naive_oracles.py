@@ -7,6 +7,9 @@ the two sides can disagree if either is wrong.
 
 import itertools
 
+from skewcat.fincat import Functor
+from skewcat.skewmon import LaxMonoidalFunctor
+
 
 def naive_check_category(cat) -> bool:
     mors = {m: (s, t) for m, s, t in cat.morphisms}
@@ -570,3 +573,20 @@ def naive_closed_pair_ok(s, h, b, c, e) -> bool:
                 if not _naive_bijective(images, s.hom(rx, inputs + (b,), c)):
                     return False
     return True
+
+
+def invert_lax(lax):
+    """The inverse of a lax monoidal functor that is an isomorphism of
+    categories with invertible structure maps: the inverse functor, with
+    each structure map inverted and carried back along it."""
+    c, d, fun = lax.source, lax.target, lax.functor
+    inv_obj = {v: k for k, v in fun.obj_map.items()}
+    inv_mor = {v: k for k, v in fun.mor_map.items()}
+    gun = Functor(d.base, c.base, inv_obj, inv_mor)
+    binary = {}
+    for a in d.base.objects:
+        for b in d.base.objects:
+            f2 = lax.binary[(inv_obj[a], inv_obj[b])]
+            binary[(a, b)] = inv_mor[d.base.inverse(f2)]
+    unit = inv_mor[d.base.inverse(lax.unit)]
+    return LaxMonoidalFunctor(d, c, gun, binary, unit)

@@ -277,27 +277,66 @@ def test_iso_search_rejects_a_swap_in_one_hom_of_two_maps():
     _certify(fwd)
 
 
-@pytest.mark.parametrize("structure, mutants", [
-    (z2_monoidal, 21), (two_chain_fst, 0), (two_chain_snd, 0)])
-def test_check_morphism_agrees_with_the_full_sweep_on_every_mutant(structure, mutants):
-    # check_morphism checks substitution on the ∘ᵢ keys, the oracle on every
-    # stored key; a mutant sends one hom into its target hom differently
-    # (each other bijection, and each change of one entry)
-    fwd = _roundtrip_iso(structure, 3)
-    assert check_morphism(fwd) == [] and naive_is_morphism(fwd)
-    count = 0
+def _hom_mutants(fwd):
+    """(hom key, mutant) for each morphism that sends one hom of fwd into
+    its target hom differently: each other bijection, and each change of
+    one entry, hom by hom in sorted order."""
     for key, table in sorted(fwd.hom_maps.items()):
         ids = sorted(table)
         for values in itertools.product(sorted(set(table.values())), repeat=len(ids)):
             new = dict(zip(ids, values))
-            if new == table:
-                continue
-            mutant = MulticatMorphism(fwd.source, fwd.target, fwd.obj_map,
-                                      {**fwd.hom_maps, key: new})
-            assert (check_morphism(mutant) == []) == naive_is_morphism(mutant)
-            count += 1
+            if new != table:
+                yield key, MulticatMorphism(fwd.source, fwd.target, fwd.obj_map,
+                                            {**fwd.hom_maps, key: new})
+
+
+@pytest.mark.parametrize("structure, mutants", [
+    (z2_monoidal, 21), (two_chain_fst, 0), (two_chain_snd, 0)])
+def test_check_morphism_agrees_with_the_full_sweep_on_every_mutant(structure, mutants):
+    # check_morphism checks substitution on the ∘ᵢ keys, the oracle on every
+    # stored key
+    fwd = _roundtrip_iso(structure, 3)
+    assert check_morphism(fwd) == [] and naive_is_morphism(fwd)
+    count = 0
+    for _, mutant in _hom_mutants(fwd):
+        assert (check_morphism(mutant) == []) == naive_is_morphism(mutant)
+        count += 1
     # fst and snd have no hom of two or more maps at arity 3
     assert count == mutants
+
+
+# sha256, as in ``_violations_digest``, over the check_morphism violation
+# lists of the 96 one-hom mutants that preserve identities, labelled
+# "<iso> <hom key>": of the Z/2 round-trip isomorphism at arity 3 and of the
+# first self-isomorphisms of the parallel-pair first projection and of
+# Z/2 × fst at arity 2 (4,343 violations).  Taken while check_morphism
+# compared hashed multimaps, so it pins its lists and their order.
+MORPHISM_MUTANTS_DIGEST = "6fe03b1256e8cd1fce8ed18ac8b68c8a7a08394fa5bcec8ffe8a54ed6ff34797"
+
+
+def test_check_morphism_violation_lists_match_digest_in_order():
+    """A mutant that breaks an identity may state its ∘ᵢ equations with
+    either endpoint's identities in the other slots, so only its
+    ``morphism-identity`` report is pinned."""
+    isos = [("z2@3", _roundtrip_iso(z2_monoidal, 3))]
+    for name, c in (("projection@2", initial_projection(parallel_pair_category(), "x")),
+                    ("z2xfst@2", product_monoidal(z2_monoidal(), two_chain_fst()))):
+        s = monoidal_to_multicat(c, 2)
+        isos.append((name, iso_search(s, s)))
+    cases, identity_breaking = [], 0
+    for name, fwd in isos:
+        src, tgt = fwd.source, fwd.target
+        for key, mutant in _hom_mutants(fwd):
+            violations = check_morphism(mutant)
+            if all(mutant.on_map(src.identity(a)) == tgt.identity(fwd.obj_map[a])
+                   for a in src.objects):
+                cases.append((f"{name} {key!r}", violations))
+            else:
+                assert "morphism-identity" in {v.law for v in violations}
+                identity_breaking += 1
+    assert (len(cases), identity_breaking) == (96, 6)
+    assert sum(len(violations) for _, violations in cases) == 4343
+    assert _violations_digest(cases) == MORPHISM_MUTANTS_DIGEST
 
 
 def test_check_morphism_reports_a_broken_action_alone(z2m):
@@ -316,6 +355,9 @@ def test_check_morphism_reports_a_broken_action_alone(z2m):
     assert "morphism-action" in laws
     assert "morphism-substitution" not in laws
     assert not naive_is_morphism(f)
+    # the search decides the same equations: only the action ones rule out
+    # the identity maps, and no other bijection is an isomorphism
+    assert iso_search(z2m, copy) is None
 
 
 def test_a_naturality_square_with_no_operad_morphism_is_a_structure_error():
@@ -594,7 +636,7 @@ def test_violation_lists_match_digest_in_order():
 
 # sha256, as above, over the violation lists of the one-entry ∘ᵢ mutants of
 # the first projection on the parallel pair at arity 2, one per ∘ᵢ key into a
-# hom of two multimaps, in ``generator_subst_keys`` order (686 violations).
+# hom of two multimaps, in ``_keys`` order (686 violations).
 # Taken while associativity was still skipped only when every hom is thin.
 PROJECTION_MUTANTS_DIGEST = "219080f92ebe8f43a245ea8973578db1e1218777cc8a1c018882ada580057abc"
 
@@ -602,10 +644,12 @@ PROJECTION_MUTANTS_DIGEST = "219080f92ebe8f43a245ea8973578db1e1218777cc8a1c01888
 def _mutation_sites(m):
     """(∘ᵢ key, id) for each ∘ᵢ key of m into a hom of two or more
     multimaps and each other member of that hom, in order."""
+    maps, comp = m._table.maps, m._table.comp
     sites = []
-    for g, fs in m.generator_subst_keys():
-        r = m.substitute(g, fs)
-        sites.extend(((g, fs), other) for other in m.homs[r.key] if other != r.mid)
+    for g, i, f in m._keys():
+        r = maps[comp[g][i][f]]
+        key = (maps[g], m._inners(maps[g], i, maps[f]))
+        sites.extend((key, other) for other in m.homs[r.key] if other != r.mid)
     return sites
 
 
@@ -646,8 +690,8 @@ def test_associativity_mutants_of_the_projection_at_arity_two():
 
 
 # sha256, as above, over the violation lists of every 76th of the 456
-# one-entry ∘ᵢ mutants of the same projection at arity 3, in
-# ``generator_subst_keys`` order (6 mutants, 201 violations).  Taken while
+# one-entry ∘ᵢ mutants of the same projection at arity 3, in ``_keys``
+# order (6 mutants, 201 violations).  Taken while
 # associativity skipped every outer map into a or x.
 PROJECTION_MUTANTS_AT_3_DIGEST = "bc8875c60158b7854ca766191744183ae43d2dc7db698858c30ed52cce7326e6"
 
