@@ -128,8 +128,9 @@ def _load(path: str):
     raise StructureError(f"unrecognized schema with keys {sorted(keys)}")
 
 
-def _arity(value: int) -> int:
-    arity_bound(value, "--max-arity")
+def _applied_arity(value: int) -> int:
+    """--max-arity where it applies, to a skew monoidal input (a
+    multicategory file is read at its own max_arity), with a cost warning."""
     if value >= 5:
         print(f"warning: --max-arity {value} is combinatorially expensive",
               file=sys.stderr)
@@ -155,14 +156,14 @@ def cmd_check(path: str) -> int:
 
 
 def cmd_analyze(path: str, max_arity: int) -> int:
-    max_arity = _arity(max_arity)
+    arity_bound(max_arity, "--max-arity")
     kind, value = _load(path)
     if kind == "category":
         raise StructureError("analyze expects a skew multicategory or skew monoidal category")
     if kind == "monoidal":
         if _fails_own_laws(kind, check_skew_monoidal(value), "analyzing"):
             return 1
-        value = monoidal_to_multicat(value, max_arity)
+        value = monoidal_to_multicat(value, _applied_arity(max_arity))
     elif value.operad.name != "R":
         raise StructureError("analyze requires tight/loose typing (operad R)")
     elif _fails_own_laws(kind, check_tmulticat(value), "analyzing"):
@@ -174,14 +175,14 @@ def cmd_analyze(path: str, max_arity: int) -> int:
 
 
 def cmd_convert(path: str, to: str, max_arity: int) -> int:
-    max_arity = _arity(max_arity)
+    arity_bound(max_arity, "--max-arity")
     kind, value = _load(path)
     if to == "multicat":
         if kind != "monoidal":
             raise StructureError("convert --to multicat expects a skew monoidal input")
         if _fails_own_laws(kind, check_skew_monoidal(value), "converting"):
             return 1
-        out = multicat_to_json(monoidal_to_multicat(value, max_arity))
+        out = multicat_to_json(monoidal_to_multicat(value, _applied_arity(max_arity)))
         _emit(out, f"converted to a skew multicategory at arity {max_arity}")
         return 0
     if kind != "multicat":
@@ -199,12 +200,12 @@ def cmd_convert(path: str, to: str, max_arity: int) -> int:
 
 
 def cmd_roundtrip(path: str, max_arity: int) -> int:
-    max_arity = _arity(max_arity)
+    arity_bound(max_arity, "--max-arity")
     kind, value = _load(path)
     if kind == "monoidal":
         if _fails_own_laws(kind, check_skew_monoidal(value), "converting"):
             return 1
-        verdict = roundtrip_monoidal(value, max_arity)
+        verdict = roundtrip_monoidal(value, _applied_arity(max_arity))
     elif kind == "multicat" and value.operad.name == "R":
         try:
             verdict = roundtrip_multicat(value)

@@ -58,33 +58,29 @@ class NormalColaxAlgebra:
         self._gamma_rule = gamma_rule
         self._cache: dict = {}
 
+    def _cached(self, tag: str, rule: Callable, *args) -> str:
+        """rule(*args), evaluated once per tag and arguments."""
+        key = (tag, *args)
+        cache = self._cache
+        if key not in cache:
+            cache[key] = rule(*args)
+        return cache[key]
+
     def m_obj(self, x: str, objs: tuple[str, ...]) -> str:
         if x == self.operad.unit and len(objs) == 1:
             return objs[0]
-        key = ("o", x, objs)
-        if key not in self._cache:
-            self._cache[key] = self._m_obj_rule(x, objs)
-        return self._cache[key]
+        return self._cached("o", self._m_obj_rule, x, objs)
 
     def m_mor(self, x: str, mors: tuple[str, ...]) -> str:
         if x == self.operad.unit and len(mors) == 1:
             return mors[0]
-        key = ("m", x, mors)
-        if key not in self._cache:
-            self._cache[key] = self._m_mor_rule(x, mors)
-        return self._cache[key]
+        return self._cached("m", self._m_mor_rule, x, mors)
 
     def op_mor(self, phi: str, objs: tuple[str, ...]) -> str:
-        key = ("p", phi, objs)
-        if key not in self._cache:
-            self._cache[key] = self._op_mor_rule(phi, objs)
-        return self._cache[key]
+        return self._cached("p", self._op_mor_rule, phi, objs)
 
     def gamma(self, x: str, inner: InnerSpec, blocks: tuple[tuple[str, ...], ...]) -> str:
-        key = ("g", x, inner, blocks)
-        if key not in self._cache:
-            self._cache[key] = self._gamma_rule(x, inner, blocks)
-        return self._cache[key]
+        return self._cached("g", self._gamma_rule, x, inner, blocks)
 
     # -- derived --------------------------------------------------------
 

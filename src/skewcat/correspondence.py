@@ -26,12 +26,13 @@ from .colaxalg import (
 from .fincat import StructureError, Violation, is_bijection_onto, is_epimorphism, preimage
 from .representability import ClassifierLookup, NotLeftRepresentable, find_closed_structure
 from .skewmon import (
-    SkewMonoidalCategory, is_closed_skew_monoidal, is_left_normal,
+    SkewMonoidalCategory, _whiskered, is_closed_skew_monoidal, is_left_normal,
     left_bracketed_tensor, left_bracketed_tensor_mor, make_skew_monoidal,
     monoidal_iso_search, unit_absorption,
 )
 from .tmulticat import (
-    MulticatMorphism, TMulticategory, check_morphism, iso_search, underlying_with_maps,
+    MulticatMorphism, TMulticategory, _image_key, check_morphism, iso_search,
+    underlying_with_maps,
 )
 
 
@@ -52,15 +53,6 @@ def _gather(c: SkewMonoidalCategory, prefix: str, zs: tuple[str, ...]) -> str:
     return c.base.comp(c.alpha[(prefix, inner, zs[-1])], step)
 
 
-def _insert_unit(c: SkewMonoidalCategory, prefix: str, tail: tuple[str, ...]) -> str:
-    """Right unit insertion after the prefix, whiskered up the spine:
-    lbt(prefix, tail) -> lbt(prefix, i, tail)."""
-    acc = c.rho[prefix]
-    for a in tail:
-        acc = c.t_mor_left(acc, a)
-    return acc
-
-
 def gamma_word(c: SkewMonoidalCategory, x: str, inner: InnerSpec,
                blocks: tuple[tuple[str, ...], ...]) -> str:
     """The comparison from the flattened left-bracketed word into the word of
@@ -77,8 +69,7 @@ def gamma_word(c: SkewMonoidalCategory, x: str, inner: InnerSpec,
             return c.rho[c.unit]
         if x1 == TIGHT:
             return _gather(c, c.unit, a)
-        return base.comp(_gather(c, c.unit, (c.unit,) + a),
-                         _insert_unit(c, c.unit, a))
+        return base.comp(_gather(c, c.unit, (c.unit,) + a), _whiskered(c, c.rho[c.unit], a))
     prev_inner, prev_blocks = inner[:-1], blocks[:-1]
     (xn, kn), an = inner[-1], blocks[-1]
     eps = _loose_composite(c, x, inner)
@@ -90,8 +81,8 @@ def gamma_word(c: SkewMonoidalCategory, x: str, inner: InnerSpec,
     elif xn == TIGHT:
         step_a = _gather(c, prefix, an)
     else:
-        step_a = base.comp(_gather(c, prefix, (c.unit,) + an),
-                           _insert_unit(c, prefix, an))
+        # right unit insertion after the prefix, whiskered up the spine
+        step_a = base.comp(_gather(c, prefix, (c.unit,) + an), _whiskered(c, c.rho[prefix], an))
     prev = gamma_word(c, x, prev_inner, prev_blocks)
     return base.comp(c.t_mor_left(prev, bn), step_a)
 
@@ -212,8 +203,7 @@ def _certify(fwd: MulticatMorphism) -> None:
     if not is_bijection_onto(list(ob.values()), tgt.objects):
         broken.append(Violation.of("morphism-bijection", objects=str(ob)))
     for key, table in sorted(fwd.hom_maps.items()):
-        tkey = (key[0], tuple(ob[a] for a in key[1]), ob[key[2]])
-        if not is_bijection_onto(list(table.values()), tgt.homs.get(tkey, ())):
+        if not is_bijection_onto(list(table.values()), tgt.homs.get(_image_key(key, ob), ())):
             broken.append(Violation.of("morphism-bijection", key=str(key)))
     if broken:
         raise _Uncertified(broken)

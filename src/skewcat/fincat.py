@@ -7,6 +7,7 @@ operation here is a pure function, so values can be shared freely.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 
@@ -227,6 +228,32 @@ def is_bijection_onto(images: list, target: tuple) -> bool:
     return (len(images) == len(target)
             and len(set(images)) == len(images)
             and set(images) == set(target))
+
+
+def _object_bijections(src_objects, tgt_objects, sizes: dict, image_size):
+    """Each bijection sigma of the sorted src_objects onto a permutation of
+    the sorted tgt_objects, in ``itertools.permutations`` order, with
+    image_size(key, sigma) == n for each hom key and size n in sizes."""
+    if len(src_objects) != len(tgt_objects):
+        return
+    src = sorted(src_objects)
+    for perm in itertools.permutations(sorted(tgt_objects)):
+        sigma = dict(zip(src, perm))
+        if all(image_size(key, sigma) == n for key, n in sizes.items()):
+            yield sigma
+
+
+def _hom_bijections(src_ids, tgt_ids, forced: dict[str, str]):
+    """Each bijection of src_ids onto tgt_ids that extends the forced pairs,
+    as a dict, in the ``itertools.permutations`` order of tgt_ids: a forced
+    pair never decides a lexicographic comparison."""
+    images = set(forced.values())
+    src_rest = [x for x in src_ids if x not in forced]
+    tgt_rest = [y for y in tgt_ids if y not in images]
+    for perm in itertools.permutations(tgt_rest):
+        table = dict(forced)
+        table.update(zip(src_rest, perm))
+        yield table
 
 
 def preimage(candidates, image, target):

@@ -22,9 +22,9 @@ import itertools
 from dataclasses import dataclass
 
 from .fincat import (
-    FinCategory, Functor, StructureError, Violation, _json_array, _no_repeat, _str_id,
-    category_from_json, category_to_json, check_category, check_functor,
-    is_bijection_onto, is_epimorphism,
+    FinCategory, Functor, StructureError, Violation, _hom_bijections, _json_array,
+    _no_repeat, _object_bijections, _str_id, category_from_json, category_to_json,
+    check_category, check_functor, is_bijection_onto, is_epimorphism,
 )
 
 
@@ -232,15 +232,20 @@ def left_bracketed_tensor_mor(c: SkewMonoidalCategory, mors: tuple[str, ...],
     return acc
 
 
+def _whiskered(c: SkewMonoidalCategory, f: str, objs: tuple[str, ...]) -> str:
+    """f tensored on the right with the identities of objs, one at a time,
+    up the left-bracketed spine: (f ⊗ 1_a1) ⊗ ... ⊗ 1_an."""
+    for a in objs:
+        f = c.t_mor_left(f, a)
+    return f
+
+
 def unit_absorption(c: SkewMonoidalCategory, objs: tuple[str, ...]) -> str:
-    """The comparison i·a1...an -> a1...an: the left unit map at a1, tensored
-    on the right with identities up the left-bracketed spine."""
+    """The comparison i·a1...an -> a1...an: the left unit map at a1,
+    whiskered up the spine."""
     if not objs:
         raise StructureError("need at least one object")
-    acc = c.lambda_[objs[0]]
-    for a in objs[1:]:
-        acc = c.t_mor_left(acc, a)
-    return acc
+    return _whiskered(c, c.lambda_[objs[0]], objs[1:])
 
 
 @dataclass(frozen=True)
@@ -338,26 +343,16 @@ def check_lax_monoidal(f: LaxMonoidalFunctor) -> list[Violation]:
 
 
 def _functor_isos(c: FinCategory, d: FinCategory):
-    """Invertible functors c -> d, in canonical order."""
-    if len(c.objects) != len(d.objects) or len(c.morphisms) != len(d.morphisms):
-        return
-    src_objs = sorted(c.objects)
-    for perm in itertools.permutations(sorted(d.objects)):
-        sigma = dict(zip(src_objs, perm))
-        homs = [(a, b) for a in src_objs for b in src_objs]
-        if any(len(c.hom(a, b)) != len(d.hom(sigma[a], sigma[b])) for a, b in homs):
-            continue
-        per_hom = []
-        for a, b in homs:
-            source = c.hom(a, b)
-            targets = d.hom(sigma[a], sigma[b])
-            tables = []
-            for perm2 in itertools.permutations(targets):
-                table = dict(zip(source, perm2))
-                if a == b and table.get(c.id_of(a)) != d.id_of(sigma[a]):
-                    continue
-                tables.append(table)
-            per_hom.append(tables)
+    """Invertible functors c -> d, in canonical order: per object bijection
+    that keeps every hom's size, the product over sorted hom pairs of the
+    hom bijections that fix identities, kept where composition is."""
+    objs = sorted(c.objects)
+    sizes = {(a, b): len(c.hom(a, b)) for a in objs for b in objs}
+    for sigma in _object_bijections(c.objects, d.objects, sizes,
+                                    lambda ab, s: len(d.hom(s[ab[0]], s[ab[1]]))):
+        per_hom = [list(_hom_bijections(c.hom(a, b), d.hom(sigma[a], sigma[b]),
+                                        {c.id_of(a): d.id_of(sigma[a])} if a == b else {}))
+                   for a, b in sizes]
         for choice in itertools.product(*per_hom):
             mor_map = {}
             for table in choice:

@@ -35,8 +35,8 @@ from typing import Callable, Iterator
 
 from .catoperad import LAM, LOOSE, TIGHT, CatOperad, operad_by_name
 from .fincat import (
-    FinCategory, StructureError, Violation, _json_array, _json_object, _no_repeat,
-    _str_id, check_category,
+    FinCategory, StructureError, Violation, _hom_bijections, _json_array, _json_object,
+    _no_repeat, _object_bijections, _str_id, check_category,
 )
 
 HomKey = tuple[str, tuple[str, ...], str]  # (x, inputs, output)
@@ -232,10 +232,6 @@ class TMulticategory:
                   for fmor, key in _action_sites(self.operad, self.max_arity, sorted(self.homs))}
         subst = {key: self.substitute(*key).mid for key in self.subst_keys()}
         return action, subst
-
-    def tables_equal(self, other: "TMulticategory") -> bool:
-        """Bit-exact comparison of the materialized content: equal files."""
-        return multicat_to_json(self) == multicat_to_json(other)
 
 
 def signatures(operad: CatOperad, items, max_arity: int
@@ -562,13 +558,8 @@ def from_tight_subsets(m: TMulticategory, tight: dict[tuple[tuple[str, ...], str
     def action_rule(fmor: str, mm_: MultiMap) -> str:
         return mm_.mid  # tight maps are a subset; the comparison is the inclusion
 
-    def subst_rule(g: MultiMap, fs: tuple[MultiMap, ...]) -> str:
-        gn = MultiMap(TIGHT, g.inputs, g.output, g.mid)
-        fsn = tuple(MultiMap(TIGHT, f.inputs, f.output, f.mid) for f in fs)
-        return m.substitute(gn, fsn).mid
-
     return make_multicat(r, m.objects, m.max_arity, homs, dict(m.identities),
-                         action_rule=action_rule, subst_rule=subst_rule)
+                         action_rule=action_rule, subst_rule=_retyped_subst(m, TIGHT))
 
 
 def all_tight(m: TMulticategory) -> TMulticategory:
@@ -587,14 +578,18 @@ def loose_part(s: TMulticategory) -> TMulticategory:
         if x == LOOSE:
             homs[(TIGHT, inputs, output)] = mids
     identities = {a: s.act(LAM, s.identity(a)).mid for a in s.objects}
-
-    def subst_rule(g: MultiMap, fs: tuple[MultiMap, ...]) -> str:
-        gl = MultiMap(LOOSE, g.inputs, g.output, g.mid)
-        fsl = tuple(MultiMap(LOOSE, f.inputs, f.output, f.mid) for f in fs)
-        return s.substitute(gl, fsl).mid
-
     return make_multicat(n_op, s.objects, s.max_arity, homs, identities,
-                         action_rule=lambda fmor, m: m.mid, subst_rule=subst_rule)
+                         action_rule=lambda fmor, m: m.mid, subst_rule=_retyped_subst(s, LOOSE))
+
+
+def _retyped_subst(m: TMulticategory, x: str) -> Callable:
+    """The substitution rule that substitutes in m with every map retyped
+    to x."""
+    def subst_rule(g: MultiMap, fs: tuple[MultiMap, ...]) -> str:
+        return m.substitute(MultiMap(x, g.inputs, g.output, g.mid),
+                            tuple(MultiMap(x, f.inputs, f.output, f.mid) for f in fs)).mid
+
+    return subst_rule
 
 
 # -- morphisms and isomorphism search -----------------------------------------
@@ -607,9 +602,13 @@ class MulticatMorphism:
     hom_maps: dict[HomKey, dict[str, str]]  # source hom key -> per-id assignment
 
     def on_map(self, m: MultiMap) -> MultiMap:
-        mid = self.hom_maps[m.key][m.mid]
-        return self.target.mm(m.x, tuple(self.obj_map[a] for a in m.inputs),
-                              self.obj_map[m.output], mid)
+        return self.target.mm(*_image_key(m.key, self.obj_map), self.hom_maps[m.key][m.mid])
+
+
+def _image_key(key: HomKey, obj_map: dict[str, str]) -> HomKey:
+    """The hom key that an object map sends key to."""
+    x, inputs, output = key
+    return x, tuple([obj_map[a] for a in inputs]), obj_map[output]
 
 
 def check_morphism(f: MulticatMorphism) -> list[Violation]:
@@ -632,8 +631,7 @@ def check_morphism(f: MulticatMorphism) -> list[Violation]:
         table = f.hom_maps.get(key)
         if table is None or set(table) != set(mids):
             raise StructureError(f"hom map at {key!r} missing or not total")
-        tgt_key = (key[0], tuple(f.obj_map[a] for a in key[1]), f.obj_map[key[2]])
-        if not set(table.values()) <= set(tgt.homs.get(tgt_key, ())):
+        if not set(table.values()) <= set(tgt.homs.get(_image_key(key, f.obj_map), ())):
             raise StructureError(f"hom map at {key!r} escapes the target hom")
 
     out = []
@@ -653,34 +651,23 @@ def _broken_equations(src: TMulticategory, tgt: TMulticategory, img: list,
                       action_sites, keys) -> Iterator[Violation]:
     """The action equations at the (k, phi) sites and the ∘ᵢ equations at
     the (g, i, f) keys, indices into src's ``_table``, that img breaks: it
-    sends each index of src's maps to one of tgt's, or to None where none is
-    assigned yet, and an equation that names None is skipped.  A ∘ᵢ
-    equation has tgt's identities in the slots other than i."""
+    sends each index of src's maps to one of tgt's, and must be set at
+    every index that an equation reads.  A ∘ᵢ equation has tgt's identities
+    in the slots other than i."""
     s, t = src._table, tgt._table
     for k, phi in action_sites:
-        lhs, arg = img[s.act[k][phi]], img[k]
-        if None not in (lhs, arg) and lhs != t.act[arg][phi]:
+        if img[s.act[k][phi]] != t.act[img[k]][phi]:
             yield Violation.of("morphism-action", phi=phi, m=s.maps[k].mid)
     for g, i, f in keys:
-        lhs, gi, fi = img[s.comp[g][i][f]], img[g], img[f]
-        if None not in (lhs, gi, fi) and lhs != t.comp[gi][i][fi]:
+        if img[s.comp[g][i][f]] != t.comp[img[g]][i][img[f]]:
             fs = src._inners(s.maps[g], i, s.maps[f])
             yield Violation.of("morphism-substitution", g=s.maps[g].mid,
                                fs=str([x.mid for x in fs]))
 
 
-def _hom_bijections(src_mids, tgt_mids, forced: dict[str, str]):
-    """All bijections respecting the forced assignments, in a stable order."""
-    src_rest = [x for x in src_mids if x not in forced]
-    tgt_rest = [y for y in tgt_mids if y not in set(forced.values())]
-    for perm in itertools.permutations(tgt_rest):
-        table = dict(forced)
-        table.update(zip(src_rest, perm))
-        yield table
-
-
 def iso_search(m: TMulticategory, n: TMulticategory) -> MulticatMorphism | None:
-    """First isomorphism in canonical order, or None.
+    """First isomorphism in canonical order, or None: per object bijection
+    that keeps every hom's size, the first hom assignment of ``_assign_homs``.
 
     Substitution preservation is verified on single-position substitutions,
     decided on both tables by ``_broken_equations`` as in ``check_morphism``;
@@ -691,15 +678,14 @@ def iso_search(m: TMulticategory, n: TMulticategory) -> MulticatMorphism | None:
     """
     if m.operad.name != n.operad.name or m.max_arity != n.max_arity:
         return None
-    if len(m.objects) != len(n.objects):
-        return None
 
     hom_keys = sorted(k for k in m.homs if m.homs[k])
     key_index = {k: i for i, k in enumerate(hom_keys)}
 
     # Constraints, (k, phi) and (g, i, f) indices, listed under the last hom
-    # (in assignment order) they mention.  Both sides of one lie in one hom;
-    # if m's has at most one multimap, so has its image under every
+    # (in assignment order) they mention, so that every multimap one reads
+    # is assigned when it is decided.  Both sides of one lie in one hom; if
+    # m's has at most one multimap, so has its image under every
     # size-respecting sigma, and it holds.
     act_constraints: list[list] = [[] for _ in hom_keys]
     sub_constraints: list[list] = [[] for _ in hom_keys]
@@ -716,13 +702,9 @@ def iso_search(m: TMulticategory, n: TMulticategory) -> MulticatMorphism | None:
             involved = {key_index[gm.key], key_index[rkey], *(key_index[x.key] for x in fs)}
             sub_constraints[max(involved)].append((g, i, f))
 
-    src_objs = sorted(m.objects)
-    for perm in itertools.permutations(sorted(n.objects)):
-        sigma = dict(zip(src_objs, perm))
-        if any(len(m.homs[key]) != len(n.homs.get(
-                (key[0], tuple(sigma[a] for a in key[1]), sigma[key[2]]), ()))
-               for key in m.homs):
-            continue
+    sizes = {key: len(mids) for key, mids in m.homs.items()}
+    for sigma in _object_bijections(m.objects, n.objects, sizes,
+                                    lambda key, s: len(n.homs.get(_image_key(key, s), ()))):
         found = _assign_homs(m, n, sigma, hom_keys, act_constraints, sub_constraints)
         if found is not None:
             return MulticatMorphism(m, n, sigma, {k: found.get(k, {}) for k in m.homs})
@@ -730,19 +712,21 @@ def iso_search(m: TMulticategory, n: TMulticategory) -> MulticatMorphism | None:
 
 
 def _assign_homs(m, n, sigma, keys, act_constraints, sub_constraints):
-    """A bijection per hom key, in order, that breaks none of the constraints
-    indexed by its key, found depth first; or None.  The walk keeps one
-    iterator of candidate tables per assigned key instead of recursing, so
-    its depth is the number of keys, not the interpreter's stack."""
+    """A bijection per hom key, in order, that fixes identities and breaks
+    none of the constraints indexed by its key, found depth first; or None.
+    The walk keeps one iterator of candidate tables per assigned key instead
+    of recursing, so its depth is the number of keys, not the interpreter's
+    stack.  A constraint reads no key past its own, so what a backtracked
+    key leaves in assigned and img is overwritten before it is read."""
     assigned: dict[HomKey, dict[str, str]] = {}
     s_index, t_index = m._table.index, n._table.index
     img: list[int | None] = [None] * len(s_index)
 
     def candidates(idx: int) -> Iterator[bool]:
-        """Leaves each table for keys[idx] that breaks no constraint in
-        ``assigned`` and img while the walk goes deeper, then removes it."""
+        """Sets assigned and img to each table for keys[idx] that breaks no
+        constraint of its own, while the walk goes deeper."""
         key = keys[idx]
-        tgt_key = (key[0], tuple(sigma[a] for a in key[1]), sigma[key[2]])
+        tgt_key = _image_key(key, sigma)
         forced = {}
         if key[0] == m.operad.unit and len(key[1]) == 1 and key[1][0] == key[2]:
             forced[m.identities[key[2]]] = n.identities[sigma[key[2]]]
@@ -755,9 +739,6 @@ def _assign_homs(m, n, sigma, keys, act_constraints, sub_constraints):
             broken = _broken_equations(m, n, img, act_constraints[idx], sub_constraints[idx])
             if next(broken, None) is None:
                 yield True
-        assigned.pop(key, None)
-        for mm_ in m.maps(key):
-            img[s_index[mm_]] = None
 
     stack: list[Iterator[bool]] = []
     while len(stack) < len(keys):
@@ -766,7 +747,7 @@ def _assign_homs(m, n, sigma, keys, act_constraints, sub_constraints):
             stack.pop()
             if not stack:
                 return None
-    return dict(assigned)
+    return assigned
 
 
 # -- JSON ----------------------------------------------------------------------

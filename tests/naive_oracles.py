@@ -226,10 +226,10 @@ def naive_skew_monoidal_ok(c) -> bool:
 
 
 def naive_check_tmulticat(m) -> bool:
-    """Identity laws, naturality of every stored substitution in each operad
-    variable, and full associativity of every nested substitution whose
-    stages stay within the bound, by direct loops over the stored homs and
-    ``stored_substitution``."""
+    """Functoriality of the action, identity laws, naturality of every
+    stored substitution in each operad variable, and full associativity of
+    every nested substitution whose stages stay within the bound, by direct
+    loops over the stored homs and ``stored_substitution``."""
     op = m.operad
     subst = stored_substitution(m)
     maps = [m.mm(x, inputs, output, mid)
@@ -248,6 +248,11 @@ def naive_check_tmulticat(m) -> bool:
                 for rest in choices(slots[1:], budget - f.arity):
                     yield (f,) + rest
 
+    for g in maps:
+        comp = op.component(g.arity)
+        for (phi, psi), composite in comp.compose.items():
+            if comp.src(psi) == g.x and m.act(composite, g) != m.act(phi, m.act(psi, g)):
+                return False
     for g in maps:
         if subst(ident(g.output), (g,)) != g:
             return False
@@ -573,6 +578,41 @@ def naive_closed_pair_ok(s, h, b, c, e) -> bool:
                 if not _naive_bijective(images, s.hom(rx, inputs + (b,), c)):
                     return False
     return True
+
+
+def naive_functor_isos(c, d):
+    """Invertible functors c -> d in the order the library enumerates them:
+    each permutation of d's sorted objects against c's sorted ones whose
+    every hom keeps its size, then the product over hom pairs, in sorted
+    order, of every permutation of the target hom, dropping those that move
+    an identity, kept when the assembled map preserves endpoints,
+    identities and composition."""
+    if len(c.objects) != len(d.objects) or len(c.morphisms) != len(d.morphisms):
+        return
+    src_objs = sorted(c.objects)
+    for perm in itertools.permutations(sorted(d.objects)):
+        sigma = dict(zip(src_objs, perm))
+        homs = [(a, b) for a in src_objs for b in src_objs]
+        if any(len(c.hom(a, b)) != len(d.hom(sigma[a], sigma[b])) for a, b in homs):
+            continue
+        per_hom = []
+        for a, b in homs:
+            source = c.hom(a, b)
+            targets = d.hom(sigma[a], sigma[b])
+            tables = []
+            for perm2 in itertools.permutations(targets):
+                table = dict(zip(source, perm2))
+                if a == b and table.get(c.identity[a]) != d.identity[sigma[a]]:
+                    continue
+                tables.append(table)
+            per_hom.append(tables)
+        for choice in itertools.product(*per_hom):
+            mor_map = {}
+            for table in choice:
+                mor_map.update(table)
+            if all(d.compose.get((mor_map[g], mor_map[f])) == mor_map[gf]
+                   for (g, f), gf in c.compose.items()):
+                yield Functor(c, d, sigma, mor_map)
 
 
 def invert_lax(lax):

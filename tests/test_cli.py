@@ -218,6 +218,36 @@ def test_analyze_monoidal(tmp_path, capsys):
     assert out["checked_up_to_arity"] == 3
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["convert", "--to", "monoidal"],
+                                     ["roundtrip"]], ids=lambda c: c[0])
+def test_max_arity_is_not_applied_to_a_multicategory_file(tmp_path, capsys, command):
+    # the file is read at its own max_arity: the flag is validated, neither
+    # applied nor warned about
+    path = write(tmp_path, "z2_3.json", multicat_to_json(monoidal_to_multicat(z2_monoidal(), 3)))
+    outs = []
+    for flag in ("2", "3", "6"):
+        code, out, err = run(capsys, command[0], path, *command[1:], "--max-arity", flag)
+        assert code == 0 and "warning" not in err
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    if command == ["analyze"]:
+        assert outs[0]["checked_up_to_arity"] == 3
+    code, out, _ = run(capsys, command[0], path, *command[1:], "--max-arity", "7")
+    assert code == 2 and "from 1 to 6" in out["error"]
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["convert", "--to", "multicat"],
+                                     ["roundtrip"]], ids=lambda c: c[0])
+def test_max_arity_cost_warning_on_a_monoidal_input(tmp_path, capsys, command):
+    # the one-object, one-morphism category's one structure: cheap at arity 5
+    path = write(tmp_path, "one.json", skewmon_to_json(enumerate_skew_structures(
+        chain_category(1))[0]))
+    code, _, err = run(capsys, command[0], path, *command[1:], "--max-arity", "5")
+    assert code == 0 and "warning: --max-arity 5 is combinatorially expensive" in err
+    code, _, err = run(capsys, command[0], path, *command[1:], "--max-arity", "4")
+    assert code == 0 and "warning" not in err
+
+
 def test_analyze_rejects_plain_category(tmp_path, capsys):
     path = write(tmp_path, "cat.json", category_to_json(chain_category(2)))
     code, out, _ = run(capsys, "analyze", path)

@@ -44,9 +44,6 @@ ALLOWED = {
     "tmulticat.loose_part":
         "acceptance criteria 4 and 8: the loose multicategory that the "
         "non-representable instance refines and the naive oracle checks",
-    "tmulticat.TMulticategory.tables_equal":
-        "oracle role: bit-exact comparison of materialized tables in the JSON "
-        "and loose-part round-trip tests",
 }
 
 

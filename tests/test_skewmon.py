@@ -2,18 +2,19 @@ import itertools
 
 import pytest
 
-from skewcat.fincat import StructureError
+from skewcat.fincat import StructureError, opposite_category
 from skewcat.skewmon import (
-    check_lax_monoidal, check_skew_monoidal,
+    _functor_isos, check_lax_monoidal, check_skew_monoidal,
     is_closed_skew_monoidal, is_left_normal, lambda_all_epi,
     left_bracketed_tensor, make_skew_monoidal, monoidal_iso_search,
     skewmon_from_json, skewmon_to_json, unit_absorption,
 )
 from conftest import (
-    chain_category, initial_projection, parallel_pair_category, product_monoidal,
-    reversed_opposite, two_chain_fst, two_chain_snd, z2_monoidal,
+    chain_category, initial_projection, parallel_pair_category, product_category,
+    product_monoidal, reversed_opposite, two_chain_fst, two_chain_snd, z2_category,
+    z2_monoidal,
 )
-from naive_oracles import invert_lax, naive_skew_monoidal_ok
+from naive_oracles import invert_lax, naive_functor_isos, naive_skew_monoidal_ok
 
 
 def chain_monoidal(size, kind, unit):
@@ -219,6 +220,20 @@ def test_monoidal_iso_search_self(skew_fst, skew_snd, z2_strict):
         assert fwd is not None
         assert check_lax_monoidal(fwd) == []
         assert check_lax_monoidal(invert_lax(fwd)) == []
+
+
+@pytest.mark.parametrize("base", [
+    lambda: product_category(z2_category(), z2_category()),  # an endo-hom of four maps
+    z2_category,
+    lambda: chain_category(3),
+], ids=["z2xz2", "z2", "3-chain"])
+@pytest.mark.parametrize("opposite", [False, True], ids=["to-itself", "to-opposite"])
+def test_functor_isos_in_the_order_of_the_naive_enumeration(base, opposite):
+    # the opposite of the 3-chain is reached only by reversing the objects
+    c = base()
+    d = opposite_category(c) if opposite else c
+    found = list(_functor_isos(c, d))
+    assert found and found == list(naive_functor_isos(c, d))
 
 
 def test_monoidal_iso_search_distinguishes(skew_fst, skew_snd):
