@@ -182,7 +182,8 @@ def cmd_convert(path: str, to: str, max_arity: int) -> int:
             raise StructureError("convert --to multicat expects a skew monoidal input")
         if _fails_own_laws(kind, check_skew_monoidal(value), "converting"):
             return 1
-        out = multicat_to_json(monoidal_to_multicat(value, _applied_arity(max_arity)))
+        out = multicat_to_json(monoidal_to_multicat(value, _applied_arity(max_arity)),
+                               full=False)
         _emit(out, f"converted to a skew multicategory at arity {max_arity}")
         return 0
     if kind != "multicat":

@@ -20,9 +20,11 @@ full substitution is a fold of ∘ᵢ.
 Multimap ids are strings unique within their own hom set; distinct hom sets
 may reuse ids (a multimap is always addressed together with its signature).
 The operad action and substitution are rules evaluated on demand; the file
-reader wraps its stored tables as rules.  A file stores every substitution,
-so its rows with two or more non-identity inners are data that
-``check_tmulticat`` compares with the fold; ``substitute`` never reads them.
+reader wraps its stored tables as rules.  A file stores either exactly the ∘ᵢ
+rows, as ``skewcat convert --to multicat`` writes it, or every substitution;
+the rows of a full file with two or more non-identity inners are data that
+``check_tmulticat`` compares with the fold, and ``substitute`` never reads
+them.
 """
 
 from __future__ import annotations
@@ -224,13 +226,18 @@ class TMulticategory:
                 act[index[k]][phi] = index[self.act(phi, k)]
         return _Table(maps, index, {b: index[u] for b, u in self._units.items()}, comp, act)
 
-    def materialize(self) -> tuple[dict, dict]:
+    def materialize(self, *, full: bool = True) -> tuple[dict, dict]:
         """The action table, (phi, hom key) -> {id: image id} at each action
         site, and the substitution table, (g, fs) -> result id at each of
-        ``subst_keys``."""
+        ``subst_keys``, or with ``full=False`` at each ∘ᵢ key of ``_keys``."""
         action = {(fmor, key): {m.mid: self.act(fmor, m).mid for m in self.maps(key)}
                   for fmor, key in _action_sites(self.operad, self.max_arity, sorted(self.homs))}
-        subst = {key: self.substitute(*key).mid for key in self.subst_keys()}
+        if full:
+            subst = {key: self.substitute(*key).mid for key in self.subst_keys()}
+        else:
+            maps, _, _, comp, _ = self._table
+            subst = {(maps[g], self._inners(maps[g], i, maps[f])): maps[comp[g][i][f]].mid
+                     for g, i, f in self._keys()}
         return action, subst
 
 
@@ -318,13 +325,14 @@ def check_tmulticat(m: TMulticategory) -> list[Violation]:
     conversely full substitution is the fold of ∘ᵢ steps, which the two laws
     rearrange (Markl, arXiv:math/0601129, §1).
 
-    Only ∘ᵢ keys are evaluated.  A multicategory read from a file also
-    stores a row for every other substitution: each row must exist and its
-    result lie in the hom of its signature (else ``StructureError``), and a
-    row with two or more non-identity inners into a hom of two or more
-    elements that differs from the fold is family ``fold``.  The test suite
-    cross-checks the verdict against nested full quantification
-    (``tests/naive_oracles.py``)."""
+    Only ∘ᵢ keys are evaluated.  A multicategory read from a full file also
+    stores a row for every other substitution (the reader has checked that
+    none is missing): each row's result must lie in the hom of its signature
+    (else ``StructureError``), and a row with two or more non-identity
+    inners into a hom of two or more elements that differs from the fold is
+    family ``fold``.  A file of exactly the ∘ᵢ rows has no other row to
+    check.  The test suite cross-checks the verdict against nested full
+    quantification (``tests/naive_oracles.py``)."""
     off_fold = _validate_structure(m)
     maps, _, units, comp, act = m._table
     out: list[Violation] = []
@@ -439,13 +447,24 @@ def _subst_key_count(m: TMulticategory) -> int:
                for (_, inputs, _), mids in m.homs.items() if inputs)
 
 
+def _partial_key_count(m: TMulticategory) -> int:
+    """The number of ∘ᵢ keys, those of ``_keys``: every entry of ``comp``,
+    less the all-identity key of each slot past the first, whose row always
+    holds the identity."""
+    comp = m._table.comp
+    entries = sum([len(row) for rows in comp for row in rows])
+    return entries - sum([len(rows) - 1 for rows in comp if rows])
+
+
 def _validate_structure(m: TMulticategory) -> list[tuple[MultiMap, tuple[MultiMap, ...]]]:
-    """Check the operad components, evaluate every ∘ᵢ key, and check a
-    file's stored substitution rows; ``make_multicat`` has already checked
-    the signatures, the map ids and the identities, and the file reader the
-    key of every stored row.  Returns the stored keys with two or more
-    non-identity inners, into a hom of two or more elements, whose row
-    differs from the fold, in ``subst_keys`` order."""
+    """Check the operad components, evaluate every ∘ᵢ key, and check the
+    rows of a full file; ``make_multicat`` has already checked the
+    signatures, the map ids and the identities, and the file reader the key
+    of every stored row and that a file holds either exactly the ∘ᵢ rows
+    (it keeps no ``stored_subst`` then) or a row for every key.  Returns the
+    stored keys with two or more non-identity inners, into a hom of two or
+    more elements, whose row differs from the fold, in ``subst_keys``
+    order."""
     for n in range(m.max_arity + 1):
         if check_category(m.operad.component(n)):
             raise StructureError(f"operad component {n} is not a category")
@@ -453,10 +472,6 @@ def _validate_structure(m: TMulticategory) -> list[tuple[MultiMap, tuple[MultiMa
     rows = m.stored_subst
     if rows is None:
         return []
-    if len(rows) != _subst_key_count(m):
-        # the reader admits only valid keys, once each, so one is missing
-        missing = next(key for key in m.subst_keys() if key not in rows)
-        raise StructureError(f"no substitution entry for {_row_name(*missing)!r}")
     subst_obj, homs, units = m.operad.subst_obj, m.homs, m._units
     off_fold = set()
     for (g, fs), rid in rows.items():
@@ -555,11 +570,8 @@ def from_tight_subsets(m: TMulticategory, tight: dict[tuple[tuple[str, ...], str
             homs[(TIGHT, inputs, output)] = tuple(
                 mid for mid in mids if mid in tight.get((inputs, output), frozenset()))
 
-    def action_rule(fmor: str, mm_: MultiMap) -> str:
-        return mm_.mid  # tight maps are a subset; the comparison is the inclusion
-
     return make_multicat(r, m.objects, m.max_arity, homs, dict(m.identities),
-                         action_rule=action_rule, subst_rule=_retyped_subst(m, TIGHT))
+                         action_rule=_same_id, subst_rule=_retyped_subst(m, TIGHT))
 
 
 def all_tight(m: TMulticategory) -> TMulticategory:
@@ -579,7 +591,13 @@ def loose_part(s: TMulticategory) -> TMulticategory:
             homs[(TIGHT, inputs, output)] = mids
     identities = {a: s.act(LAM, s.identity(a)).mid for a in s.objects}
     return make_multicat(n_op, s.objects, s.max_arity, homs, identities,
-                         action_rule=lambda fmor, m: m.mid, subst_rule=_retyped_subst(s, LOOSE))
+                         action_rule=_same_id, subst_rule=_retyped_subst(s, LOOSE))
+
+
+def _same_id(fmor: str, m: MultiMap) -> str:
+    """The action rule that keeps every id: tight maps are a subset of the
+    loose ones, and the comparison is the inclusion."""
+    return m.mid
 
 
 def _retyped_subst(m: TMulticategory, x: str) -> Callable:
@@ -755,14 +773,16 @@ def _assign_homs(m, n, sigma, keys, act_constraints, sub_constraints):
 _MC_KEYS = {"operad", "max_arity", "objects", "homs", "identities", "action", "subst"}
 
 
-def multicat_to_json(m: TMulticategory) -> dict:
-    """The JSON document of ``m``, with every table stored.
+def multicat_to_json(m: TMulticategory, *, full: bool = True) -> dict:
+    """The JSON document of ``m``: its action table, and a ``subst`` row for
+    every substitution, or with ``full=False`` for each ∘ᵢ key only (the
+    rows with at most one non-identity inner), sorted by key either way.
 
     The ``outer`` and inner dicts of the ``subst`` rows are shared: one dict
     per distinct (x, inputs, output, id) reference, so that the CLI writer
     renders each once.  A caller that edits an ``outer`` or inner in place
     must copy it first; replacing a row's ``result`` is safe."""
-    images, results = m.materialize()
+    images, results = m.materialize(full=full)
     homs = [{"x": x, "inputs": list(inputs), "output": output, "maps": list(mids)}
             for (x, inputs, output), mids in sorted(m.homs.items()) if mids]
     action = []
@@ -804,7 +824,10 @@ def multicat_from_json(data: dict) -> TMulticategory:
     README lists the checks).  The tables are wrapped as rules, whose
     substitution rule is asked only for ∘ᵢ rows.  Every ∘ᵢ row is read into
     the ``_table`` before the reader returns, so a missing ∘ᵢ row or an
-    out-of-hom result raises here; the whole ``subst`` table is kept for
+    out-of-hom result raises here.  The ``subst`` table must hold exactly
+    the ∘ᵢ rows, as ``convert --to multicat`` writes them, or a row for
+    every key of ``subst_keys``; any other table raises, naming the first
+    missing key.  A full table is kept as ``stored_subst`` for
     ``check_tmulticat`` to check.
 
     Each distinct ``outer``/inner reference is type-checked and looked up in
@@ -917,6 +940,13 @@ def multicat_from_json(data: dict) -> TMulticategory:
     m = make_multicat(op, objects, max_arity, homs, identities, stored_subst=subst,
                       **_table_rules(action, subst))
     m._table  # evaluates every ∘ᵢ row: raises if one is absent or lands outside its hom
+    # The rows are distinct keys of subst_keys and hold every ∘ᵢ key, so
+    # their count alone tells exactly the ∘ᵢ rows and exactly every key.
+    if len(subst) == _partial_key_count(m):
+        m.stored_subst = None  # each row is in _table; nothing is left to check
+    elif len(subst) != _subst_key_count(m):
+        missing = next(key for key in m.subst_keys() if key not in subst)
+        raise StructureError(f"no substitution entry for {_row_name(*missing)!r}")
     return m
 
 

@@ -234,6 +234,7 @@ def naive_check_tmulticat(m) -> bool:
     subst = stored_substitution(m)
     maps = [m.mm(x, inputs, output, mid)
             for (x, inputs, output), mids in m.homs.items() for mid in mids]
+    by_output = {a: [f for f in maps if f.output == a] for a in m.objects}
 
     def ident(a):
         return m.mm(op.unit, (a,), a, m.identities[a])
@@ -243,8 +244,8 @@ def naive_check_tmulticat(m) -> bool:
         if not slots:
             yield ()
             return
-        for f in maps:
-            if f.output == slots[0] and f.arity <= budget:
+        for f in by_output[slots[0]]:
+            if f.arity <= budget:
                 for rest in choices(slots[1:], budget - f.arity):
                     yield (f,) + rest
 

@@ -26,8 +26,8 @@ from skewcat.tmulticat import (
 from skewcat.correspondence import monoidal_to_multicat, multicat_to_monoidal
 from skewcat.search import enumerate_skew_structures
 from conftest import (
-    chain_category, product_monoidal, renamed, two_chain_fst, two_chain_snd, z2_category,
-    z2_monoidal,
+    chain_category, initial_projection, parallel_pair_category, product_monoidal, renamed,
+    two_chain_fst, two_chain_snd, z2_category, z2_monoidal,
 )
 from naive_oracles import naive_closed_pair_ok, naive_skew_monoidal_ok, naive_tails_bijective
 
@@ -670,7 +670,7 @@ def _short_map_t(data):
 
 
 @pytest.mark.parametrize("edit, on_read", [
-    (lambda d: d["subst"].pop(), False),
+    (lambda d: d["subst"].pop(), True),
     (lambda d: d["subst"][0]["inners"][0].update(id="ghost"), True),
     (_overfull_row, True),
     (_nullary_row, True),
@@ -681,17 +681,35 @@ def _short_map_t(data):
         "nullary-outer-without-inners", "dropped-action", "map_t-misses-an-id",
         "map_l-outside-loose-hom"])
 def test_malformed_stored_tables_are_exit_2(tmp_path, capsys, edit, on_read):
-    # check counts the stored subst rows, so it sees a dropped one; convert
-    # and roundtrip read only the ∘ᵢ rows their searches ask for, so a
-    # missing row that is never asked for goes unseen there
+    # the reader counts the stored subst rows, so every command sees a
+    # dropped one, here a row with three non-identity inners
     data = json.loads(json.dumps(multicat_to_json(monoidal_to_multicat(two_chain_fst(), 3))))
     edit(data)
     path = write(tmp_path, "in.json", data)
     code, out, _ = run(capsys, "check", path)
     assert code == 2 and out["error"]
     if on_read:
-        for command in (["convert", "--to", "monoidal"], ["roundtrip"]):
+        for command in (["analyze"], ["convert", "--to", "monoidal"], ["roundtrip"]):
             assert run(capsys, *command, path)[:2] == (2, out)
+
+
+@pytest.mark.parametrize("command", MULTICAT_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("edit", ["extra-full-row", "dropped-circ-row"])
+def test_circ_only_table_with_a_row_more_or_less_is_exit_2(tmp_path, capsys, command, edit):
+    # a table is read only if it holds exactly the ∘ᵢ rows or a row for
+    # every substitution; the message names the first key it misses
+    m = monoidal_to_multicat(two_chain_fst(), 3)
+    data = json.loads(json.dumps(multicat_to_json(m, full=False)))
+    if edit == "extra-full-row":  # the last full row has three non-identity inners
+        data["subst"].append(multicat_to_json(m)["subst"][-1])
+        named = "(('l', ('0', '0'), '0'), 'm00', (('l', (), 'm00'), ('l', (), 'm00')))"
+    else:
+        row = data["subst"].pop(1)
+        outer, (inner,) = row["outer"], row["inners"]
+        named = repr(((outer["x"], tuple(outer["inputs"]), outer["output"]), outer["id"],
+                      ((inner["x"], tuple(inner["inputs"]), inner["id"]),)))
+    code, out, _ = run(capsys, *command, write(tmp_path, "in.json", data))
+    assert (code, out) == (2, {"error": f"no substitution entry for {named}"})
 
 
 VALID_DOCUMENTS = [category_to_json(z2_category()), skewmon_to_json(z2_monoidal()),
@@ -888,9 +906,9 @@ GOLDEN = {
     "roundtrip structure_003.json @4":
         "4293139d760350fd06147d0d46b6608e90d561e7bb24bfb37cb6ab9124233410",
     "convert z2 --to multicat @3":
-        "75edb37e864eed9af3b7c64a9c70a2e18ed1371dfad3df20ee2eaa0f1400ace7",
+        "bcb1339dc606370959d7c23ff4f6f3c5ff18bf89b1038c6b5c24a70f6a20f44b",
     "convert z2 --to multicat @2":
-        "fc765d81f7947028bdf3329c860b84b9f41ef26ff6963b788ed1cb503ddf51c9",
+        "92ddf26880464a40364e7730038837d6e450bbbcafecd522043d73e34c2ad87d",
     "convert z2@3 --to monoidal":
         "704b419d484fa3266b8b2a76844fefcd39769bebacd2f685699e6fde7baeda72",
     "roundtrip z2@3":
@@ -900,9 +918,9 @@ GOLDEN = {
     "analyze z2@2":
         "461aeec4d809d3bc6e840a10ecf3906cfccfa8afffc24892784441113d0b1ff1",
     "convert fst --to multicat @3":
-        "035978be008d0f58bbbbbd776c0a1fc37fb4223889147afcb225505212ec90bf",
+        "42540dd0840b3bce9fa3205e80912ceea8ebe8cbe1b11feb3659636514814f85",
     "convert fst --to multicat @2":
-        "6b7131771fc69d8b7f2c8cd53f84ab1d5b45578ee1f66d60d6b601fb19afe289",
+        "9b2ee33daa8eb2dc44ae9332bf05cc6ccdedf26c740cc3e3e6bee7e934c17e51",
     "convert fst@3 --to monoidal":
         "02d20ce0b717d50b804f8c808949050f79f9508ac81b33aeef0c6af94c5358ea",
     "roundtrip fst@3":
@@ -912,19 +930,19 @@ GOLDEN = {
     "analyze fst@2":
         "e00713251620d13275d7ec7e1ca7360f9d8343ae6ed33d0dcbe4b995c12da15f",
     "convert structure_000.json --to multicat @3":
-        "035978be008d0f58bbbbbd776c0a1fc37fb4223889147afcb225505212ec90bf",
+        "42540dd0840b3bce9fa3205e80912ceea8ebe8cbe1b11feb3659636514814f85",
     "convert structure_000.json@3 --to monoidal":
         "02d20ce0b717d50b804f8c808949050f79f9508ac81b33aeef0c6af94c5358ea",
     "convert structure_001.json --to multicat @3":
-        "ba151b8352464584b1890ce715d41eb053d1cb9808f785f63ec0a642188d85fd",
+        "a48f03138918d9ca8d7e2e47c8f30f3cf525184a6764a3e0886164e2badbcc1c",
     "convert structure_001.json@3 --to monoidal":
         "0389f2adb10da4ea98832bd090091d81e5767f8ef93fd3ea26622408c7723b1e",
     "convert structure_002.json --to multicat @3":
-        "d90f700048abdc0467823542acbd63616b4b91119b032af32bd5cf11daaf4ba6",
+        "fe0cb331a5e806baf451721d6b7c597f6ec391732c900090bac1712b2916d9fc",
     "convert structure_002.json@3 --to monoidal":
         "b464b499b05edcc062dc55d5650e1e0ac4489fb1ac3c402d50322d413e7e72e3",
     "convert structure_003.json --to multicat @3":
-        "76cc78aa703c9a92cc7d0a7b7c707699960f7414e2f6ed0989c6f1f6ce1b918a",
+        "db87e33d209b32ada4676b07c9de4ad7133b4b20a3c915b6b36b005323260dd3",
     "convert structure_003.json@3 --to monoidal":
         "4338f35a3ca741d654bd1c4a494ee61c8d078e17063d68b6d9e272c82cbeb85d",
     "convert fst@3 only-identities-tight --to monoidal":
@@ -983,9 +1001,10 @@ def test_outputs_match_golden_digests(tmp_path, capsys):
 # sha256 over "<exit code>\n<stdout>" of every command that
 # test_classifier_reading_outputs_match_digest runs, in order.  It pins the
 # outputs that read classifiers on structures beyond the 2-chain: the 3-chain
-# and Z/2 search output and three products, and the failure witness of a
-# multicategory that is not representable.
-CLASSIFIER_RUNS_DIGEST = "d41296b4dbeeaa9cd7ff7be740c6c6246914f77a6f804113549d098e6764a9f4"
+# and Z/2 search output, three products and the first projection on the
+# parallel pair, and the failure witness of a multicategory that is not
+# representable.
+CLASSIFIER_RUNS_DIGEST = "0abb7419e77f6d6d5ce9b444f50282643d917f0c644380932156dc9530dc03a5"
 
 
 def test_classifier_reading_outputs_match_digest(tmp_path, capsys):
@@ -993,7 +1012,7 @@ def test_classifier_reading_outputs_match_digest(tmp_path, capsys):
 
     def go(name, *argv):
         """Run a command with its stdout in the file ``name``, which
-        ``convert --to multicat`` of fst×snd fills with 154 MB."""
+        ``convert --to multicat`` of fst×snd fills with 7.9 MB."""
         out = tmp_path / name
         with open(out, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
             code = main(list(argv))
@@ -1008,8 +1027,8 @@ def test_classifier_reading_outputs_match_digest(tmp_path, capsys):
     structures = [*enumerate_skew_structures(chain_category(3)),
                   *enumerate_skew_structures(z2_category()),
                   product_monoidal(z2, z2), product_monoidal(z2, fst),
-                  product_monoidal(fst, snd)]
-    assert len(structures) == 34
+                  product_monoidal(fst, snd), initial_projection(parallel_pair_category(), "x")]
+    assert len(structures) == 35
     for c in structures:
         path = write(tmp_path, "monoidal.json", skewmon_to_json(c))
         go("out.json", "analyze", path, "--max-arity", "3")
@@ -1159,9 +1178,9 @@ def test_parser_reused_across_calls_gives_the_output_of_separate_runs(tmp_path, 
 # arity 4, and of check and analyze reading its snd@4 file back.
 GOLDEN_AT_4 = {
     "convert z2 --to multicat @4":
-        "c5524899d4a365616454258b404087806be7b4a8dd6bde571cde9d67bdb50608",
+        "515c672e7ab4882a60d94a6396be8a6f563294540b226a38f6c333ec81282755",
     "convert snd --to multicat @4":
-        "7b62e06b4cc7550a6f9e6098b48e7a0f959fec5966036dd406854966d127d584",
+        "2be5794dd60023318c72e78bb6886e44640179bb3ffd7e2da9b999bd17fdd613",
     "check snd@4":
         "17f9c8e3c76dcba62dd1b3a9ee88b57c13bbf985642ce938a8ec814b3d7e4ca2",
     "analyze snd@4":

@@ -397,6 +397,30 @@ def test_json_round_trip(z2m):
     assert multicat_to_json(back) == multicat_to_json(small)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: monoidal_to_multicat(z2_monoidal(), 3),
+    lambda: monoidal_to_multicat(two_chain_fst(), 3),
+    lambda: monoidal_to_multicat(two_chain_snd(), 4),
+    lambda: loose_part(monoidal_to_multicat(z2_monoidal(), 3)),
+], ids=["z2@3", "fst@3", "snd@4", "z2-loose-part@3"])
+def test_circ_only_document_is_the_full_one_less_its_folded_rows(make):
+    # a ∘ᵢ-only document leaves out exactly the rows with two or more
+    # non-identity inners, and reads back to the table of the full one
+    m = make()
+    full, part = multicat_to_json(m), multicat_to_json(m, full=False)
+    units = {m.identity(a) for a in m.objects}
+
+    def folded(row):
+        return sum(MultiMap(f["x"], tuple(f["inputs"]), f["output"], f["id"]) not in units
+                   for f in row["inners"]) > 1
+
+    assert part == {**full, "subst": [r for r in full["subst"] if not folded(r)]}
+    assert len(part["subst"]) == sum(1 for _ in m._keys())
+    back, back_full = multicat_from_json(part), multicat_from_json(full)
+    assert back.stored_subst is None and len(back_full.stored_subst) == len(full["subst"])
+    assert back._table == back_full._table
+
+
 def test_writer_shares_equal_references():
     data = multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2))
     refs = [r for row in data["subst"] for r in (row["outer"], *row["inners"])]
@@ -611,14 +635,18 @@ def _row_key(m, row):
     ("swap", None), ("drop", "no substitution entry"), ("plant", "'planted'")])
 def test_stored_full_rows_are_checked_and_never_read(edit, error):
     # a row with two non-identity inners is data: substitute folds that key
-    # from ∘ᵢ rows, and check_tmulticat compares the row with the fold
+    # from ∘ᵢ rows, and check_tmulticat compares the row with the fold; a
+    # table without it is neither exactly the ∘ᵢ rows nor full, so the
+    # reader rejects it
     data = json.loads(json.dumps(multicat_to_json(monoidal_to_multicat(z2_monoidal(), 3))))
     row = _generator_row(data)
     fold = row["result"]
     if edit == "drop":
         data["subst"].remove(row)
-    else:
-        row["result"] = {"swap": "e0" if fold == "e1" else "e1", "plant": "planted"}[edit]
+        with pytest.raises(StructureError, match=error):
+            multicat_from_json(data)
+        return
+    row["result"] = {"swap": "e0" if fold == "e1" else "e1", "plant": "planted"}[edit]
     m = multicat_from_json(data)
     assert m.substitute(*_row_key(m, row)).mid == fold
     if error is None:
@@ -628,6 +656,27 @@ def test_stored_full_rows_are_checked_and_never_read(edit, error):
     else:
         with pytest.raises(StructureError, match=error):
             check_tmulticat(m)
+
+
+def test_circ_only_file_mutants_agree_with_full_quantification():
+    # a file of exactly the ∘ᵢ rows keeps no stored table: every row is read
+    # as the rule, so each one-entry mutant of a result is a mutant of ∘ᵢ
+    data = json.loads(json.dumps(multicat_to_json(monoidal_to_multicat(z2_monoidal(), 3),
+                                                  full=False)))
+    m = multicat_from_json(data)
+    assert m.stored_subst is None
+    assert check_tmulticat(m) == [] and naive_check_tmulticat(m)
+    count = 0
+    for row in data["subst"]:
+        rid = row["result"]
+        for other in m.homs[m.substitute(*_row_key(m, row)).key]:
+            if other != rid:
+                row["result"] = other
+                mutant = multicat_from_json(data)
+                assert (check_tmulticat(mutant) == []) == naive_check_tmulticat(mutant)
+                count += 1
+        row["result"] = rid
+    assert count == 196
 
 
 def test_iso_search_and_roundtrip_walk_thousands_of_homs_at_the_default_limit():
