@@ -26,7 +26,8 @@ from .representability import (
     find_universal,
 )
 from .tmulticat import (
-    MultiMap, TMulticategory, check_tmulticat, make_multicat, signatures, underlying_with_maps,
+    MultiMap, TMulticategory, _last_step, check_tmulticat, make_multicat, signatures,
+    underlying_with_maps,
 )
 
 InnerSpec = tuple[tuple[str, int], ...]  # ((x1, k1), ..., (xn, kn))
@@ -149,11 +150,11 @@ def check_colax_algebra(alg: NormalColaxAlgebra) -> list[Violation]:
     number of such slots: ``functor-composition`` asks that m_x(f1..fn) be
     the composite of its one-slot images, left to right, and
     ``gamma-coassociativity`` that Gamma at such a shape be the comparison of
-    the fold's last step, at the leftmost inner i of positive arity (else
-    the leftmost nullary one), followed by Gamma at the shape with a unit at
-    i.  Nor does the multicategory see m_x(1..1) = 1: for an automorphism P
-    of m_x(c), x not the unit, putting P^-1 after each Gamma into m_x(c) and
-    P before each m_x(f) out of m_x(c) changes no ∘ᵢ substitution.
+    the fold's last step, at the slot i that ``tmulticat._last_step`` names,
+    followed by Gamma at the shape with a unit at i.  Nor does the
+    multicategory see m_x(1..1) = 1: for an automorphism P of m_x(c), x not
+    the unit, putting P^-1 after each Gamma into m_x(c) and P before each
+    m_x(f) out of m_x(c) changes no ∘ᵢ substitution.
     ``functor-identity`` is therefore checked at every arity, and then
     ``identity-right`` (U ; m_x(1..1) = 1) gives U = 1.  Nor does it read
     the arity-0 Gamma(x; (); ()), since substituting no inner maps returns
@@ -213,13 +214,12 @@ def check_colax_algebra(alg: NormalColaxAlgebra) -> list[Violation]:
     for x, inner, moved in shapes:
         if len(moved) < 2:
             continue
-        # the last step of the fold: the leftmost inner i of positive arity,
-        # or else the leftmost nullary one, into the shape with a unit at i
-        i = next((j for j in moved if inner[j][1]), moved[0])
+        # the last step of the fold, into the shape with a unit at i
+        arities = tuple(k for _, k in inner)
+        i, slot = _last_step(moved, arities)
         rest = inner[:i] + (unit,) + inner[i + 1:]
         x_rest = alg.operad.subst_obj(x, tuple(y for y, _ in rest), tuple(k for _, k in rest))
-        slot = i - moved.index(i)
-        for blocks in _blocks(objs, tuple(k for _, k in inner)):
+        for blocks in _blocks(objs, arities):
             rest_blocks = blocks[:i] + ((alg.m_obj(inner[i][0], blocks[i]),),) + blocks[i + 1:]
             flat = tuple(a for blk in rest_blocks for a in blk)
             step = gammas[x_rest,

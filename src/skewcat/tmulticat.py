@@ -7,12 +7,13 @@ entries exist whenever the concatenated arity stays within the bound.
 A multicategory is given by its partial compositions g ∘ᵢ f with units
 (Markl, *Operads and PROPs*, arXiv:math/0601129, §1): the substitution rule is
 evaluated only on ∘ᵢ keys, those with at most one non-identity inner, and
-every other substitution is their memoised fold.  One table, ``_table``,
-holds every ∘ᵢ composition and the action on indices.  ``check_tmulticat``
-reads it to check the identity laws on every multimap, and naturality and
-the sequential and parallel associativity of ∘ᵢ wherever every stage stays
-within the bound; ``check_morphism`` and ``iso_search`` decide the action
-and ∘ᵢ equations of a morphism on the tables of both endpoints.
+every other substitution is their memoised fold, in the order that
+``_last_step`` states.  One table, ``_table``, holds every ∘ᵢ composition
+and the action on indices.  ``check_tmulticat`` reads only it to check the
+identity laws on every multimap, and naturality and the sequential and
+parallel associativity of ∘ᵢ wherever every stage stays within the bound;
+``check_morphism`` and ``iso_search`` decide the action and ∘ᵢ equations
+of a morphism on the tables of both endpoints.
 For unital multicategories this is equivalent to associativity of full
 substitution: each ∘ᵢ law is full associativity with identity inners, and
 full substitution is a fold of ∘ᵢ.
@@ -128,14 +129,9 @@ class TMulticategory:
         return self._substitute(g, fs)
 
     def _substitute(self, g: MultiMap, fs: tuple[MultiMap, ...]) -> MultiMap:
-        """``substitute`` at non-empty inners, memoised per key.
-
-        The fold substitutes the nullary inners first, then the others, each
-        group right to left, so that every stage stays within the bound.  Its
-        last step substitutes the leftmost inner i of positive arity, or else
-        the leftmost nullary one, into the fold of the same key with an
-        identity at i; every inner left of i is an identity or nullary, so
-        that step is at slot i less the nullary inners left of it."""
+        """``substitute`` at non-empty inners, memoised per key.  With two
+        or more non-identity inners it folds: the step of ``_last_step``,
+        into the fold of the same key with an identity there."""
         key = (g, fs)
         hit = self._subst_cache.get(key)
         if hit is not None:
@@ -143,25 +139,23 @@ class TMulticategory:
         if len(fs) != len(g.inputs):
             raise StructureError("wrong number of inner multimaps")
         units = self._units
-        total = 0
         moved = []
         for i, (f, b) in enumerate(zip(fs, g.inputs)):
             if f.output != b:
                 raise StructureError(f"inner output {f.output!r} does not match slot {b!r}")
-            total += len(f.inputs)
             if f != units[b]:
                 moved.append(i)
+        arities = [len(f.inputs) for f in fs]
+        total = sum(arities)
         if total > self.max_arity:
             raise StructureError(f"substitution result arity {total} exceeds bound")
         if len(moved) < 2:
-            x = self.operad.subst_obj(g.x, tuple([f.x for f in fs]),
-                                      tuple([len(f.inputs) for f in fs]))
+            x = self.operad.subst_obj(g.x, tuple([f.x for f in fs]), tuple(arities))
             inputs = tuple([a for f in fs for a in f.inputs])
             result = self.mm(x, inputs, g.output, self.subst_rule(g, fs))
         else:
-            i = next((j for j in moved if fs[j].inputs), moved[0])
+            i, slot = _last_step(moved, arities)
             rest = self._substitute(g, fs[:i] + (units[g.inputs[i]],) + fs[i + 1:])
-            slot = i - moved.index(i)
             result = self._substitute(rest, tuple([fs[i] if j == slot else units[a]
                                                    for j, a in enumerate(rest.inputs)]))
         self._subst_cache[key] = result
@@ -241,6 +235,22 @@ class TMulticategory:
         return action, subst
 
 
+def _last_step(moved: list[int], arities) -> tuple[int, int]:
+    """The one statement of the fold order: the ∘ᵢ step (i, slot) that the
+    fold of a substitution takes last, given the slots of its non-identity
+    inners, at least two, in order, and the arity of the inner at each slot.
+    The fold substitutes the nullary inners first, then the others, each
+    group right to left, so that every stage stays within the bound.  Last
+    it substitutes the leftmost moved inner i of positive arity, or else the
+    leftmost moved one, into the fold with an identity at i; the inners
+    left of i are identities or nullary, so that step is at slot i less the
+    nullary ones."""
+    for i in moved:
+        if arities[i]:
+            return i, i - moved.index(i)
+    return moved[0], moved[0]
+
+
 def signatures(operad: CatOperad, items, max_arity: int
                ) -> Iterator[tuple[str, tuple]]:
     """Every (x, tuple) up to the bound: arity, then operad object x of that
@@ -315,12 +325,13 @@ def check_tmulticat(m: TMulticategory) -> list[Violation]:
     joint squares follow together with functoriality, and those of a full
     substitution from its ∘ᵢ fold.  Components are thin, so each square
     compares its image with r acted on by the one morphism from r's type to
-    the image's (``StructureError`` if none); an image with two non-identity
-    inners is ``substitute``'s fold.  Associativity, reported as
-    ``subst-associativity`` with a ``family`` detail, is checked as sequential
-    (g ∘ᵢ f) ∘_{i+j-1} h = g ∘ᵢ (f ∘ⱼ h) and parallel (g ∘ᵢ f) ∘_{j+k-1} h =
-    (g ∘ⱼ h) ∘ᵢ f for i < j and f of arity k, on every instance whose stages
-    stay within the bound.  Each of these is an instance of full
+    the image's (``StructureError`` if none).  An image with two
+    non-identity inners is read as two ∘ᵢ steps in ``comp``, in the order
+    of ``_last_step``, the one statement of the fold order.  Associativity,
+    reported as ``subst-associativity`` with a ``family`` detail, is
+    checked as sequential (g ∘ᵢ f) ∘_{i+j-1} h = g ∘ᵢ (f ∘ⱼ h) and parallel
+    (g ∘ᵢ f) ∘_{j+k-1} h = (g ∘ⱼ h) ∘ᵢ f for i < j and f of arity k, on
+    every instance whose stages stay within the bound.  Each of these is an instance of full
     associativity with identity inners, so a lawful multicategory passes;
     conversely full substitution is the fold of ∘ᵢ steps, which the two laws
     rearrange (Markl, arXiv:math/0601129, §1).
@@ -330,7 +341,8 @@ def check_tmulticat(m: TMulticategory) -> list[Violation]:
     none is missing): each row's result must lie in the hom of its signature
     (else ``StructureError``), and a row with two or more non-identity
     inners into a hom of two or more elements that differs from the fold is
-    family ``fold``.  A file of exactly the ∘ᵢ rows has no other row to
+    family ``fold``; those rows are the only ones compared with
+    ``substitute``.  A file of exactly the ∘ᵢ rows has no other row to
     check.  The test suite cross-checks the verdict against nested full
     quantification (``tests/naive_oracles.py``)."""
     off_fold = _validate_structure(m)
@@ -369,15 +381,22 @@ def check_tmulticat(m: TMulticategory) -> list[Violation]:
                 out.append(Violation.of("subst-naturality", slot="outer",
                                         phi=phi, g=gm.mid, key=str(gm.key)))
         all_units = f == units[gm.inputs[i]]
+        # the image with phi acting on a unit at j != i has two non-identity
+        # inners, f at i and a unary one at j: the fold's two ∘ᵢ steps
+        arities = [1] * gm.arity
+        arities[i] = maps[f].arity
         for j, b in enumerate(gm.inputs):
             fj = f if j == i else units[b]
+            if j != i and not all_units:
+                last, slot = _last_step([i, j] if i < j else [j, i], arities)
             for phi, fphi in act[fj].items():
                 if j == i or all_units:
-                    image = maps[rows[j][fphi]]
-                else:  # two non-identity inners: the fold
-                    fs = m._inners(gm, j, maps[fphi])
-                    image = m.substitute(gm, fs[:i] + (maps[f],) + fs[i + 1:])
-                if maps[moved(r, image.x)] != image:
+                    image = rows[j][fphi]
+                elif last == i:
+                    image = comp[rows[j][fphi]][i][f]
+                else:
+                    image = comp[r][slot][fphi]
+                if moved(r, maps[image].x) != image:
                     out.append(Violation.of("subst-naturality", slot=str(j + 1),
                                             phi=phi, g=gm.mid, f=maps[fj].mid))
 

@@ -12,9 +12,9 @@ from skewcat.catoperad import (
 from skewcat.colaxalg import check_colax_algebra, colax_to_multicat
 from skewcat.fincat import FinCategory, StructureError, Violation, check_category
 from skewcat.tmulticat import (
-    MultiMap, MulticatMorphism, all_tight, check_morphism, check_tmulticat, from_tight_subsets,
-    iso_search, loose_part, make_multicat, multicat_from_json, multicat_to_json, signatures,
-    terminal_multicat, underlying_with_maps,
+    MultiMap, MulticatMorphism, _last_step, _partial_key_count, all_tight, check_morphism,
+    check_tmulticat, from_tight_subsets, iso_search, loose_part, make_multicat,
+    multicat_from_json, multicat_to_json, signatures, terminal_multicat, underlying_with_maps,
 )
 from skewcat.correspondence import (
     _certify, monoidal_to_colax, monoidal_to_multicat, multicat_to_monoidal, roundtrip_multicat,
@@ -588,6 +588,25 @@ def test_substitute_folds_in_the_order_of_the_naive_fold(build):
     assert any(sum(f not in units for f in fs) >= 2 for _, fs in moved)
     for g, fs in moved:
         assert m.substitute(g, fs) == naive_fold(m, g, fs)
+
+
+def test_last_step_is_the_leftmost_moved_inner_of_positive_arity():
+    # (moved slots, arity of the inner at each slot) -> (last step, its slot)
+    assert _last_step([0, 2], [0, 1, 2]) == (2, 1)
+    assert _last_step([1, 2], [1, 2, 0]) == (1, 1)
+    assert _last_step([0, 1, 3], [0, 0, 1, 0]) == (0, 0)
+    assert _last_step([0, 1, 3], [0, 0, 1, 3]) == (3, 1)
+
+
+@pytest.mark.parametrize("c", [z2_monoidal(), initial_projection(parallel_pair_category(), "x")],
+                         ids=["z2", "projection"])
+def test_checker_substitutes_nothing_beyond_the_circ_i_table(c):
+    """Every law, naturality with two non-identity inners too, is read off
+    ``_table``: the substitution memo ends with exactly the ∘ᵢ keys, which
+    building the table evaluates.  A fold by the checker would add keys."""
+    m = monoidal_to_multicat(c, 3)
+    assert check_tmulticat(m) == []
+    assert len(m._subst_cache) == _partial_key_count(m)
 
 
 # structure -> its number of substitution keys at arities 3 and 4
