@@ -264,13 +264,16 @@ def multicat_to_colax(m: TMulticategory, table: ClassifierLookup) -> NormalColax
     """Translate a weakly representable multicategory along a classifier
     lookup, which gives each signature its universal multimap."""
     cat, to_mm = underlying_with_maps(m)
-    dual = dual_operad(m.operad)
+    dual, e = dual_operad(m.operad), m.operad.unit
 
     def phi_inverse(theta: MultiMap, b: str, target: MultiMap) -> str:
         """The unique underlying-category morphism g: theta.output -> b
-        whose substitution against theta is the given multimap."""
-        g = preimage(cat.hom(theta.output, b), lambda g: m.substitute(to_mm[g], (theta,)),
-                     target)
+        whose substitution against theta is the given multimap; sizes first,
+        as in ``_hom_bijection``: the one g, if it lands in a hom of one."""
+        gs, rx = cat.hom(theta.output, b), m.operad.subst_obj(e, (theta.x,), (theta.arity,))
+        if len(gs) == 1 == len(m.homs[target.key]) and target.key == (rx, theta.inputs, b):
+            return gs[0]
+        g = preimage(gs, lambda g: m.substitute(to_mm[g], (theta,)), target)
         if g is None:
             raise NotLeftRepresentable((theta.key, b))
         return g
@@ -317,8 +320,9 @@ def colax_to_multicat(alg: NormalColaxAlgebra) -> TMulticategory:
     comparison map, and ``substitute`` folds the other keys."""
     base = alg.base
     op = dual_operad(alg.operad)
-    homs = {(x, inputs, b): base.hom(alg.m_obj(x, inputs), b)
-            for x, inputs in signatures(op, base.objects, alg.max_arity) for b in base.objects}
+    homs = {(x, inputs, b): base.hom(a, b)
+            for x, inputs in signatures(op, base.objects, alg.max_arity)
+            for a in (alg.m_obj(x, inputs),) for b in base.objects}
     identities = {a: base.id_of(a) for a in base.objects}
 
     def action_rule(phi, mm_):

@@ -22,7 +22,7 @@ from typing import Callable
 
 from .catoperad import LOOSE, TIGHT
 from .fincat import FinCategory, StructureError, Violation, is_bijection_onto, preimage
-from .tmulticat import MultiMap, TMulticategory, signatures, underlying_with_maps
+from .tmulticat import HomKey, MultiMap, TMulticategory, signatures, underlying_with_maps
 
 # A classifier lookup: (x, inputs) -> θ | None.  A string, as annotations are:
 # a typing generic evaluated here would name MultiMap in typing's cache, which
@@ -30,24 +30,24 @@ from .tmulticat import MultiMap, TMulticategory, signatures, underlying_with_map
 ClassifierLookup = "Callable[[tuple[str, tuple[str, ...]]], MultiMap | None]"
 
 
-def _hom_bijection(source: tuple[MultiMap, ...], target: tuple[str, ...],
+def _hom_bijection(s: TMulticategory, source: HomKey, target: HomKey,
                    image: Callable[[MultiMap], str]) -> bool:
-    """Whether image carries the source hom bijectively onto the target hom.
+    """Whether image carries the hom at source bijectively onto the hom at
+    target.  Sizes in ``s.homs`` decide first: unequal sizes fail and sizes
+    of at most one pass, so only a target of two or more members has the
+    source's multimaps built and their images evaluated.
 
     Precondition: each image is a member of target, or computing it raises.
     ``substitute`` type-checks its result against its hom, so a substitution
-    meets it.  Then unequal sizes fail, and sizes of at most one pass
-    without evaluating anything.  The multicategory file reader evaluates
-    every ∘ᵢ row before it returns, and every other substitution is their
-    fold; ``monoidal_to_multicat`` composes morphisms of a category that has
-    passed ``check_skew_monoidal``.  No law checker calls this: checkers
-    evaluate every instance.
+    meets it.  The multicategory file reader evaluates every ∘ᵢ row before
+    it returns, and every other substitution is their fold;
+    ``monoidal_to_multicat`` composes morphisms of a category that has
+    passed ``check_skew_monoidal``.  No law checker calls this.
     """
-    if len(source) != len(target):
+    members = s.homs.get(target, ())
+    if len(s.homs.get(source, ())) != len(members):
         return False
-    if len(target) <= 1:
-        return True
-    return is_bijection_onto([image(h) for h in source], target)
+    return len(members) <= 1 or is_bijection_onto([image(h) for h in s.maps(source)], members)
 
 
 def _tails_bijective(s: TMulticategory, theta: MultiMap, ks: range | tuple[int, ...]) -> bool:
@@ -61,15 +61,15 @@ def _tails_bijective(s: TMulticategory, theta: MultiMap, ks: range | tuple[int, 
     k = 1, and is left universal for every k up to the bound.
     """
     e = s.operad.unit
+    image = lambda h: s.subst_after(h, 1, theta).mid
     for k in ks:
         if k > s.max_arity - max(1, theta.arity):
             continue
         rx = s.operad.subst_obj(e, (theta.x,) + (e,) * k, (theta.arity,) + (1,) * k)
         for tail in itertools.product(sorted(s.objects), repeat=k):
             for c in s.objects:
-                if not _hom_bijection(tuple(s.maps((e, (theta.output,) + tail, c))),
-                                      s.hom(rx, theta.inputs + tail, c),
-                                      lambda h: s.subst_after(h, 1, theta).mid):
+                if not _hom_bijection(s, (e, (theta.output, *tail), c),
+                                      (rx, theta.inputs + tail, c), image):
                     return False
     return True
 
@@ -78,17 +78,25 @@ def find_universal(s: TMulticategory, x: str, inputs: tuple[str, ...]) -> MultiM
     """First universal multimap of the given type in canonical order.
 
     The unit-typed unary case is normalized: the classifier is the object
-    itself and the universal multimap its identity.
+    itself and the universal multimap its identity.  Outputs m whose
+    unit-typed homs out of m differ in size from the homs that m's maps
+    represent are skipped; where those sizes are at most one, m's first map
+    is universal by ``_hom_bijection``, without a substitution.
     """
     inputs = tuple(inputs)
     if len(inputs) > s.max_arity:
         raise StructureError("input tuple exceeds the truncation bound")
-    if x == s.operad.unit and len(inputs) == 1:
+    e = s.operad.unit
+    if x == e and len(inputs) == 1:
         return s.identity(inputs[0])
+    homs, rx = s.homs, s.operad.subst_obj(e, (x,), (len(inputs),))
+    sizes = [len(homs.get((rx, inputs, c), ())) for c in s.objects]
     for m in sorted(s.objects):
-        for theta in s.maps((x, inputs, m)):
-            if _tails_bijective(s, theta, (0,)):
-                return theta
+        if homs.get((x, inputs, m)) and sizes == [len(homs.get((e, (m,), c), ()))
+                                                  for c in s.objects]:
+            for theta in s.maps((x, inputs, m)):
+                if max(sizes, default=0) <= 1 or _tails_bijective(s, theta, (0,)):
+                    return theta
     return None
 
 
@@ -131,13 +139,10 @@ def build_inductive_classifiers(s: TMulticategory, nullary: MultiMap,
     it into the binary universal map at the first position.  The lookup
     builds each entry, and its predecessors, on first use.  The entries are
     not checked to be universal here."""
-    for a in s.objects:
-        for b in s.objects:
-            if (a, b) not in binary:
-                raise StructureError(f"missing tight binary classifier at {(a, b)!r}")
-    built = {(LOOSE, ()): nullary}
-    for a in s.objects:
-        built[(TIGHT, (a,))] = s.identity(a)
+    for a, b in itertools.product(s.objects, repeat=2):
+        if (a, b) not in binary:
+            raise StructureError(f"missing tight binary classifier at {(a, b)!r}")
+    built = {(LOOSE, ()): nullary, **{(TIGHT, (a,)): s.identity(a) for a in s.objects}}
 
     def lookup(key: tuple[str, tuple[str, ...]]) -> MultiMap | None:
         theta = built.get(key)
@@ -166,12 +171,11 @@ def find_classifiers(s: TMulticategory, lookup: ClassifierLookup):
     if nullary is None:
         return None, None, (LOOSE, ())
     binary = {}
-    for a in s.objects:
-        for b in s.objects:
-            theta = lookup((TIGHT, (a, b)))
-            if theta is None:
-                return nullary, None, (TIGHT, (a, b))
-            binary[(a, b)] = theta
+    for a, b in itertools.product(s.objects, repeat=2):
+        theta = lookup((TIGHT, (a, b)))
+        if theta is None:
+            return nullary, None, (TIGHT, (a, b))
+        binary[(a, b)] = theta
     if not all(_left_universal(s, theta) for theta in (nullary, *binary.values())):
         return nullary, binary, "single-input extension fails"
     return nullary, binary, None
@@ -238,39 +242,37 @@ class ClosedStructure:
     cat: FinCategory                           # the underlying category, of u, v and [u, v]
 
 
+def _closed_sigs(s: TMulticategory) -> list[tuple[str, tuple[str, ...], str]]:
+    """(x, inputs, rx) below the bound: rx types e ∘₁ f for e tight, f of type x."""
+    return [(x, inputs, s.operad.subst_obj(TIGHT, (x, TIGHT), (len(inputs), 1)))
+            for x, inputs in signatures(s.operad, sorted(s.objects), s.max_arity - 1)]
+
+
 def _closed_pair_ok(s: TMulticategory, h: str, b: str, c: str, e: MultiMap) -> bool:
-    rxs: dict[tuple[str, int], str] = {}  # the type of e ∘₁ f, by the type and arity of f
-    for x, inputs in signatures(s.operad, sorted(s.objects), s.max_arity - 1):
-        rx = rxs.get((x, len(inputs)))
-        if rx is None:
-            rx = rxs[x, len(inputs)] = s.operad.subst_obj(TIGHT, (x, TIGHT), (len(inputs), 1))
-        if not _hom_bijection(tuple(s.maps((x, inputs, h))), s.hom(rx, inputs + (b,), c),
-                              lambda f: s.subst_after(e, 1, f).mid):
-            return False
-    return True
+    image = lambda f: s.subst_after(e, 1, f).mid
+    return all(_hom_bijection(s, (x, inputs, h), (rx, inputs + (b,), c), image)
+               for x, inputs, rx in _closed_sigs(s))
 
 
 def find_closed_structure(s: TMulticategory) -> ClosedStructure | None:
     """Internal homs with tight evaluation maps, then the induced hom functor
     Aᵒᵖ × A → A on the underlying category, as a table on pairs of
     morphisms, obtained by factoring unary actions on the evaluation through
-    the defining bijections."""
+    the defining bijections.  Candidates for [b, c] are filtered by hom
+    sizes as in ``find_universal``."""
     hom_obj: dict[tuple[str, str], str] = {}
     evaluation: dict[tuple[str, str], MultiMap] = {}
+    homs, sigs = s.homs, _closed_sigs(s)
+    into = {h: [len(homs.get((x, inputs, h), ())) for x, inputs, _ in sigs] for h in s.objects}
     for b in sorted(s.objects):
         for c in sorted(s.objects):
-            found = None
-            for h in sorted(s.objects):
-                for e in s.maps((TIGHT, (h, b), c)):
-                    if _closed_pair_ok(s, h, b, c, e):
-                        found = (h, e)
-                        break
-                if found:
-                    break
-            if not found:
+            sizes = [len(homs.get((rx, inputs + (b,), c), ())) for _, inputs, rx in sigs]
+            found = next((e for h in sorted(s.objects) if into[h] == sizes
+                          for e in s.maps((TIGHT, (h, b), c))
+                          if max(sizes, default=0) <= 1 or _closed_pair_ok(s, h, b, c, e)), None)
+            if found is None:
                 return None
-            hom_obj[(b, c)] = found[0]
-            evaluation[(b, c)] = found[1]
+            hom_obj[(b, c)], evaluation[(b, c)] = found.inputs[0], found
 
     cat, to_mm = underlying_with_maps(s)
     hom_mor = {}
@@ -290,28 +292,17 @@ def find_closed_structure(s: TMulticategory) -> ClosedStructure | None:
 
 def _left_adjoint_ok(s: TMulticategory, closed: ClosedStructure) -> bool:
     """Pointwise representability of c -> A(a, [b, c]) for every a and b."""
-    for b in s.objects:
-        for a in s.objects:
-            if not any(_represents(s, closed, p, a, b) for p in sorted(s.objects)):
-                return False
-    return True
+    return all(any(_represents(s, closed, p, a, b) for p in sorted(s.objects))
+               for b in s.objects for a in s.objects)
 
 
 def _represents(s, closed, p, a, b) -> bool:
     cat = closed.cat
-    for u in cat.hom(a, closed.hom_obj[(b, p)]):
-        ok = True
-        for c in s.objects:
-            images = []
-            for g in cat.hom(p, c):
-                w = closed.hom_mor[(cat.id_of(b), g)]
-                images.append(cat.compose.get((w, u)))
-            if not is_bijection_onto(images, cat.hom(a, closed.hom_obj[(b, c)])):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return any(all(is_bijection_onto([cat.compose.get((closed.hom_mor[(cat.id_of(b), g)], u))
+                                      for g in cat.hom(p, c)],
+                                     cat.hom(a, closed.hom_obj[(b, c)]))
+                   for c in s.objects)
+               for u in cat.hom(a, closed.hom_obj[(b, p)]))
 
 
 def check_closed_representability_equivalences(s: TMulticategory) -> EquivalenceReport:

@@ -165,15 +165,15 @@ def check_skew_monoidal(c: SkewMonoidalCategory) -> list[Violation]:
             out.append(Violation.of("lambda-naturality", f=f))
         if seq(f, c.rho[b]) != seq(c.rho[a], c.t_mor(f, ident(i))):
             out.append(Violation.of("rho-naturality", f=f))
-    for f in mors:
-        for g in mors:
-            for h in mors:
-                a1, b1, c1 = base.src(f), base.src(g), base.src(h)
-                a2, b2, c2 = base.tgt(f), base.tgt(g), base.tgt(h)
-                lhs = seq(c.t_mor(c.t_mor(f, g), h), c.alpha[(a2, b2, c2)])
-                rhs = seq(c.alpha[(a1, b1, c1)], c.t_mor(f, c.t_mor(g, h)))
-                if lhs != rhs:
-                    out.append(Violation.of("alpha-naturality", f=f, g=g, h=h))
+    # tensor values and α components are morphisms here: seq is one lookup
+    tm, comp, alpha = c.tensor_mor, base.compose, c.alpha
+    ends = [(f, base.src(f), base.tgt(f)) for f in mors]
+    for (f, a1, a2), (g, b1, b2) in itertools.product(ends, repeat=2):
+        fg = tm[f, g]
+        for h, c1, c2 in ends:
+            if comp.get((alpha[a2, b2, c2], tm[fg, h])) != \
+                    comp.get((tm[f, tm[g, h]], alpha[a1, b1, c1])):
+                out.append(Violation.of("alpha-naturality", f=f, g=g, h=h))
 
     for a in base.objects:
         for b in base.objects:

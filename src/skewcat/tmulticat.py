@@ -366,11 +366,15 @@ def check_tmulticat(m: TMulticategory) -> list[Violation]:
         if mm_.arity > 0 and comp[k][0][units[mm_.inputs[0]]] != k:
             out.append(Violation.of("identity-right", m=mm_.mid, key=str(mm_.key)))
 
+    # out_of[r][x]: the one operad morphism from r's type to x, a dict per (arity, type)
+    between = {(n, x): {y: phi for phi, src, y in m.operad.component(n).morphisms if src == x}
+               for n in range(m.max_arity + 1) for x in m.operad.component(n).objects}
+    out_of = [between[mm_.arity, mm_.x] for mm_ in maps]
+
     def moved(r: int, x: str) -> int:
-        """r acted on by the one morphism from its type to x."""
-        for phi in m.operad.component(maps[r].arity).hom(maps[r].x, x):
-            return act[r].get(phi, r)
-        raise StructureError(f"no morphism {maps[r].x!r} -> {x!r} for substitution")
+        if x not in out_of[r]:
+            raise StructureError(f"no morphism {maps[r].x!r} -> {x!r} for substitution")
+        return act[r].get(out_of[r][x], r)
 
     # single-variable naturality of substitution in the operad variables
     for g, i, f in m._keys():

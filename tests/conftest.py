@@ -1,13 +1,16 @@
 """Shared instances: chain posets, the two-element cyclic group as a one-object
 category, and reference skew monoidal structures on them.  Also the two
 constructions that make lawful structures from lawful ones, for use as
-metamorphic oracles: the product and the reversed opposite."""
+metamorphic oracles: the product and the reversed opposite; and the census of
+small bases with every skew monoidal structure that the search finds on them."""
 
+import itertools
 import json
 
 import pytest
 
 from skewcat.fincat import FinCategory, opposite_category
+from skewcat.search import enumerate_skew_structures
 from skewcat.skewmon import make_skew_monoidal
 from skewcat.tmulticat import make_multicat
 
@@ -47,6 +50,89 @@ def parallel_pair_category() -> FinCategory:
     compose[("u", "w")] = "p"
     compose[("v", "w")] = "p"
     return FinCategory(objs, morphisms, identity, compose)
+
+
+def _up_to_relabelling(candidates, perms, relabel) -> list:
+    """One representative of each isomorphism class among candidates, the
+    least relabelling of its members under perms, in sorted order.
+    relabel(candidate, perm) renames each element k of candidate perm[k]."""
+    return sorted({min(relabel(x, perm) for perm in perms) for x in candidates})
+
+
+def monoid_category(table: dict) -> FinCategory:
+    """A monoid on 0..n-1 with unit 0, table[(a, b)] = ab, as a one-object
+    category: e{a} is a, and e{a} after e{b} is e{ab}; on the group of
+    order two this is ``z2_category``."""
+    elements = sorted({a for a, _ in table})
+    return FinCategory(("x",), tuple((f"e{a}", "x", "x") for a in elements), {"x": "e0"},
+                       {(f"e{a}", f"e{b}"): f"e{ab}" for (a, b), ab in table.items()})
+
+
+def small_monoids(size: int) -> list[dict]:
+    """The monoids of the given order up to isomorphism, as tables on
+    0..size-1 with unit 0: every associative table, then the least
+    relabelling that fixes 0."""
+    cells = [(a, b) for a in range(1, size) for b in range(1, size)]
+    unit = {(a, b): a or b for a in range(size) for b in range(size) if 0 in (a, b)}
+    tables = []
+    for values in itertools.product(range(size), repeat=len(cells)):
+        table = {**unit, **dict(zip(cells, values))}
+        if all(table[table[a, b], c] == table[a, table[b, c]]
+               for a, b, c in itertools.product(range(size), repeat=3)):
+            tables.append(tuple(sorted(table.items())))
+    perms = [(0, *perm) for perm in itertools.permutations(range(1, size))]
+    return [dict(rows) for rows in _up_to_relabelling(
+        tables, perms,
+        lambda rows, perm: tuple(sorted(((perm[a], perm[b]), perm[ab]) for (a, b), ab in rows)))]
+
+
+def poset_category(size: int, below: frozenset) -> FinCategory:
+    """The poset on 0..size-1 whose strict order is the set of pairs below;
+    the morphism a <= b is m{a}{b}, as in ``chain_category``."""
+    objs = tuple(str(k) for k in range(size))
+    leq = below | {(k, k) for k in range(size)}
+    return FinCategory(objs, tuple((f"m{a}{b}", str(a), str(b)) for a, b in sorted(leq)),
+                       {str(k): f"m{k}{k}" for k in range(size)},
+                       {(f"m{b}{c}", f"m{a}{b}"): f"m{a}{c}"
+                        for a, b in leq for b2, c in leq if b2 == b})
+
+
+def small_posets(size: int) -> list[frozenset]:
+    """The strict orders on 0..size-1 up to isomorphism, each as its least
+    relabelling, a sorted tuple of pairs: every irreflexive, antisymmetric
+    and transitive set of pairs."""
+    pairs = [(a, b) for a in range(size) for b in range(size) if a != b]
+    orders = []
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        lt = {p for p, bit in zip(pairs, bits) if bit}
+        if all((b, a) not in lt for a, b in lt) and \
+                all((a, d) in lt for a, b in lt for c, d in lt if b == c):
+            orders.append(tuple(sorted(lt)))
+    return [frozenset(order) for order in _up_to_relabelling(
+        orders, list(itertools.permutations(range(size))),
+        lambda order, perm: tuple(sorted((perm[a], perm[b]) for a, b in order)))]
+
+
+def codiscrete_category(size: int) -> FinCategory:
+    """One morphism h{a}{b} between any two of the objects 0..size-1."""
+    objs = tuple(str(k) for k in range(size))
+    return FinCategory(objs, tuple((f"h{a}{b}", a, b) for a in objs for b in objs),
+                       {a: f"h{a}{a}" for a in objs},
+                       {(f"h{b}{c}", f"h{a}{b}"): f"h{a}{c}"
+                        for a in objs for b in objs for c in objs})
+
+
+def census_bases() -> list[tuple[str, FinCategory]]:
+    """The small bases of the census, named: every monoid of order at most
+    3 up to isomorphism, as a one-object category; every poset with at most
+    3 elements that is not a chain, up to isomorphism (the chains are in the
+    corpus already); and the codiscrete category on two objects."""
+    bases = [(f"monoid {n} #{k}", monoid_category(table))
+             for n in (1, 2, 3) for k, table in enumerate(small_monoids(n))]
+    bases += [(f"poset {n} " + (" ".join(f"{a}<{b}" for a, b in sorted(lt)) or "discrete"),
+               poset_category(n, lt))
+              for n in (1, 2, 3) for lt in small_posets(n) if len(lt) < n * (n - 1) // 2]
+    return bases + [("codiscrete 2", codiscrete_category(2))]
 
 
 def two_chain_fst():
@@ -202,3 +288,10 @@ def skew_snd():
 @pytest.fixture
 def z2_strict():
     return z2_monoidal()
+
+
+@pytest.fixture(scope="session")
+def census():
+    """(name, base, structures) for each base of ``census_bases``, with every
+    structure that ``enumerate_skew_structures`` finds on it."""
+    return [(name, base, enumerate_skew_structures(base)) for name, base in census_bases()]

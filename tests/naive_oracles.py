@@ -7,7 +7,7 @@ the two sides can disagree if either is wrong.
 
 import itertools
 
-from skewcat.fincat import Functor
+from skewcat.fincat import Functor, StructureError
 from skewcat.skewmon import LaxMonoidalFunctor
 
 
@@ -566,6 +566,23 @@ def naive_tails_bijective(s, theta, ks) -> bool:
     return True
 
 
+def naive_find_universal(s, x, inputs):
+    """``representability.find_universal`` evaluating every substitution:
+    the identity of the one input when x is the unit, else the first map,
+    output by output in sorted order, that ``naive_tails_bijective``
+    accepts at k = 0, or None."""
+    inputs = tuple(inputs)
+    if len(inputs) > s.max_arity:
+        raise StructureError("input tuple exceeds the truncation bound")
+    if x == s.operad.unit and len(inputs) == 1:
+        return s.identity(inputs[0])
+    for m in sorted(s.objects):
+        for theta in s.maps((x, inputs, m)):
+            if naive_tails_bijective(s, theta, (0,)):
+                return theta
+    return None
+
+
 def naive_closed_pair_ok(s, h, b, c, e) -> bool:
     """``representability._closed_pair_ok`` evaluating every substitution:
     for each type x and inputs below the bound, e ∘₁ f over the f into h
@@ -579,6 +596,22 @@ def naive_closed_pair_ok(s, h, b, c, e) -> bool:
                 if not _naive_bijective(images, s.hom(rx, inputs + (b,), c)):
                     return False
     return True
+
+
+def naive_closed_evaluations(s):
+    """``representability.find_closed_structure``'s evaluation maps,
+    evaluating every substitution: for each b and then c in sorted order,
+    the first tight e: (h, b) -> c, h in sorted order, that
+    ``naive_closed_pair_ok`` accepts, keyed by (b, c); None as soon as some
+    pair has none."""
+    found = {}
+    for b in sorted(s.objects):
+        for c in sorted(s.objects):
+            found[b, c] = next((e for h in sorted(s.objects) for e in s.maps(("t", (h, b), c))
+                                if naive_closed_pair_ok(s, h, b, c, e)), None)
+            if found[b, c] is None:
+                return None
+    return found
 
 
 def naive_functor_isos(c, d):

@@ -1,4 +1,6 @@
 import itertools
+import json
+import sys
 
 import pytest
 
@@ -20,10 +22,12 @@ from skewcat.tmulticat import (
     make_multicat, terminal_multicat, underlying_with_maps,
 )
 from conftest import (
-    chain_category, two_chain_fst, two_chain_snd, with_tables, z2_category, z2_monoidal,
+    chain_category, initial_projection, parallel_pair_category, product_monoidal,
+    two_chain_fst, two_chain_snd, with_tables, z2_category, z2_monoidal,
 )
 from naive_oracles import (
-    naive_closed_pair_ok, naive_inductive_classifiers, naive_tails_bijective,
+    naive_closed_evaluations, naive_closed_pair_ok, naive_find_universal,
+    naive_inductive_classifiers, naive_tails_bijective,
 )
 
 
@@ -410,7 +414,8 @@ def test_a_non_injective_substitution_map_rejects_its_multimap(monkeypatch):
 
 def test_substitution_counts_of_the_three_chain_searches(monkeypatch):
     # deterministic work: 36,791 and 16,358 calls when every hom bijection
-    # was decided by evaluating its substitutions
+    # was decided by evaluating its substitutions, and 1,416 and 6,380 while
+    # the colax translation still evaluated its one-element homs
     structures = enumerate_skew_structures(chain_category(3))
     calls = [0]
     substitute = TMulticategory.substitute
@@ -425,4 +430,64 @@ def test_substitution_counts_of_the_three_chain_searches(monkeypatch):
     analyzed = calls[0]
     for c in structures:
         roundtrip_monoidal(c, 4)
-    assert (len(structures), analyzed, calls[0] - analyzed) == (29, 1416, 6380)
+    assert (len(structures), analyzed, calls[0] - analyzed) == (29, 1416, 4379)
+
+
+def _classifier_records(items) -> list[str]:
+    """The JSON of ``analyze`` and of ``roundtrip_monoidal`` at each
+    (skew monoidal category, arity), each on a multicategory built afresh,
+    so that no substitution memo carries over from an earlier run."""
+    return [json.dumps([analyze(monoidal_to_multicat(c, n)), roundtrip_monoidal(c, n).to_json()])
+            for c, n in items]
+
+
+def _closed_evaluations_agree(multicats) -> bool:
+    """``find_closed_structure`` picks its evaluation maps by hom sizes
+    before it calls ``_closed_pair_ok``, so patching that alone does not
+    reach the choice: compare the choice with the evaluating search."""
+    def evaluation(s):
+        closed = find_closed_structure(s)
+        return closed and closed.evaluation
+
+    return all(evaluation(s) == naive_closed_evaluations(s) for s in multicats)
+
+
+def _use_naive_classifier_search(monkeypatch):
+    """Replace ``find_universal`` in every library namespace that holds it,
+    and both bijection tests of ``representability``, by the naive oracles,
+    which decide no hom by its size and evaluate every substitution."""
+    original = representability.find_universal
+    for name, module in list(sys.modules.items()):
+        if name.startswith("skewcat") and getattr(module, "find_universal", None) is original:
+            monkeypatch.setattr(module, "find_universal", naive_find_universal)
+    monkeypatch.setattr(representability, "_tails_bijective", naive_tails_bijective)
+    monkeypatch.setattr(representability, "_closed_pair_ok", naive_closed_pair_ok)
+
+
+def test_size_first_classifier_search_agrees_with_the_naive_oracles(search_structures,
+                                                                     monkeypatch):
+    z2, fst, snd = z2_monoidal(), two_chain_fst(), two_chain_snd()
+    structures = [*search_structures, product_monoidal(z2, z2), product_monoidal(z2, fst),
+                  product_monoidal(z2, snd), product_monoidal(fst, snd),
+                  initial_projection(parallel_pair_category(), "x")]
+    items = [(c, n) for c in structures for n in (3, 4)]
+    # multicategories built by hand, none of them from a skew monoidal category
+    by_hand = [first_input_tightness, two_ternary_maps, lambda: all_tight(boolean_product())]
+    sized = _classifier_records(items), [analyze(build()) for build in by_hand]
+    assert _closed_evaluations_agree(
+        [monoidal_to_multicat(c, n) for c, n in items] + [build() for build in by_hand])
+    _use_naive_classifier_search(monkeypatch)
+    assert (_classifier_records(items), [analyze(build()) for build in by_hand]) == sized
+    # every verdict of the search occurs, so the witnesses compared are not all alike
+    records = [json.loads(r)[0] for r in sized[0]] + sized[1]
+    for flag in ("weakly_representable", "left_representable", "closed"):
+        assert {r[flag] for r in records} == {True, False}
+
+
+def test_census_classifier_search_agrees_with_the_naive_oracles(census, monkeypatch):
+    items = [(c, 3) for _, _, structures in census for c in structures]
+    assert len(items) == 135
+    sized = _classifier_records(items)
+    assert _closed_evaluations_agree(monoidal_to_multicat(c, n) for c, n in items)
+    _use_naive_classifier_search(monkeypatch)
+    assert _classifier_records(items) == sized

@@ -1,8 +1,11 @@
 import functools
+import hashlib
 import itertools
+import json
 
 import pytest
 
+from skewcat.fincat import check_category
 from skewcat.search import _tensor_functors, enumerate_skew_structures
 from skewcat.skewmon import check_skew_monoidal, make_skew_monoidal, skewmon_to_json
 from conftest import chain_category, renamed, reversed_opposite, z2_category
@@ -133,3 +136,27 @@ def test_search_output_is_closed_under_reversed_opposite(n):
     assert all(f.base.canonical() == base.canonical() for f in flipped)
     assert {_tables(f) for f in flipped} == tables
     assert len(tables) == len(found) == {2: 4, 3: 29}[n]
+
+
+# sha256 of the JSON list of [base name, [skewmon_to_json of each structure
+# found]] over the census bases, in census order: a search that prunes more
+# must find the same structures in the same order
+CENSUS_DIGEST = "1f04258762c36ba650a8aba859e3266a4fb45e86c2221fb273029f5ee0785da8"
+
+
+def test_census_bases_and_their_structure_counts(census):
+    assert all(check_category(base) == [] for _, base, _ in census)
+    counts = {name: len(structures) for name, _, structures in census}
+    # 1 + 2 + 7 monoids of order 1, 2 and 3 (OEIS A058129) carry 12
+    # structures; two of order 3 carry none
+    monoids = [n for name, n in counts.items() if name.startswith("monoid")]
+    assert [sum(name.startswith(f"monoid {k} ") for name in counts) for k in (1, 2, 3)] == \
+        [1, 2, 7]
+    assert sum(monoids) == 12 and monoids.count(0) == 2
+    # the posets with at most three elements that are not chains: two and
+    # three discrete points, the 2-chain plus a point, V and Λ
+    assert {name: n for name, n in counts.items() if not name.startswith("monoid")} == {
+        "poset 2 discrete": 4, "poset 3 discrete": 33, "poset 3 0<1": 20,
+        "poset 3 0<1 0<2": 17, "poset 3 0<1 2<1": 17, "codiscrete 2": 32}
+    listed = [[name, [skewmon_to_json(c) for c in structures]] for name, _, structures in census]
+    assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() == CENSUS_DIGEST
