@@ -12,8 +12,8 @@ enforces naturality plus the five coherence axioms
     A4  (1_a ⊗ λ_b) ∘ α_{a,i,b} ∘ (ρ_a ⊗ 1_b) = 1_{a⊗b}
     A5  λ_i ∘ ρ_i = 1_i
 
-at every object tuple.  Missing components are a structural error rather than
-an axiom failure.
+at every object tuple.  A malformed table is a structural error, raised when
+the structure is built, rather than an axiom failure.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from .fincat import (
 
 @dataclass(frozen=True)
 class SkewMonoidalCategory:
+    """Tables of a skew monoidal category.  Every instance is built by
+    ``make_skew_monoidal``: each table is total on the base, has no other
+    key and takes values in the base, and the unit is an object."""
+
     base: FinCategory
     tensor_obj: dict[tuple[str, str], str]  # (a, b) -> a ⊗ b
     tensor_mor: dict[tuple[str, str], str]  # (f, g) -> f ⊗ g
@@ -53,6 +57,11 @@ class SkewMonoidalCategory:
         return self.t_mor(self.base.id_of(a), g)
 
 
+def _cell(x: str, y: str) -> str:
+    """A pair of ids as reports and messages name it."""
+    return f"({x},{y})"
+
+
 def make_skew_monoidal(base: FinCategory,
                        tensor_obj: dict[tuple[str, str], str],
                        tensor_mor: dict[tuple[str, str], str],
@@ -60,23 +69,52 @@ def make_skew_monoidal(base: FinCategory,
                        alpha: dict[tuple[str, str, str], str],
                        lambda_: dict[str, str],
                        rho: dict[str, str]) -> SkewMonoidalCategory:
-    # a file whose base lacks an identity fails when it is read, whatever the command
-    for a in base.objects:
+    """The structure with these tables, or a StructureError for the first of:
+    a tensor, λ or ρ key outside the base; an object without an identity; a
+    missing tensor cell; a tensor value outside the base; a unit that is not
+    an object; a missing λ, ρ or α component; a component that is not a
+    morphism; an α key naming an unknown object."""
+    objs = base.objects
+    objset = set(objs)
+    mors = [m for m, _, _ in base.morphisms]
+    for kind, table, required in (
+            ("tensor objects", tensor_obj, set(itertools.product(objs, repeat=2))),
+            ("tensor morphisms", tensor_mor, set(itertools.product(mors, repeat=2))),
+            ("lambda", lambda_, objset), ("rho", rho, objset)):
+        extra = set(table) - required
+        if extra:
+            raise StructureError(f"extra {kind} row for {min(extra)!r}")
+    for a in objs:
         if a not in base.identity:
             raise StructureError(f"object {a!r} has no identity")
-    mors = [m for m, _, _ in base.morphisms]
     try:
-        obj_table = {ab: tensor_obj[ab] for ab in itertools.product(base.objects, repeat=2)}
+        obj_table = {ab: tensor_obj[ab] for ab in itertools.product(objs, repeat=2)}
         mor_table = {fg: tensor_mor[fg] for fg in itertools.product(mors, repeat=2)}
     except KeyError as exc:
         raise StructureError(f"tensor table misses {exc.args[0]!r}") from exc
+    for (a, b), ab in obj_table.items():
+        if ab not in objset:
+            raise StructureError(f"object {_cell(a, b)!r} maps outside the target")
+    for (f, g), fg in mor_table.items():
+        if not base.has_morphism(fg):
+            raise StructureError(f"morphism {_cell(f, g)!r} maps outside the target")
+    if unit not in objset:
+        raise StructureError(f"unit {unit!r} is not an object")
+    for a in objs:
+        if a not in lambda_ or a not in rho:
+            raise StructureError(f"missing unit component at {a!r}")
+        for b, d in itertools.product(objs, repeat=2):
+            if (a, b, d) not in alpha:
+                raise StructureError(f"missing associativity component at {(a, b, d)!r}")
+    for name, table in (("associativity", alpha), ("left unit", lambda_), ("right unit", rho)):
+        for key, m in table.items():
+            if not base.has_morphism(m):
+                raise StructureError(f"{name} component {m!r} at {key!r} is not a morphism")
+    for key in alpha:
+        if not set(key) <= objset:
+            raise StructureError(f"associativity component at {key!r} names an unknown object")
     return SkewMonoidalCategory(base, obj_table, mor_table, unit,
                                 dict(alpha), dict(lambda_), dict(rho))
-
-
-def _cell(x: str, y: str) -> str:
-    """A pair of ids as reports and messages name it."""
-    return f"({x},{y})"
 
 
 def tensor_composition_failures(base: FinCategory, tensor_mor: dict[tuple[str, str], str]):
@@ -90,15 +128,9 @@ def tensor_composition_failures(base: FinCategory, tensor_mor: dict[tuple[str, s
 
 
 def _check_tensor(c: SkewMonoidalCategory) -> list[Violation]:
-    """The functor laws of the tensor C × C → C, pair by pair."""
+    """The functor laws of the tensor C × C → C, pair by pair, on tables
+    whose values ``make_skew_monoidal`` has found in the base."""
     base, t_obj, t_mor = c.base, c.tensor_obj, c.tensor_mor
-    objset = set(base.objects)
-    for a, b in itertools.product(base.objects, repeat=2):
-        if t_obj[(a, b)] not in objset:
-            raise StructureError(f"object {_cell(a, b)!r} maps outside the target")
-    for (f, _, _), (g, _, _) in itertools.product(base.morphisms, repeat=2):
-        if not base.has_morphism(t_mor[(f, g)]):
-            raise StructureError(f"morphism {_cell(f, g)!r} maps outside the target")
     out: list[Violation] = []
     for (f, fs, ft), (g, gs, gt) in itertools.product(base.morphisms, repeat=2):
         fg = t_mor[(f, g)]
@@ -114,88 +146,61 @@ def _check_tensor(c: SkewMonoidalCategory) -> list[Violation]:
 
 
 def check_skew_monoidal(c: SkewMonoidalCategory) -> list[Violation]:
-    out = list(check_category(c.base))
-    if out:
-        return out
-    out.extend(_check_tensor(c))
-    if c.unit not in set(c.base.objects):
-        raise StructureError(f"unit {c.unit!r} is not an object")
+    """The law violations of c, which is well-formed by construction: the
+    base's category laws, the tensor's functor laws, the endpoints of λ, ρ
+    and α, then naturality and A1–A5.  Each stage runs only if those before
+    it found nothing, so every composite a law names is in the tables."""
     base = c.base
-    for a in base.objects:
-        if a not in c.lambda_ or a not in c.rho:
-            raise StructureError(f"missing unit component at {a!r}")
-        for b in base.objects:
-            for d in base.objects:
-                if (a, b, d) not in c.alpha:
-                    raise StructureError(f"missing associativity component at {(a, b, d)!r}")
-    for name, table in (("associativity", c.alpha), ("left unit", c.lambda_),
-                        ("right unit", c.rho)):
-        for key, m in table.items():
-            if not base.has_morphism(m):
-                raise StructureError(f"{name} component {m!r} at {key!r} is not a morphism")
-    objset = set(base.objects)
-    for key in c.alpha:
-        if not set(key) <= objset:
-            raise StructureError(f"associativity component at {key!r} names an unknown object")
+    out = check_category(base) or _check_tensor(c)
     if out:
         return out
-
-    def o(a, b):
-        return c.t_obj(a, b)
-
-    seq = base.comp_seq
-    ident = base.id_of
-    i = c.unit
-    for a in base.objects:
-        la, ra = c.lambda_[a], c.rho[a]
-        if base.src(la) != o(i, a) or base.tgt(la) != a:
+    objs, src, tgt, comp, ident = base.objects, base.src, base.tgt, base.compose, base.identity
+    o, tm, alpha, lam, rho, i = c.tensor_obj, c.tensor_mor, c.alpha, c.lambda_, c.rho, c.unit
+    for a in objs:
+        la, ra = lam[a], rho[a]
+        if src(la) != o[i, a] or tgt(la) != a:
             out.append(Violation.of("lambda-endpoints", a=a, component=la))
-        if base.src(ra) != a or base.tgt(ra) != o(a, i):
+        if src(ra) != a or tgt(ra) != o[a, i]:
             out.append(Violation.of("rho-endpoints", a=a, component=ra))
-    for (a, b, d), al in c.alpha.items():
-        if base.src(al) != o(o(a, b), d) or base.tgt(al) != o(a, o(b, d)):
+    for (a, b, d), al in alpha.items():
+        if src(al) != o[o[a, b], d] or tgt(al) != o[a, o[b, d]]:
             out.append(Violation.of("alpha-endpoints", a=a, b=b, c=d, component=al))
     if out:
         return out
 
-    mors = [m for m, _, _ in base.morphisms]
-    for f in mors:
-        a, b = base.src(f), base.tgt(f)
-        if seq(c.t_mor(ident(i), f), c.lambda_[b]) != seq(c.lambda_[a], f):
+    def path(*ms: str) -> str:
+        """The composite of a path listed source to target."""
+        acc = ms[0]
+        for m in ms[1:]:
+            acc = comp[m, acc]
+        return acc
+
+    ends = [(f, src(f), tgt(f)) for f, _, _ in base.morphisms]
+    for f, a, b in ends:
+        if path(tm[ident[i], f], lam[b]) != path(lam[a], f):
             out.append(Violation.of("lambda-naturality", f=f))
-        if seq(f, c.rho[b]) != seq(c.rho[a], c.t_mor(f, ident(i))):
+        if path(f, rho[b]) != path(rho[a], tm[f, ident[i]]):
             out.append(Violation.of("rho-naturality", f=f))
-    # tensor values and α components are morphisms here: seq is one lookup
-    tm, comp, alpha = c.tensor_mor, base.compose, c.alpha
-    ends = [(f, base.src(f), base.tgt(f)) for f in mors]
     for (f, a1, a2), (g, b1, b2) in itertools.product(ends, repeat=2):
         fg = tm[f, g]
         for h, c1, c2 in ends:
-            if comp.get((alpha[a2, b2, c2], tm[fg, h])) != \
-                    comp.get((tm[f, tm[g, h]], alpha[a1, b1, c1])):
+            if comp[alpha[a2, b2, c2], tm[fg, h]] != comp[tm[f, tm[g, h]], alpha[a1, b1, c1]]:
                 out.append(Violation.of("alpha-naturality", f=f, g=g, h=h))
 
-    for a in base.objects:
-        for b in base.objects:
-            for d in base.objects:
-                for e in base.objects:
-                    lhs = seq(c.t_mor_left(c.alpha[(a, b, d)], e),
-                              c.alpha[(a, o(b, d), e)],
-                              c.t_mor_right(a, c.alpha[(b, d, e)]))
-                    rhs = seq(c.alpha[(o(a, b), d, e)], c.alpha[(a, b, o(d, e))])
-                    if lhs != rhs:
-                        out.append(Violation.of("A1", a=a, b=b, c=d, d=e,
-                                                left=str(lhs), right=str(rhs)))
-    for a in base.objects:
-        for b in base.objects:
-            if seq(c.alpha[(i, a, b)], c.lambda_[o(a, b)]) != c.t_mor_left(c.lambda_[a], b):
-                out.append(Violation.of("A2", a=a, b=b))
-            if seq(c.rho[o(a, b)], c.alpha[(a, b, i)]) != c.t_mor_right(a, c.rho[b]):
-                out.append(Violation.of("A3", a=a, b=b))
-            if seq(c.t_mor_left(c.rho[a], b), c.alpha[(a, i, b)],
-                   c.t_mor_right(a, c.lambda_[b])) != ident(o(a, b)):
-                out.append(Violation.of("A4", a=a, b=b))
-    if seq(c.rho[i], c.lambda_[i]) != ident(i):
+    for a, b, d, e in itertools.product(objs, repeat=4):
+        lhs = path(tm[alpha[a, b, d], ident[e]], alpha[a, o[b, d], e],
+                   tm[ident[a], alpha[b, d, e]])
+        rhs = path(alpha[o[a, b], d, e], alpha[a, b, o[d, e]])
+        if lhs != rhs:
+            out.append(Violation.of("A1", a=a, b=b, c=d, d=e, left=lhs, right=rhs))
+    for a, b in itertools.product(objs, repeat=2):
+        if path(alpha[i, a, b], lam[o[a, b]]) != tm[lam[a], ident[b]]:
+            out.append(Violation.of("A2", a=a, b=b))
+        if path(rho[o[a, b]], alpha[a, b, i]) != tm[ident[a], rho[b]]:
+            out.append(Violation.of("A3", a=a, b=b))
+        if path(tm[rho[a], ident[b]], alpha[a, i, b], tm[ident[a], lam[b]]) != ident[o[a, b]]:
+            out.append(Violation.of("A4", a=a, b=b))
+    if path(rho[i], lam[i]) != ident[i]:
         out.append(Violation.of("A5"))
     return out
 
@@ -423,9 +428,9 @@ def _table(rows, width: int, kind: str) -> dict[tuple[str, ...], str]:
 
 
 def skewmon_from_json(data: dict) -> SkewMonoidalCategory:
-    """Read a skew monoidal category, requiring string ids, at most one row
-    per key in every table, and no tensor or unit row for a key outside the
-    base category."""
+    """Read a skew monoidal category, requiring string ids and at most one
+    row per key in every table; ``make_skew_monoidal`` decides the rest of
+    well-formedness."""
     if not isinstance(data, dict) or set(data) != _SM_KEYS:
         raise StructureError(f"skew monoidal object must have exactly the keys {sorted(_SM_KEYS)}")
     base = category_from_json(data["category"])
@@ -438,13 +443,4 @@ def skewmon_from_json(data: dict) -> SkewMonoidalCategory:
     lambda_ = {a: m for (a,), m in _table(data["lambda"], 2, "lambda").items()}
     rho = {a: m for (a,), m in _table(data["rho"], 2, "rho").items()}
     unit = _str_id(data["unit"], "unit")
-    objects = set(base.objects)
-    morphisms = {f for f, _, _ in base.morphisms}
-    for kind, table, required in (
-            ("tensor objects", tensor_obj, {(a, b) for a in objects for b in objects}),
-            ("tensor morphisms", tensor_mor, {(f, g) for f in morphisms for g in morphisms}),
-            ("lambda", lambda_, objects), ("rho", rho, objects)):
-        extra = set(table) - required
-        if extra:
-            raise StructureError(f"extra {kind} row for {min(extra)!r}")
     return make_skew_monoidal(base, tensor_obj, tensor_mor, unit, alpha, lambda_, rho)

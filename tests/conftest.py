@@ -250,6 +250,14 @@ def renamed(c, obj: dict, mor: dict):
         {obj[a]: mor[v] for a, v in c.rho.items()})
 
 
+def with_component(c, field: str, key, value: str):
+    """c with its ``field`` table ("alpha", "lambda_" or "rho") set to value
+    at key, built through ``make_skew_monoidal``."""
+    tables = {"alpha": c.alpha, "lambda_": c.lambda_, "rho": c.rho}
+    tables[field] = {**tables[field], key: value}
+    return make_skew_monoidal(c.base, c.tensor_obj, c.tensor_mor, c.unit, **tables)
+
+
 def with_tables(m, action, subst, homs=None):
     """A copy of m whose action and substitution look up tables in the format
     of ``TMulticategory.materialize``, as the file reader's do: its ∘ᵢ rows

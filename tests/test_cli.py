@@ -1081,6 +1081,70 @@ def test_tensor_cell_mutants_match_digest_and_naive_oracle(tmp_path, capsys):
     assert digest.hexdigest() == TENSOR_MUTANTS_DIGEST
 
 
+# sha256 over "<exit>\n<stdout>" of `skewcat check` on each mutant of
+# _component_mutants, in order; taken before the skew monoidal well-formedness
+# checks moved into make_skew_monoidal
+COMPONENT_MUTANTS_DIGEST = "38674275e670b180720c2404406ee2645066ba873a5eda543be8b897f7d866ce"
+
+# every law that a component alone can break, from the endpoints to A5
+COMPONENT_LAWS = {"lambda-endpoints", "rho-endpoints", "alpha-endpoints", "lambda-naturality",
+                  "rho-naturality", "alpha-naturality", "A1", "A2", "A3", "A4", "A5"}
+
+
+def _component_mutants():
+    """(label, document) for each row of alpha, lambda and rho, in JSON row
+    order, set to every other morphism of the base."""
+    for label, structure in (
+            ("fst", two_chain_fst()), ("snd", two_chain_snd()), ("z2", z2_monoidal()),
+            ("z2 x fst", product_monoidal(z2_monoidal(), two_chain_fst())),
+            ("parallel pair", initial_projection(parallel_pair_category(), "x"))):
+        doc = skewmon_to_json(structure)
+        ids = [m["id"] for m in doc["category"]["morphisms"]]
+        for table in ("alpha", "lambda", "rho"):
+            for row, cell in enumerate(doc[table]):
+                for value in ids:
+                    if value != cell[-1]:
+                        mutant = copy.deepcopy(doc)
+                        mutant[table][row][-1] = value
+                        yield f"{label} {table} {row} {value}", mutant
+
+
+def test_component_mutants_match_digest_and_naive_oracle(tmp_path, capsys):
+    digest = hashlib.sha256()
+    verdicts, laws = [], set()
+    for label, doc in _component_mutants():
+        code = main(["check", write(tmp_path, "mutant.json", doc)])
+        out = capsys.readouterr().out
+        digest.update(f"{code}\n{out}".encode())
+        laws.update(v["law"] for v in json.loads(out)["violations"])
+        verdicts.append((label, code == 0, naive_skew_monoidal_ok(skewmon_from_json(doc))))
+    assert [v for v in verdicts if v[1] != v[2]] == []
+    assert len(verdicts) == 309
+    assert laws == COMPONENT_LAWS
+    assert digest.hexdigest() == COMPONENT_MUTANTS_DIGEST
+
+
+def test_malformed_table_exits_2_even_when_the_base_breaks_a_law(tmp_path, capsys):
+    """Z/2 with (e0, e1) composing to e0, so that identity-left fails, and
+    its one α row dropped: every command that reads a skew monoidal file
+    exits 2 on the missing row instead of reporting the base's violation."""
+    doc = skewmon_to_json(z2_monoidal())
+    for entry in doc["category"]["compose"]:
+        if (entry["g"], entry["f"]) == ("e0", "e1"):
+            entry["gf"] = "e0"
+    lawless = write(tmp_path, "lawless.json", doc)
+    code, out, _ = run(capsys, "check", lawless)
+    assert code == 1 and out["kind"] == "monoidal"
+    assert "identity-left" in {v["law"] for v in out["violations"]}
+    doc["alpha"] = []
+    path = write(tmp_path, "malformed.json", doc)
+    for command, *options in (["check"], ["analyze"], ["convert", "--to", "multicat"],
+                              ["roundtrip"]):
+        code, out, _ = run(capsys, command, path, *options)
+        assert (command, code, out) == (
+            command, 2, {"error": "missing associativity component at ('x', 'x', 'x')"})
+
+
 # A structure under two spellings of its ids: plain, and with the characters
 # "(", ")" and ",".  Both spellings sort alike, so every output of the second
 # is the output of the first with the ids respelled.

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -26,7 +25,8 @@ from skewcat.tmulticat import (
 )
 from conftest import (
     chain_category, initial_projection, parallel_pair_category, product_monoidal,
-    reversed_opposite, two_chain_fst, two_chain_snd, with_tables, z2_category, z2_monoidal,
+    reversed_opposite, two_chain_fst, two_chain_snd, with_component, with_tables, z2_category,
+    z2_monoidal,
 )
 from test_skewmon import chain_monoidal
 
@@ -247,7 +247,7 @@ def alpha_mutants(c):
         hom = c.base.hom(c.t_obj(c.t_obj(a, b), d), c.t_obj(a, c.t_obj(b, d)))
         for other in hom:
             if other != value:
-                yield (a, b, d), dataclasses.replace(c, alpha={**c.alpha, (a, b, d): other})
+                yield (a, b, d), with_component(c, "alpha", (a, b, d), other)
 
 
 def test_arity_two_cannot_witness_the_associator_at_non_unit_a_b():
@@ -320,7 +320,7 @@ def one_cell_mutants(c):
         for a, value in table.items():
             for other in c.base.hom(*ends(a)):
                 if other != value:
-                    yield (field, a), dataclasses.replace(c, **{field: {**table, a: other}})
+                    yield (field, a), with_component(c, field, a, other)
 
 
 def test_both_presentations_reject_every_one_cell_mutant_at_arity_three():

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
-from skewcat.fincat import StructureError, opposite_category
+from skewcat.fincat import StructureError, opposite_category, report_to_json
 from skewcat.skewmon import (
     _functor_isos, check_lax_monoidal, check_skew_monoidal,
     is_closed_skew_monoidal, is_left_normal, lambda_all_epi,
@@ -11,8 +13,8 @@ from skewcat.skewmon import (
 )
 from conftest import (
     chain_category, initial_projection, parallel_pair_category, product_category,
-    product_monoidal, reversed_opposite, two_chain_fst, two_chain_snd, z2_category,
-    z2_monoidal,
+    product_monoidal, reversed_opposite, two_chain_fst, two_chain_snd, with_component,
+    z2_category, z2_monoidal,
 )
 from naive_oracles import invert_lax, naive_functor_isos, naive_skew_monoidal_ok
 
@@ -112,14 +114,42 @@ def test_checker_agrees_with_oracle_on_all_z2_candidates():
 
 
 def test_missing_component_is_structural(skew_fst):
-    broken = make_skew_monoidal(
-        skew_fst.base,
-        {(a, b): a for a in skew_fst.base.objects for b in skew_fst.base.objects},
-        {(f, g): f for f, _, _ in skew_fst.base.morphisms
-         for g, _, _ in skew_fst.base.morphisms},
-        "0", {}, {}, {})
     with pytest.raises(StructureError):
-        check_skew_monoidal(broken)
+        make_skew_monoidal(
+            skew_fst.base,
+            {(a, b): a for a in skew_fst.base.objects for b in skew_fst.base.objects},
+            {(f, g): f for f, _, _ in skew_fst.base.morphisms
+             for g, _, _ in skew_fst.base.morphisms},
+            "0", {}, {}, {})
+
+
+# sha256 of the JSON list of report_to_json(check_skew_monoidal(m)) over the
+# one-cell mutants m of the census structures, in census order; taken before
+# the well-formedness checks moved into make_skew_monoidal
+CENSUS_COMPONENT_MUTANTS_DIGEST = "fcea0b17e4b09171e443827094b83db9d57d86f8fd493503514f898391d42156"
+
+
+def test_census_component_mutants_match_digest_and_naive_oracle(census):
+    """Every α, λ or ρ cell of every census structure set to every other
+    morphism of its base: the checker's verdict is the naive oracle's, and
+    its reports are pinned."""
+    reports, disagree = [], []
+    for name, base, structures in census:
+        ids = [m for m, _, _ in base.morphisms]
+        for c in structures:
+            for field in ("alpha", "lambda_", "rho"):
+                for key, value in getattr(c, field).items():
+                    for other in ids:
+                        if other != value:
+                            mutant = with_component(c, field, key, other)
+                            report = check_skew_monoidal(mutant)
+                            if (report == []) != naive_skew_monoidal_ok(mutant):
+                                disagree.append((name, field, key, other))
+                            reports.append(report_to_json(report))
+    assert disagree == []
+    assert len(reports) == 9903
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == CENSUS_COMPONENT_MUTANTS_DIGEST
 
 
 def test_left_normal(skew_fst, skew_snd):
