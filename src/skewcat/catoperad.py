@@ -236,7 +236,11 @@ def check_operad_axioms(op: CatOperad, bound: int = 5) -> list[Violation]:
             except Exception:
                 out.append(Violation.of("subst-object", x=x, arity=str(n)))
 
-    # Associativity of double substitution on objects.
+    # Associativity of double substitution on objects.  Per shape, the inner
+    # choices and their flattenings are built once; per (x, xs), each slot's
+    # inner substitutions are evaluated once.  A group in which the rule
+    # raises is walked again instance by instance, for the report of
+    # ``_associativity_walk``.
     for n, ks in shapes():
         inner_shape_opts = [[ms for ms in ks_space(k)] for k in ks]
         for mss in itertools.product(*inner_shape_opts):
@@ -245,21 +249,44 @@ def check_operad_axioms(op: CatOperad, bound: int = 5) -> list[Violation]:
                 continue
             sums = tuple(sum(ms) for ms in mss)
             inner_opts = [list(itertools.product(*(objs(m) for m in ms))) for ms in mss]
+            choices = list(itertools.product(*inner_opts))
+            flats = [tuple(y for ys in yss for y in ys) for yss in choices]
+            shape = f"{n}{ks}{mss}"
             for x in objs(n):
                 for xs in itertools.product(*(objs(k) for k in ks)):
                     try:
                         mid = op.subst_obj(x, xs, ks)
-                        for yss in itertools.product(*inner_opts):
-                            flat_ys = tuple(y for ys in yss for y in ys)
-                            lhs = op.subst_obj(mid, flat_ys, flat_ms)
-                            inner = tuple(op.subst_obj(xi, ys, ms)
-                                          for xi, ys, ms in zip(xs, yss, mss))
-                            rhs = op.subst_obj(x, inner, sums)
-                            if lhs != rhs:
-                                out.append(Violation.of(
-                                    "subst-associativity", x=x, xs=str(xs),
-                                    ys=str(yss), shape=f"{n}{ks}{mss}"))
+                        vals = [[op.subst_obj(xi, ys, ms) for ys in opts]
+                                for xi, opts, ms in zip(xs, inner_opts, mss)]
+                        broken = [yss for yss, flat_ys, inner
+                                  in zip(choices, flats, itertools.product(*vals))
+                                  if op.subst_obj(mid, flat_ys, flat_ms)
+                                  != op.subst_obj(x, inner, sums)]
                     except Exception:
-                        out.append(Violation.of("subst-object", x=x, xs=str(xs),
-                                                shape=f"{n}{ks}{mss}"))
+                        _associativity_walk(op, x, xs, ks, mss, choices, out)
+                        continue
+                    out.extend(Violation.of("subst-associativity", x=x, xs=str(xs),
+                                            ys=str(yss), shape=shape) for yss in broken)
     return out
+
+
+def _associativity_walk(op: CatOperad, x: str, xs: tuple[str, ...], ks: tuple[int, ...],
+                        mss: tuple, choices: list, out: list[Violation]) -> None:
+    """Check associativity at (x, xs) one inner choice at a time: each
+    failing instance in order, then one ``subst-object`` report where the
+    rule first raises, and nothing after it."""
+    shape = f"{len(xs)}{ks}{mss}"
+    flat_ms = tuple(m for ms in mss for m in ms)
+    sums = tuple(sum(ms) for ms in mss)
+    try:
+        mid = op.subst_obj(x, xs, ks)
+        for yss in choices:
+            flat_ys = tuple(y for ys in yss for y in ys)
+            lhs = op.subst_obj(mid, flat_ys, flat_ms)
+            inner = tuple(op.subst_obj(xi, ys, ms) for xi, ys, ms in zip(xs, yss, mss))
+            rhs = op.subst_obj(x, inner, sums)
+            if lhs != rhs:
+                out.append(Violation.of("subst-associativity", x=x, xs=str(xs),
+                                        ys=str(yss), shape=shape))
+    except Exception:
+        out.append(Violation.of("subst-object", x=x, xs=str(xs), shape=shape))

@@ -100,32 +100,97 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _read_json(path: str):
-    """Parse a JSON file, rejecting any object that repeats a key.  Bytes
-    that are no UTF-8, nesting deeper than the parser recurses and integer
-    literals longer than the interpreter converts are malformed input too."""
+def _repeated_key(text: str) -> StructureError | None:
+    """The error of the strict parse, whose hook names the first repeated
+    key of ``text``; None when no object repeats one or the text does not
+    parse."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, StructureError):
+        json.loads(text, object_pairs_hook=_unique_keys)
+    except StructureError as exc:
+        return exc
+    except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+        pass
+    return None
+
+
+def _decode(text: str):
+    """``json.loads(text)``; nesting deeper than the parser recurses and an
+    integer literal longer than the interpreter converts are unreadable."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
         raise
-    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+    except (ValueError, RecursionError) as exc:
         raise StructureError(f"unreadable JSON: {exc}") from exc
 
 
-def _load(path: str):
-    """Returns ("category" | "monoidal" | "multicat", parsed structure)."""
-    data = _read_json(path)
+def _read_json(path: str, read):
+    """Parse a JSON file, rejecting any object that repeats a key, and read
+    it with ``read``, which returns the value and the number of object
+    members of the document that it accepted.  Bytes that are no UTF-8,
+    nesting deeper than the parser recurses and integer literals longer
+    than the interpreter converts are malformed input too.
+
+    The file is parsed once, without a hook.  Outside strings, every ``:``
+    of JSON text separates one object member, and the readers accept an
+    object only with its exact key set, so ``read`` counts the members of
+    the parsed document from its row counts.  A repeated key leaves one
+    member in the parsed object for two in the text, so when that count
+    equals the colons of the text, no key repeats (and no string holds a
+    colon).  Otherwise, and before any error of the parse or of ``read``
+    propagates, the strict parse of ``_repeated_key`` looks for a repeated
+    key and reports it first; finding none, it leaves the value or the
+    error as it was."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise StructureError(f"unreadable JSON: {exc}") from exc
+    try:
+        value, members = read(_decode(text))
+    except Exception:
+        repeated = _repeated_key(text)
+        if repeated is not None:
+            raise repeated from None
+        raise
+    if members != text.count(":") and (repeated := _repeated_key(text)) is not None:
+        raise repeated
+    return value
+
+
+def _category_members(data: dict) -> int:
+    return 4 + 3 * len(data["morphisms"]) + len(data["identities"]) + 3 * len(data["compose"])
+
+
+def _read_category(data) -> tuple:
+    return category_from_json(data), _category_members(data)
+
+
+def _read_structure(data) -> tuple:
+    """(kind, structure) of a document, "category" | "monoidal" | "multicat",
+    and its object members: three per ``morphisms``/``compose`` row, one per
+    identity, two in ``tensor``, four per multimap reference of a ``subst``
+    row, and the keys of the top level and of each row."""
     if not isinstance(data, dict):
         raise StructureError("top-level JSON must be an object")
     keys = set(data)
     if keys == _CAT_KEYS:
-        return "category", category_from_json(data)
+        return ("category", category_from_json(data)), _category_members(data)
     if keys == _SM_KEYS:
-        return "monoidal", skewmon_from_json(data)
+        value = skewmon_from_json(data)
+        return ("monoidal", value), 8 + _category_members(data["category"])
     if keys == _MC_KEYS:
-        return "multicat", multicat_from_json(data)
+        value = multicat_from_json(data)
+        return ("multicat", value), (
+            7 + 4 * len(data["homs"]) + len(data["identities"])
+            + 5 * len(data["action"]) + sum(7 + 4 * len(e["inners"]) for e in data["subst"]))
     raise StructureError(f"unrecognized schema with keys {sorted(keys)}")
+
+
+def _load(path: str):
+    """Returns ("category" | "monoidal" | "multicat", parsed structure),
+    read from a file in which no object repeats a key (``_read_json``)."""
+    return _read_json(path, _read_structure)
 
 
 def _applied_arity(value: int) -> int:
@@ -222,7 +287,7 @@ def cmd_roundtrip(path: str, max_arity: int) -> int:
 
 
 def cmd_search(objects_path: str, emit_dir: str) -> int:
-    base = category_from_json(_read_json(objects_path))
+    base = _read_json(objects_path, _read_category)
     report = check_category(base)
     if report:
         _emit({"kind": "category", "violations": report_to_json(report)},

@@ -71,17 +71,16 @@ def _tensor_functors(base: FinCategory):
 def enumerate_skew_structures(base: FinCategory) -> list[SkewMonoidalCategory]:
     """Every skew monoidal structure on the given category, in canonical order."""
     objs = sorted(base.objects)
-    functors = list(_tensor_functors(base))
+    triples = [(a, b, c) for a in objs for b in objs for c in objs]
+    # the candidate α components of each functor, which no unit changes
+    functors = [(t, tensor_mor, [base.hom(t[(t[(a, b)], c)], t[(a, t[(b, c)])])
+                                 for a, b, c in triples])
+                for t, tensor_mor in _tensor_functors(base)]
     found = []
     for unit in objs:
-        for tensor_obj, tensor_mor in functors:
-            def t(a, b):
-                return tensor_obj[(a, b)]
-
-            lambda_opts = [base.hom(t(unit, a), a) for a in objs]
-            rho_opts = [base.hom(a, t(a, unit)) for a in objs]
-            triples = [(a, b, c) for a in objs for b in objs for c in objs]
-            alpha_opts = [base.hom(t(t(a, b), c), t(a, t(b, c))) for a, b, c in triples]
+        for tensor_obj, tensor_mor, alpha_opts in functors:
+            lambda_opts = [base.hom(tensor_obj[(unit, a)], a) for a in objs]
+            rho_opts = [base.hom(a, tensor_obj[(a, unit)]) for a in objs]
             if any(not o for o in (*lambda_opts, *rho_opts, *alpha_opts)):
                 continue
             for lam in itertools.product(*lambda_opts):

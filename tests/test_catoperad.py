@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -87,7 +88,7 @@ def test_operad_by_name():
         operad_by_name("Q")
 
 
-def mutant_R():
+def mutant_R(arity_uniform=False):
     """R with one substitution entry redirected: outer t with inners (l, t) at
     arities (1, 1) produces t instead of l."""
     R = make_R_operad()
@@ -97,7 +98,32 @@ def mutant_R():
             return "t"
         return R.subst_obj(x, xs, ks)
 
-    return CatOperad("Rmut", R.component_rule, R.unit, obj)
+    return CatOperad("Rmut", R.component_rule, R.unit, obj, arity_uniform=arity_uniform)
+
+
+def swapped_R(arity_uniform=False):
+    """R with the binary all-tight substitution swapping t and l: lam: t -> l
+    substitutes to a morphism l -> t, which R's components lack."""
+    R = make_R_operad()
+
+    def obj(x, xs, ks):
+        if xs == ("t", "t") and ks == (1, 1):
+            return {"t": "l", "l": "t"}[x]
+        return R.subst_obj(x, xs, ks)
+
+    return CatOperad("Rswap", R.component_rule, R.unit, obj, arity_uniform=arity_uniform)
+
+
+def raising_R(arity_uniform=False):
+    """R with a rule that raises whenever both inners are unary."""
+    R = make_R_operad()
+
+    def obj(x, xs, ks):
+        if ks == (1, 1):
+            raise KeyError(ks)
+        return R.subst_obj(x, xs, ks)
+
+    return CatOperad("Rraise", R.component_rule, R.unit, obj, arity_uniform=arity_uniform)
 
 
 def test_mutant_reports_associativity():
@@ -119,16 +145,7 @@ def test_unit_all_units_substitution_is_identity_functor(R):
 
 
 def test_non_monotone_rule_is_reported_not_raised():
-    """R with the binary all-tight substitution swapping t and l: lam: t -> l
-    substitutes to a morphism l -> t, which R's components lack."""
-    R = make_R_operad()
-
-    def obj(x, xs, ks):
-        if xs == ("t", "t") and ks == (1, 1):
-            return {"t": "l", "l": "t"}[x]
-        return R.subst_obj(x, xs, ks)
-
-    laws = {v.law for v in check_operad_axioms(CatOperad("Rswap", R.component_rule, R.unit, obj), 3)}
+    laws = {v.law for v in check_operad_axioms(swapped_R(), 3)}
     assert {"subst-morphism", "unit-right-object", "subst-associativity"} <= laws
 
 
@@ -136,19 +153,33 @@ def test_raising_rule_is_reported_not_raised():
     """R with a rule that raises whenever both inners are unary: the
     unit and associativity laws need those substitutions too, and each
     instance that cannot be evaluated is a subst-object report."""
-    R = make_R_operad()
-
-    def obj(x, xs, ks):
-        if ks == (1, 1):
-            raise KeyError(ks)
-        return R.subst_obj(x, xs, ks)
-
-    rep = check_operad_axioms(CatOperad("Rraise", R.component_rule, R.unit, obj), 3)
+    rep = check_operad_axioms(raising_R(), 3)
     assert {v.law for v in rep} == {"subst-object", "subst-morphism"}
     details = [dict(v.details) for v in rep if v.law == "subst-object"]
     assert sum(d.get("ks") == "(1, 1)" for d in details) == 2 * 2 * 2  # x, then xs
     assert {"x": "t", "arity": "2"} in details and {"x": "l", "arity": "2"} in details
     assert {"x": "t", "xs": "('t', 't')", "shape": "2(1, 1)((1,), (1,))"} in details
+
+
+def test_rule_raising_partway_through_a_group_keeps_the_report_before_it():
+    """mutant_R whose rule also raises at x = t, xs = (t, l), ks = (2, 1): at
+    x = t, xs = (l, t) of shape 2(1, 1)((2,), (1,)) the first instance
+    fails associativity and the second needs that substitution, so the
+    group reports the failure, then one subst-object, and nothing more."""
+    mutant = mutant_R()
+
+    def obj(x, xs, ks):
+        if (x, xs, ks) == ("t", ("t", "l"), (2, 1)):
+            raise KeyError(ks)
+        return mutant.subst_obj(x, xs, ks)
+
+    rep = check_operad_axioms(CatOperad("Rmix", mutant.component_rule, mutant.unit, obj), 3)
+    where = {"x": "t", "xs": "('l', 't')", "shape": "2(1, 1)((2,), (1,))"}
+    group = [(v.law, dict(v.details)) for v in rep
+             if where.items() <= dict(v.details).items()]
+    assert group == [("subst-associativity", {**where, "ys": "(('t',), ('t',))"}),
+                     ("subst-object", where)]
+    assert len(rep) == 117
 
 
 def test_non_thin_component_raises_naming_its_arity():
@@ -184,3 +215,26 @@ def test_derived_subst_mor_is_a_functor(name):
                     gfs = tuple(h for _, h in pairs)
                     assert op.subst_mor(gf, gfs, ks) == cod.comp(op.subst_mor(g, gs, ks),
                                                                  op.subst_mor(f, fs, ks))
+
+
+# sha256 over the violation lists, in order, of N, R and L at bounds 1 to 5
+# and of the three mutants above at bounds 1 to 4, each with arity_uniform
+# off and on.  Taken while the associativity check evaluated every instance
+# one at a time, so it pins the lists and their order, the subst-object
+# reports of the raising rule included (5,739 violations).
+OPERAD_VIOLATIONS_DIGEST = "983ceecc663a1e401f02e260fcfd0c19bddc7264cb23fda7efab08ac3c5a0f65"
+
+
+def test_operad_violation_lists_match_digest_in_order():
+    cases = [(f"{name}@{bound}", operad_by_name(name), bound)
+             for name in ("N", "R", "L") for bound in range(1, 6)]
+    cases += [(f"{build.__name__} uniform={uniform}@{bound}", build(uniform), bound)
+              for build in (mutant_R, swapped_R, raising_R) for uniform in (False, True)
+              for bound in range(1, 5)]
+    digest = hashlib.sha256()
+    for label, op, bound in cases:
+        violations = check_operad_axioms(op, bound)
+        digest.update(f"{label} {len(violations)}\n".encode())
+        for v in violations:
+            digest.update(f"{v.law}\t{v.details!r}\n".encode())
+    assert digest.hexdigest() == OPERAD_VIOLATIONS_DIGEST

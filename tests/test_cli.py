@@ -2,6 +2,7 @@ import contextlib
 import copy
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewcat
-from skewcat import correspondence, representability
+from skewcat import cli, correspondence, representability
 from skewcat.cli import _write_json, main
 from skewcat.fincat import category_to_json
 from skewcat.skewmon import skewmon_from_json, skewmon_to_json
@@ -291,6 +292,126 @@ def test_search_rejects_repeated_json_key(tmp_path, capsys):
     assert code == 2
     assert "repeated key '0'" in out["error"]
     assert not (tmp_path / "x").exists()
+
+
+_SENTINEL = "\x00repeat"
+
+
+def _with_repeated_key(doc, path, key, value, index=None):
+    """JSON text of ``doc`` in which the object at ``path`` holds a second
+    ``key`` member, of ``value``, before its member ``index`` (after the
+    last when None); the document is copied, and its shared dicts unshared,
+    by a JSON round trip."""
+    doc = json.loads(json.dumps(doc))
+    obj = doc
+    for step in path:
+        obj = obj[step]
+    items = list(obj.items())
+    items.insert(len(items) if index is None else index, (_SENTINEL, 0))
+    obj.clear()
+    obj.update(items)
+    text = json.dumps(doc)
+    member = json.dumps(_SENTINEL) + ": 0"
+    assert text.count(member) == 1
+    return text.replace(member, json.dumps(key) + ": " + json.dumps(value))
+
+
+def _small_multicat():
+    return multicat_to_json(monoidal_to_multicat(z2_monoidal(), 2))
+
+
+# (document, path to an object, key repeated there, value of the repeat or
+# None for the value the object already holds)
+REPEATED_KEY_PLACES = {
+    "top-level": (_small_multicat, (), "operad", None),
+    "homs-row": (_small_multicat, ("homs", 0), "output", None),
+    "action-row": (_small_multicat, ("action", 0), "n", None),
+    "subst-row": (_small_multicat, ("subst", 0), "result", None),
+    "outer-equal": (_small_multicat, ("subst", -1, "outer"), "x", None),
+    "outer-different": (_small_multicat, ("subst", -1, "outer"), "x", "t"),
+    "inner-equal": (_small_multicat, ("subst", -1, "inners", -1), "x", None),
+    "inner-different": (_small_multicat, ("subst", -1, "inners", -1), "x", "t"),
+    "category-morphisms-row": (lambda: category_to_json(z2_category()), ("morphisms", 0),
+                               "src", None),
+    "tensor": (lambda: skewmon_to_json(z2_monoidal()), ("tensor",), "objects", None),
+}
+REPEAT_COMMANDS = [["check"], ["analyze"], ["convert", "--to", "monoidal"], ["roundtrip"]]
+
+
+@pytest.mark.parametrize("command", REPEAT_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("place", REPEATED_KEY_PLACES)
+def test_repeated_key_in_any_object_is_exit_2(tmp_path, capsys, place, command):
+    make, where, key, value = REPEATED_KEY_PLACES[place]
+    doc = make()
+    obj = doc
+    for step in where:
+        obj = obj[step]
+    path = tmp_path / "in.json"
+    path.write_text(_with_repeated_key(doc, where, key, obj[key] if value is None else value))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out["error"] == f"repeated key {key!r} in a JSON object"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("break_later", [
+    lambda d: d["subst"][-1].update(result=1),
+    lambda d: d.update(max_arity=9),
+    lambda d: d["subst"].append({"outer": {}}),
+], ids=["result-integer", "max-arity", "short-row"])
+def test_repeated_key_is_reported_before_a_later_schema_error(tmp_path, capsys, break_later):
+    doc = _small_multicat()
+    break_later(doc)
+    path = tmp_path / "in.json"
+    path.write_text(_with_repeated_key(doc, ("homs", -1), "x", "t"))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 2
+    assert out["error"] == "repeated key 'x' in a JSON object"
+
+
+def _colon_ids():
+    return renamed(z2_monoidal(), {"x": "a:b"}, {"e0": "e:0", "e1": "e:1"})
+
+
+@pytest.mark.parametrize("spelling", ["literal", "escaped"])
+def test_ids_holding_a_colon_are_accepted(tmp_path, capsys, spelling):
+    text = json.dumps(multicat_to_json(monoidal_to_multicat(_colon_ids(), 3)))
+    if spelling == "escaped":
+        text = re.sub(r"(?<=[abe]):(?=[b01])", r"\\u003a", text)
+        assert text.count(":") == text.count(": ")
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert json.loads(text) == multicat_to_json(monoidal_to_multicat(_colon_ids(), 3))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0 and out["violations"] == []
+    code, out, _ = run(capsys, "convert", str(path), "--to", "monoidal")
+    assert code == 0 and out["unit"] == "a:b"
+    mon = write(tmp_path, "mon.json", out)
+    assert run(capsys, "roundtrip", mon, "--max-arity", "3")[0] == 0
+    # a repeated key is still found when a string holds a colon
+    path.write_text(_with_repeated_key(json.loads(text), ("homs", 0), "x", "a:b"))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 2 and out["error"] == "repeated key 'x' in a JSON object"
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_valid_files_are_read_without_the_strict_parse(tmp_path, capsys, monkeypatch, indent):
+    """Counting members proves every corpus file free of repeated keys, so
+    the strict parse never runs on one."""
+    strict = []
+    original = cli._repeated_key
+    monkeypatch.setattr(cli, "_repeated_key", lambda text: strict.append(1) or original(text))
+    files = {"category": category_to_json(chain_category(3)),
+             "monoidal": skewmon_to_json(z2_monoidal()),
+             "circ": multicat_to_json(monoidal_to_multicat(two_chain_snd(), 3), full=False),
+             "full": multicat_to_json(monoidal_to_multicat(two_chain_fst(), 3))}
+    for name, doc in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc, sort_keys=True, indent=indent))
+        assert run(capsys, "check", str(path))[0] == 0, name
+    assert run(capsys, "search", "--objects", str(tmp_path / "category.json"),
+               "--emit", str(tmp_path / "found"))[0] == 0
+    assert strict == []
 
 
 def test_analyze_rejects_lawless_input(tmp_path, capsys):
@@ -760,6 +881,42 @@ def test_arbitrary_json_never_escapes_as_an_exception(tmp_path_factory, doc, com
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(doc))
     assert main([command[0], str(path), *command[1:]]) in (0, 1, 2)
+
+
+def _object_paths(value, path=()):
+    """The path of every non-empty JSON object in a JSON value."""
+    if isinstance(value, dict) and value:
+        yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _object_paths(child, path + (key,))
+
+
+@st.composite
+def one_key_repeated(draw):
+    doc = draw(st.sampled_from(VALID_DOCUMENTS))
+    path = draw(st.sampled_from(list(_object_paths(doc))))
+    obj = doc
+    for step in path:
+        obj = obj[step]
+    key = draw(st.sampled_from(sorted(obj)))
+    value = draw(st.just(obj[key]) | JSON_VALUES)
+    index = draw(st.integers(0, len(obj)))
+    return key, _with_repeated_key(doc, path, key, value, index)
+
+
+@given(case=one_key_repeated(), command=st.sampled_from(COMMANDS))
+@settings(max_examples=100, deadline=None)
+def test_a_repeated_member_anywhere_is_exit_2(tmp_path_factory, case, command):
+    key, text = case
+    path = tmp_path_factory.getbasetemp() / "repeat.json"
+    path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command[0], str(path), *command[1:]])
+    assert code == 2
+    assert json.loads(out.getvalue())["error"] == f"repeated key {key!r} in a JSON object"
 
 
 # Strings include quotes, backslashes, control characters and non-ASCII text.
